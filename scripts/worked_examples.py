@@ -27,8 +27,7 @@ def run(name, design, top, params, show=4):
     placement = place(design, top, params)
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
-    report = simulate(design, top, params, payload_size=64, seed=0,
-                      keep_transmissions=True)
+    report = simulate(design, top, params, payload_size=64, seed=0)
     for tx in report.transmissions[:show]:
         terms = " + ".join(f"W^{s.file}({s.subfile})" for s in tx.summands)
         print(f"  Y^{tx.n}_{tx.coords} = {terms}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,17 +31,7 @@ def _json_doc(doc: dict) -> str:
 def cmd_design(args) -> int:
     design = designs.construct_mcrd(args.m, args.b, args.mu)
     report = designs.verify_mcrd(design)
-    doc = {
-        "design": design.to_json_dict(),
-        "verification": {
-            "passed": report.passed,
-            "classes_partition": list(report.classes_partition),
-            "block_size_ok": report.block_size_ok,
-            "block_size": report.block_size,
-            "intersection_sizes": list(report.intersection_sizes),
-            "measured_mu": report.measured_mu,
-        },
-    }
+    doc = {"design": design.to_json_dict(), "verification": asdict(report)}
     _emit(_json_doc(doc), args.out)
     return 0 if report.passed else 1
 
@@ -52,9 +43,9 @@ def _load_topology(args) -> topology.Topology:
     if src == "random":
         return topology.random_topology(args.m, args.b, args.z, seed=args.seed)
     doc = json.loads(Path(src).read_text(encoding="utf-8"))
-    if "topology" in doc:  # accept the `macc topology --out` document as-is
+    if isinstance(doc, dict) and "topology" in doc:  # the `macc topology --out` document
         doc = doc["topology"]
-    if not {"m", "b", "z", "access"} <= set(doc):
+    if not isinstance(doc, dict) or not {"m", "b", "z", "access"} <= set(doc):
         raise ValueError(f"{src} is not a topology JSON (need m, b, z, access)")
     top = topology.Topology.from_json_dict(doc)
     if (top.m, top.b, top.z) != (args.m, args.b, args.z):
@@ -65,18 +56,7 @@ def _load_topology(args) -> topology.Topology:
 def cmd_topology(args) -> int:
     top = _load_topology(args)
     report = topology.validate(top)
-    doc = {
-        "topology": top.to_json_dict(),
-        "validation": {
-            "passed": report.passed,
-            "c1_ok": report.c1_ok,
-            "c2_ok": report.c2_ok,
-            "c2_at_most_ok": report.c2_at_most_ok,
-            "c3_ok": report.c3_ok,
-            "violations": list(report.violations),
-            "warnings": list(report.warnings),
-        },
-    }
+    doc = {"topology": top.to_json_dict(), "validation": asdict(report)}
     _emit(_json_doc(doc), args.out)
     return 0 if report.passed else 1
 
@@ -90,6 +70,8 @@ def cmd_simulate(args) -> int:
     demands = None
     if args.demands:
         demands = json.loads(Path(args.demands).read_text(encoding="utf-8"))
+        if not isinstance(demands, list) or not all(type(d) is int for d in demands):
+            raise ValueError(f"{args.demands}: demands must be a JSON list of integer file indices")
 
     report = engine.simulate(
         design,
@@ -99,7 +81,6 @@ def cmd_simulate(args) -> int:
         payload_size=args.payload,
         seed=args.seed,
         placement_seed=args.seed if args.placement == "seeded" else None,
-        keep_transmissions=True,
     )
 
     if args.log:
@@ -201,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, designs.PointBudgetError,
+    except (ValueError, designs.PointBudgetError,
             topology.MatchingError, topology.GenerationError,
             engine.UnsupportedDesignError, analysis.ApplicabilityError,
             OSError, json.JSONDecodeError) as exc:

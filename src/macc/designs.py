@@ -15,7 +15,6 @@ convention.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
@@ -60,11 +59,6 @@ class Design:
             raise ValueError(f"block index ({i},{j}) out of range")
         return self.blocks[i - 1][j - 1]
 
-    def parallel_class(self, i: int) -> tuple[tuple[int, ...], ...]:
-        if not 1 <= i <= self.m:
-            raise ValueError(f"class index {i} out of range")
-        return self.blocks[i - 1]
-
     def point_class_index(self, i: int) -> dict[int, int]:
         """Map point -> index of the class-i block containing it (first wins)."""
         out: dict[int, int] = {}
@@ -80,9 +74,6 @@ class Design:
             "mu": self.mu,
             "blocks": [[list(blk) for blk in cls] for cls in self.blocks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Design":
@@ -131,16 +122,7 @@ class DesignReport:
     block_size: int | None
     intersection_sizes: tuple[int, ...]
     measured_mu: int | None
-    mu_matches_declared: bool
     passed: bool
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        mu = self.measured_mu if self.measured_mu is not None else "non-constant"
-        return (
-            f"{status}: partitions={all(self.classes_partition)} "
-            f"uniform_block_size={self.block_size_ok} measured_mu={mu}"
-        )
 
 
 def verify_mcrd(design: Design) -> DesignReport:
@@ -173,15 +155,13 @@ def verify_mcrd(design: Design) -> DesignReport:
     measured_mu = observed.pop() if len(observed) == 1 else None
     if measured_mu is not None:
         observed = {measured_mu}
-    mu_matches = measured_mu == design.mu
-    passed = all(classes_partition) and block_size_ok and mu_matches
+    passed = all(classes_partition) and block_size_ok and measured_mu == design.mu
     return DesignReport(
         classes_partition=tuple(classes_partition),
         block_size_ok=block_size_ok,
         block_size=block_size,
         intersection_sizes=tuple(sorted(observed)),
         measured_mu=measured_mu,
-        mu_matches_declared=mu_matches,
         passed=passed,
     )
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,23 +51,14 @@ def cell_quotas(t: int, b: int, z: int) -> tuple[int, int]:
 
 
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
-    """Broadcast rate in file units for the given parameters; exact.
+    """Broadcast rate in file units, r = b - t'(z-1) - t_z; exact.
 
-    Three regimes: b - t*z while t <= floor(b/z); then the last cell drains
-    linearly; zero once every user covers all blocks of its group.
+    r is also the number of blocks per group that no user covers.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     t_prime, t_z = cell_quotas(t, b, z)
-    x = b // z
-    if t <= x:
-        rate = b - t * z
-    elif t < b - (z - 1) * x:
-        rate = b - (z - 1) * x - t
-    else:
-        rate = 0
-    assert rate == b - t_prime * (z - 1) - t_z
-    return Fraction(rate)
+    return Fraction(b - t_prime * (z - 1) - t_z)
 
 
 @dataclass(frozen=True)
@@ -87,21 +77,13 @@ class SchemeParams:
         cell_quotas(self.t, self.b, self.z)
 
     @property
-    def t_prime(self) -> int:
-        return cell_quotas(self.t, self.b, self.z)[0]
-
-    @property
-    def t_z(self) -> int:
-        return cell_quotas(self.t, self.b, self.z)[1]
-
-    @property
     def subpacketization(self) -> int:
         return self.b**self.m
 
     @property
     def missing_count(self) -> int:
         """Blocks per group no user covers via its caches; also the rate in files."""
-        return self.b - self.t_prime * (self.z - 1) - self.t_z
+        return int(achievable_rate(self.b, self.m, self.z, self.t))
 
     @property
     def memory_fraction(self) -> Fraction:
@@ -187,7 +169,7 @@ def place(design: Design, topology: Topology, params: SchemeParams,
 
     rng = None if seed is None else random.Random(seed)
     m, b, z = params.m, params.b, params.z
-    t_prime, t_z = params.t_prime, params.t_z
+    t_prime, t_z = cell_quotas(params.t, b, z)
 
     cache_rows = []
     for i in range(1, m + 1):
@@ -289,47 +271,73 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
         return []
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
-    missing = []
-    for i in range(1, m + 1):
-        per_user = []
-        for j in range(1, b + 1):
-            covered = placement.user_block_set(i, j)
-            gaps = [s for s in range(1, b + 1) if s not in covered]
-            assert len(gaps) == r
-            per_user.append(gaps)
-        missing.append(per_user)
-
+    missing = build_demand_graph(placement, matchings).missing
     lookup = _point_lookup(design)
     out: list[Transmission] = []
     for n in range(1, r + 1):
         for coords in itertools.product(range(1, b + 1), repeat=m):
             summands = []
             for i in range(1, m + 1):
-                user_slot = inv[i - 1][coords[i - 1] - 1]
-                swap = missing[i - 1][user_slot - 1][n - 1]
+                swap = missing[i - 1][coords[i - 1] - 1][n - 1]
                 key = coords[: i - 1] + (swap,) + coords[i:]
-                user = (i - 1) * b + user_slot
+                user = (i - 1) * b + inv[i - 1][coords[i - 1] - 1]
                 summands.append(Summand(user, demands[user - 1], lookup[key]))
             out.append(Transmission(n=n, coords=coords, summands=tuple(summands)))
     return out
 
 
-def decode(user: int, placement: Placement, transmissions, demand: int) -> set[int]:
-    """Subfile indices of ``demand`` user ``user`` recovers from the broadcasts.
+class Decoding(NamedTuple):
+    recovered: tuple[set[int], ...]  # recovered[u-1]: subfiles user u decodes
+    beneficiary_counts: tuple[int, ...]  # users served, per transmission
+    byte_ok: bool | None  # None when no contents were given
 
-    A transmission is useful when the user can cancel all summands but one
-    (their subfiles sit in blocks it covers) and the leftover is a subfile
-    of its demanded file.
+
+def decode(placement: Placement, transmissions, demands, contents=None) -> Decoding:
+    """Decode every user's demanded file from the broadcasts.
+
+    A user recovers a summand addressed to its file when the subfiles of
+    all other summands sit in blocks it covers.  ``contents`` maps
+    (file, subfile) to that subfile's ground-truth bytes as a big-endian
+    int; when given, each recovery XORs the payload the transmission
+    carries with the cancelled summands and must yield the ground truth.
     """
-    i, j = placement.topology.user_coords(user)
-    covered = placement.user_block_set(i, j)
-    in_class = placement.design.point_class_index(i)
-    recovered: set[int] = set()
+    design, params = placement.design, placement.params
+    demands = _check_demands(demands, params)
+    m, b = params.m, params.b
+    in_class = [design.point_class_index(i) for i in range(1, m + 1)]
+    covered = [
+        [placement.user_block_set(i, j) for j in range(1, b + 1)]
+        for i in range(1, m + 1)
+    ]
+    users_by_file: dict[int, list[int]] = {}
+    for user, d in enumerate(demands, start=1):
+        users_by_file.setdefault(d, []).append(user)
+
+    def knows(user: int, subfile: int) -> bool:
+        gi, gj = (user - 1) // b, (user - 1) % b
+        return in_class[gi][subfile] in covered[gi][gj]
+
+    recovered: list[set[int]] = [set() for _ in demands]
+    beneficiary_counts = []
+    byte_ok: bool | None = None if contents is None else True
     for tx in transmissions:
-        unknown = [s for s in tx.summands if in_class[s.subfile] not in covered]
-        if len(unknown) == 1 and unknown[0].file == demand:
-            recovered.add(unknown[0].subfile)
-    return recovered
+        count = 0
+        for s in tx.summands:
+            for user in users_by_file.get(s.file, ()):
+                if knows(user, s.subfile):
+                    continue
+                if all(o is s or knows(user, o.subfile) for o in tx.summands):
+                    count += 1
+                    recovered[user - 1].add(s.subfile)
+                    if contents is not None:
+                        got = int.from_bytes(tx.payload, "big")
+                        for o in tx.summands:
+                            if o is not s:
+                                got ^= contents[o.file, o.subfile]
+                        if got != contents[s.file, s.subfile]:
+                            byte_ok = False
+        beneficiary_counts.append(count)
+    return Decoding(tuple(recovered), tuple(beneficiary_counts), byte_ok)
 
 
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:
@@ -360,7 +368,7 @@ class SimulationReport:
     users_complete: tuple[bool, ...]
     beneficiary_counts: tuple[int, ...]
     byte_oracle_ok: bool | None
-    transmissions: tuple[Transmission, ...] | None = None
+    transmissions: list[Transmission]
 
     def all_complete(self) -> bool:
         return all(self.users_complete)
@@ -384,14 +392,10 @@ class SimulationReport:
             "byte_oracle_ok": self.byte_oracle_ok,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def simulate(design: Design, topology: Topology, params: SchemeParams, demands=None,
              payload_size: int | None = None, seed: int = 0,
-             placement_seed: int | None = None,
-             keep_transmissions: bool = False) -> SimulationReport:
+             placement_seed: int | None = None) -> SimulationReport:
     """Run placement, delivery, and per-user decode; report rate and completeness.
 
     ``demands`` defaults to user u demanding file u (needs N >= K).  With
@@ -409,62 +413,31 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
     matchings = extract_matchings(topology)
     transmissions = deliver(placement, matchings, demands)
 
+    contents: dict[tuple[int, int], int] | None = None
     if payload_size is not None:
-        transmissions = [
-            replace(
-                tx,
-                payload=_xor_all(
-                    subfile_bytes(seed, s.file, s.subfile, payload_size)
-                    for s in tx.summands
-                ),
-            )
-            for tx in transmissions
-        ]
+        contents = {}
+        with_payload = []
+        for tx in transmissions:
+            acc = 0
+            for s in tx.summands:
+                key = (s.file, s.subfile)
+                if key not in contents:
+                    contents[key] = int.from_bytes(
+                        subfile_bytes(seed, s.file, s.subfile, payload_size), "big")
+                acc ^= contents[key]
+            with_payload.append(replace(tx, payload=acc.to_bytes(payload_size, "big")))
+        transmissions = with_payload
+
+    decoding = decode(placement, transmissions, demands, contents)
 
     m, b = params.m, params.b
-    in_class = [design.point_class_index(i) for i in range(1, m + 1)]
-    covered = [
-        [placement.user_block_set(i, j) for j in range(1, b + 1)]
-        for i in range(1, m + 1)
-    ]
-    users_by_file: dict[int, list[int]] = {}
-    for user, d in enumerate(demands, start=1):
-        users_by_file.setdefault(d, []).append(user)
-
-    def knows(user: int, subfile: int) -> bool:
-        gi, gj = (user - 1) // b, (user - 1) % b
-        return in_class[gi][subfile] in covered[gi][gj]
-
-    recovered: list[set[int]] = [set() for _ in range(params.num_users + 1)]
-    beneficiary_counts = []
-    byte_ok: bool | None = None if payload_size is None else True
-    for tx in transmissions:
-        count = 0
-        for s in tx.summands:
-            for user in users_by_file.get(s.file, ()):
-                if knows(user, s.subfile):
-                    continue
-                if all(o is s or knows(user, o.subfile) for o in tx.summands):
-                    count += 1
-                    recovered[user].add(s.subfile)
-                    if payload_size is not None:
-                        rest = _xor_all(
-                            subfile_bytes(seed, o.file, o.subfile, payload_size)
-                            for o in tx.summands
-                            if o is not s
-                        )
-                        got = _xor(tx.payload, rest) if rest else tx.payload
-                        if got != subfile_bytes(seed, s.file, s.subfile, payload_size):
-                            byte_ok = False
-        beneficiary_counts.append(count)
-
     f = params.subpacketization
     block_size = b ** (m - 1)
     users_complete = []
     for user in range(1, params.num_users + 1):
         gi, gj = (user - 1) // b, (user - 1) % b
-        cached = len(covered[gi][gj]) * block_size
-        users_complete.append(cached + len(recovered[user]) == f)
+        cached = len(placement.user_blocks[gi][gj]) * block_size
+        users_complete.append(cached + len(decoding.recovered[user - 1]) == f)
 
     return SimulationReport(
         m=m,
@@ -477,18 +450,7 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
         rate=Fraction(len(transmissions), f),
         expected_rate=achievable_rate(b, m, params.z, params.t),
         users_complete=tuple(users_complete),
-        beneficiary_counts=tuple(beneficiary_counts),
-        byte_oracle_ok=byte_ok,
-        transmissions=tuple(transmissions) if keep_transmissions else None,
+        beneficiary_counts=decoding.beneficiary_counts,
+        byte_oracle_ok=decoding.byte_ok,
+        transmissions=transmissions,
     )
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def _xor_all(chunks) -> bytes | None:
-    out: bytes | None = None
-    for c in chunks:
-        out = c if out is None else _xor(out, c)
-    return out

@@ -15,7 +15,6 @@ or as global ids (i-1)*b + j; the JSON form uses global ids, row-major.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -77,9 +76,6 @@ class Topology:
     def num_users(self) -> int:
         return self.m * self.b
 
-    def user_id(self, i: int, j: int) -> int:
-        return (i - 1) * self.b + j
-
     def user_coords(self, user: int) -> tuple[int, int]:
         return (user - 1) // self.b + 1, (user - 1) % self.b + 1
 
@@ -108,13 +104,19 @@ class Topology:
             "access": [list(caches) for caches in self.access],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
-        access = tuple(tuple(sorted(set(map(int, row)))) for row in doc["access"])
-        return cls(m=int(doc["m"]), b=int(doc["b"]), z=int(doc["z"]), access=access)
+        """Build from the JSON form; a field of the wrong type raises ValueError naming it."""
+        for name in ("m", "b", "z"):
+            if type(doc[name]) is not int:
+                raise ValueError(f"topology field {name!r} must be an integer")
+        rows = doc["access"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(c) is int for c in row) for row in rows
+        ):
+            raise ValueError("topology field 'access' must be a list of lists of integer cache ids")
+        access = tuple(tuple(sorted(set(row))) for row in rows)
+        return cls(m=doc["m"], b=doc["b"], z=doc["z"], access=access)
 
     @classmethod
     def from_group_slots(cls, m: int, b: int, z: int, slots) -> "Topology":
@@ -133,12 +135,6 @@ class MatchingAssignment:
     m: int
     b: int
     to_cache: tuple[tuple[int, ...], ...]
-
-    def cache_for(self, i: int, j: int) -> int:
-        return self.to_cache[i - 1][j - 1]
-
-    def user_for(self, i: int, cache_slot: int) -> int:
-        return self.to_cache[i - 1].index(cache_slot) + 1
 
     def inverse(self, i: int) -> list[int]:
         """inverse(i)[cache_slot - 1] = user slot matched to that cache."""
@@ -175,24 +171,44 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
                 seeded[u] = True
                 break
 
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == 0 or try_augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
     for u in range(1, len(adj)):
         if not seeded[u]:
-            try_augment(u, [False] * (n_right + 1))
+            _augment(adj, match_right, u)
 
     match_left = [0] * len(adj)
     for v in range(1, n_right + 1):
         if match_right[v]:
             match_left[match_right[v]] = v
     return match_left
+
+
+def _augment(adj: list[list[int]], match_right: list[int], root: int) -> bool:
+    """Depth-first search for an augmenting path from ``root``; flips it if found.
+
+    An explicit stack replaces recursion, so path length is not bounded by
+    the interpreter's recursion limit; the visiting order is the recursive one.
+    """
+    seen = [False] * len(match_right)
+    stack = [(root, iter(adj[root]))]
+    via: list[int] = []  # via[k]: right vertex that led from stack[k] to stack[k+1]
+    while stack:
+        for v in stack[-1][1]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_right[v] == 0:
+                via.append(v)
+                for (u, _), w in zip(stack, via):
+                    match_right[w] = u
+                return True
+            via.append(v)
+            stack.append((match_right[v], iter(adj[match_right[v]])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def _group_adj(topology: Topology, i: int) -> list[list[int]]:

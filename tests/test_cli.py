@@ -125,6 +125,37 @@ def test_simulate_rejects_non_topology_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ([1, 2], "topology JSON"),
+    ("topology", "topology JSON"),
+    ({"topology": [1]}, "topology JSON"),
+    ({"m": 2, "b": 4, "z": 2, "access": [1, 2]}, "'access'"),
+    ({"m": 2, "b": 4, "z": 2, "access": [[1, "3"]] * 8}, "'access'"),
+    ({"m": None, "b": 4, "z": 2, "access": [[1, 3]] * 8}, "'m'"),
+])
+def test_simulate_rejects_malformed_topology_fields(capsys, tmp_path, doc, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
+        "--topology", str(bad),
+    )
+    assert code == 2
+    assert field in err
+
+
+@pytest.mark.parametrize("demands", [[None] + [1] * 7, {"1": 1}, [1.5] * 8, "1"])
+def test_simulate_rejects_malformed_demands(capsys, tmp_path, demands):
+    path = tmp_path / "demands.json"
+    path.write_text(json.dumps(demands))
+    code, _, err = run_cli(
+        capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
+        "--demands", str(path),
+    )
+    assert code == 2
+    assert "demands must be" in err
+
+
 def test_simulate_payload_oracle(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from macc import (
     extract_matchings,
     place,
     simulate,
+    subfile_bytes,
 )
 
 
@@ -39,11 +42,21 @@ def test_achievable_rate_examples():
 
 
 def test_achievable_rate_equals_quota_form():
+    # the paper's three regimes: b - tz while t <= floor(b/z), then the last
+    # cell drains linearly, then zero once every user covers its whole group
     for b in range(1, 15):
         for z in range(1, b + 1):
             for t in range(1, b + 1):
-                tp, tz = cell_quotas(t, b, z)
-                assert achievable_rate(b, 1, z, t) == b - tp * (z - 1) - tz
+                x = b // z
+                if t <= x:
+                    piecewise = b - t * z
+                elif t < b - (z - 1) * x:
+                    piecewise = b - (z - 1) * x - t
+                else:
+                    piecewise = 0
+                assert achievable_rate(b, 1, z, t) == piecewise
+                params = SchemeParams(m=1, b=b, z=z, t=t, n_files=1)
+                assert params.missing_count == piecewise
 
 
 def test_place_single_block_per_cache(example_a):
@@ -210,29 +223,34 @@ def test_deliver_validates_demands(example_a, example_a_matching):
 def test_decode_single_transmission(example_a, example_a_matching):
     design, top, params = example_a
     placement = place(design, top, params)
-    txs = deliver(placement, example_a_matching, range(1, 9))
+    demands = range(1, 9)
+    txs = deliver(placement, example_a_matching, demands)
+    first = decode(placement, txs[:1], demands)
     # user 1 learns subfile 5 of file 1 from the very first broadcast
-    assert decode(1, placement, txs[:1], demand=1) == {5}
+    assert first.recovered[0] == {5}
     # user 2 can cancel one summand but the leftover is not its file
-    assert decode(2, placement, txs[:1], demand=2) == set()
+    assert first.recovered[1] == set()
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
     tx_33 = next(t for t in txs if t.n == 1 and t.coords == (3, 3))
     assert {s.subfile for s in tx_33.summands} == {3, 9}
-    assert decode(2, placement, [tx_33], demand=2) == set()
+    assert decode(placement, [tx_33], demands).recovered[1] == set()
 
 
 def test_decode_completeness(example_a, example_a_matching):
     design, top, params = example_a
     placement = place(design, top, params)
     txs = deliver(placement, example_a_matching, range(1, 9))
+    decoding = decode(placement, txs, range(1, 9))
     full = set(range(1, 17))
     for user in range(1, 9):
         i, j = top.user_coords(user)
-        got = decode(user, placement, txs, demand=user)
+        got = decoding.recovered[user - 1]
         cached = placement.cached_subfiles(i, j)
         assert not (got & cached)
         assert got | cached == full
+    assert decoding.beneficiary_counts == (2,) * 32
+    assert decoding.byte_ok is None
 
 
 def test_decode_rate_zero_regime():
@@ -283,15 +301,87 @@ def test_simulate_with_repeated_demands(example_a):
     assert min(report.beneficiary_counts) >= 2
 
 
+def _brute_decode(placement, transmissions, user, demand):
+    """Subfiles of ``demand`` that ``user`` recovers, checked one broadcast at a time."""
+    cached = placement.cached_subfiles(*placement.topology.user_coords(user))
+    got = set()
+    for tx in transmissions:
+        unknown = [s for s in tx.summands if s.subfile not in cached]
+        if len(unknown) == 1 and unknown[0].file == demand:
+            got.add(unknown[0].subfile)
+    return got
+
+
 def test_simulate_matches_decode(example_a):
     design, top, params = example_a
-    report = simulate(design, top, params, keep_transmissions=True)
+    report = simulate(design, top, params)
     placement = place(design, top, params)
+    decoding = decode(placement, report.transmissions, range(1, 9))
     for user in range(1, 9):
         i, j = top.user_coords(user)
-        got = decode(user, placement, report.transmissions, demand=user)
+        got = _brute_decode(placement, report.transmissions, user, demand=user)
         cached = placement.cached_subfiles(i, j)
         assert (got | cached == set(range(1, 17))) == report.users_complete[user - 1]
+        assert decoding.recovered[user - 1] == got - cached
+
+
+def _complete(placement, decoding):
+    full = set(range(1, placement.params.subpacketization + 1))
+    return [
+        decoding.recovered[u - 1] | placement.cached_subfiles(*placement.topology.user_coords(u))
+        == full
+        for u in range(1, placement.params.num_users + 1)
+    ]
+
+
+def _contents(transmissions, seed, size):
+    return {
+        (s.file, s.subfile): int.from_bytes(subfile_bytes(seed, s.file, s.subfile, size), "big")
+        for tx in transmissions
+        for s in tx.summands
+    }
+
+
+def test_decode_catches_dropped_broadcast(example_a):
+    design, top, params = example_a
+    report = simulate(design, top, params)
+    placement = place(design, top, params)
+    assert all(_complete(placement, decode(placement, report.transmissions, range(1, 9))))
+    for k in (0, 17, 31):
+        schedule = report.transmissions[:k] + report.transmissions[k + 1:]
+        assert not all(_complete(placement, decode(placement, schedule, range(1, 9))))
+
+
+def test_decode_catches_swapped_summand(example_a):
+    design, top, params = example_a
+    report = simulate(design, top, params)
+    placement = place(design, top, params)
+    tx = report.transmissions[5]
+    first = tx.summands[0]
+    # another subfile of the same file, one its addressee still has to decode
+    other = next(s.subfile for t in report.transmissions for s in t.summands
+                 if s.user == first.user and s.subfile != first.subfile)
+    swapped = replace(tx, summands=(first._replace(subfile=other),) + tx.summands[1:])
+    schedule = list(report.transmissions)
+    schedule[5] = swapped
+    decoding = decode(placement, schedule, range(1, 9))
+    assert not _complete(placement, decoding)[first.user - 1]
+
+
+def test_decode_catches_flipped_payload_byte(example_a):
+    design, top, params = example_a
+    report = simulate(design, top, params, payload_size=16, seed=4)
+    placement = place(design, top, params)
+    contents = _contents(report.transmissions, seed=4, size=16)
+    assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
+    tx = report.transmissions[9]
+    payload = bytearray(tx.payload)
+    payload[3] ^= 0x01
+    schedule = list(report.transmissions)
+    schedule[9] = replace(tx, payload=bytes(payload))
+    decoding = decode(placement, schedule, range(1, 9), contents)
+    assert decoding.byte_ok is False
+    assert all(_complete(placement, decoding))  # only the byte oracle sees it
 
 
 def test_simulate_requires_enough_files(example_a):
@@ -336,7 +426,7 @@ def test_canonical_grid_invariants(data):
     design = construct_mcrd(m, b, 1)
     top = canonical_topology(m, b, z)
     params = SchemeParams(m=m, b=b, z=z, t=t, n_files=m * b)
-    report = simulate(design, top, params, payload_size=8, seed=0, keep_transmissions=True)
+    report = simulate(design, top, params, payload_size=8, seed=0)
     assert report.transmission_count == params.missing_count * b**m
     assert report.rate == achievable_rate(b, m, z, t)
     assert report.all_complete()

@@ -1,0 +1,27 @@
+"""The experiment scripts under scripts/ run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_worked_examples_script():
+    proc = _run("scripts/worked_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "decoded 8/8" in proc.stdout and "decoded 14/14" in proc.stdout
+
+
+def test_comparison_data_script(tmp_path):
+    proc = _run("scripts/comparison_data.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "comparison_K100_z5.csv").is_file()

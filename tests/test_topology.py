@@ -15,6 +15,7 @@ from macc import (
     random_topology,
     validate,
 )
+from macc.topology import _max_matching
 
 
 def test_cache_cell_examples():
@@ -103,6 +104,59 @@ def test_extract_matchings_identity_tie_break():
     top = Topology.from_group_slots(1, 4, 2, [[[1, 3], [2, 4], [3, 1], [4, 2]]])
     match = extract_matchings(top)
     assert match.to_cache == ((1, 2, 3, 4),)
+
+
+def test_extract_matchings_long_augmenting_chain():
+    # caches 1..n form cell 1 and n+1..2n cell 2.  Greedy seeding gives
+    # user A_j cache j and user B_j cache n+j, leaving X unmatched; its only
+    # augmenting path runs X, A_1, B_1, A_2, ..., B_(n-1), A_n: 2n users deep
+    n = 2500
+    group = [[j, n + j] for j in range(1, n + 1)]  # A_j
+    group += [[j + 1, n + j] for j in range(1, n)]  # B_j
+    group.append([1, n + 1])  # X
+    top = Topology.from_group_slots(1, 2 * n, 2, [group])
+    assert validate(top).passed
+    expected = tuple(range(n + 1, 2 * n + 1)) + tuple(range(2, n + 1)) + (1,)
+    assert extract_matchings(top).to_cache == (expected,)
+
+
+def _recursive_matching(adj, n_right):
+    """Textbook recursive Kuhn with the same greedy seeding, as a reference."""
+    match_right = [0] * (n_right + 1)
+    seeded = [False] * len(adj)
+    for u in range(1, len(adj)):
+        for v in adj[u]:
+            if match_right[v] == 0:
+                match_right[v], seeded[u] = u, True
+                break
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == 0 or try_augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    for u in range(1, len(adj)):
+        if not seeded[u]:
+            try_augment(u, [False] * (n_right + 1))
+    match_left = [0] * len(adj)
+    for v in range(1, n_right + 1):
+        if match_right[v]:
+            match_left[match_right[v]] = v
+    return match_left
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matching_agrees_with_recursive_reference(data):
+    n_left = data.draw(st.integers(1, 9))
+    n_right = data.draw(st.integers(1, 9))
+    neighbours = st.sets(st.integers(1, n_right), max_size=n_right).map(sorted)
+    adj = [[]] + data.draw(st.lists(neighbours, min_size=n_left, max_size=n_left))
+    assert _max_matching(adj, n_right) == _recursive_matching(adj, n_right)
 
 
 def test_extract_matchings_raises_without_c3():
