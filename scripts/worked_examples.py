@@ -29,7 +29,7 @@ def run(name, design, top, params, show=4):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
     report = simulate(design, top, params, payload_size=64, seed=0)
     for tx in report.transmissions[:show]:
-        terms = " + ".join(f"W^{s.file}({s.subfile})" for s in tx.summands)
+        terms = " + ".join(f"W^{f}({s})" for f, s in zip(tx.files, tx.subfiles))
         print(f"  Y^{tx.n}_{tx.coords} = {terms}")
     print(f"  ... {report.transmission_count} transmissions total")
     print(f"rate = {report.rate} (expected {report.expected_rate}), "

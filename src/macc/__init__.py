@@ -28,7 +28,6 @@ from .engine import (
     Placement,
     SchemeParams,
     SimulationReport,
-    Summand,
     Transmission,
     UnsupportedDesignError,
     achievable_rate,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -61,7 +62,23 @@ def cmd_topology(args) -> int:
     return 0 if report.passed else 1
 
 
+def write_log(path: str, transmissions, m: int) -> None:
+    """Write one JSON line per m-group transmission, as ``json.dumps(doc, sort_keys=True)``
+    spells it: coords, n, payload_hex (with a payload), then the summands."""
+    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %d, %s"summands": ['
+            + ", ".join(['{"file": %d, "subfile": %d, "user": %d}'] * m) + "]}\n")
+    # a row flattens to coords, n, payload, files, subfiles, users; summands interleave the last 3
+    order = operator.itemgetter(*range(m + 2), *(m + 2 + i + k * m
+                                                 for i in range(m) for k in range(3)))
+    with open(path, "w", encoding="utf-8") as fh:
+        for n, coords, users, files, subfiles, payload in transmissions:
+            paid = "" if payload is None else f'"payload_hex": "{payload.hex()}", '
+            fh.write(line % order((*coords, n, paid, *files, *subfiles, *users)))
+
+
 def cmd_simulate(args) -> int:
+    if not -(2**63) <= args.seed < 2**63:  # the subfile content generator's key size
+        raise ValueError(f"--seed must be a signed 64-bit integer, got {args.seed}")
     n_files = args.files if args.files is not None else args.m * args.b
     params = engine.SchemeParams(m=args.m, b=args.b, z=args.z, t=args.t, n_files=n_files)
     design = designs.construct_mcrd(args.m, args.b, 1)
@@ -84,11 +101,7 @@ def cmd_simulate(args) -> int:
     )
 
     if args.log:
-        lines = [
-            json.dumps(tx.to_json_dict(), sort_keys=True)
-            for tx in report.transmissions
-        ]
-        Path(args.log).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        write_log(args.log, report.transmissions, args.m)
     if args.report:
         Path(args.report).write_text(_json_doc(report.to_json_dict()), encoding="utf-8")
 
@@ -112,10 +125,15 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
     text = text.strip()
     if not text:
         return []
-    return [Fraction(part.strip()) for part in text.split(",")]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--grid: {text!r} is not a comma-separated list of fractions") from None
 
 
 def cmd_compare(args) -> int:
+    if not 1 <= args.z <= args.K:
+        raise ValueError(f"need 1 <= --z <= --K, got --z {args.z} and --K {args.K}")
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
     _emit(analysis.rows_to_csv(rows), args.out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -94,33 +94,20 @@ class SchemeParams:
         return self.m * self.b
 
 
-class Summand(NamedTuple):
-    user: int  # global user id the term is addressed to
-    file: int  # that user's demanded file
-    subfile: int  # subfile index of the term
+class Transmission(NamedTuple):
+    """One XOR broadcast as a row of the schedule table.
 
-
-@dataclass(frozen=True)
-class Transmission:
-    """One XOR broadcast: schedule coordinates plus the m combined subfiles."""
+    Round ``n`` and ``coords`` (one block per class) fix the broadcast;
+    position i-1 of ``users``, ``files`` and ``subfiles`` is the summand for
+    group i: the addressed user, that user's demanded file and the subfile.
+    """
 
     n: int
     coords: tuple[int, ...]
-    summands: tuple[Summand, ...]
+    users: tuple[int, ...]
+    files: tuple[int, ...]
+    subfiles: tuple[int, ...]
     payload: bytes | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "n": self.n,
-            "coords": list(self.coords),
-            "summands": [
-                {"user": s.user, "file": s.file, "subfile": s.subfile}
-                for s in self.summands
-            ],
-        }
-        if self.payload is not None:
-            doc["payload_hex"] = self.payload.hex()
-        return doc
 
 
 @dataclass(frozen=True)
@@ -137,9 +124,6 @@ class Placement:
     params: SchemeParams
     cache_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     user_blocks: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def user_block_set(self, i: int, j: int) -> frozenset[int]:
-        return frozenset(self.user_blocks[i - 1][j - 1])
 
     def cached_subfiles(self, i: int, j: int) -> set[int]:
         """Subfile indices user k(i,j) reads from its caches (any file)."""
@@ -225,19 +209,27 @@ def build_demand_graph(placement: Placement, matchings: MatchingAssignment) -> D
         inv = matchings.inverse(i)
         row = []
         for j in range(1, b + 1):
-            user_slot = inv[j - 1]
-            covered = placement.user_block_set(i, user_slot)
+            covered = set(placement.user_blocks[i - 1][inv[j - 1] - 1])
             row.append(tuple(s for s in range(1, b + 1) if s not in covered))
         rows.append(tuple(row))
     return DemandGraph(m=m, b=b, missing=tuple(rows))
 
 
-def _point_lookup(design: Design) -> dict[tuple[int, ...], int]:
-    """Map each full coordinate tuple (block slot per class) to its point; mu = 1."""
-    per_class = [design.point_class_index(i) for i in range(1, design.m + 1)]
-    table: dict[tuple[int, ...], int] = {}
-    for p in range(1, design.num_points + 1):
-        table[tuple(cls[p] for cls in per_class)] = p
+def _point_table(design: Design, block_of: list[list[int]]) -> list[int]:
+    """Point at each mixed-radix coordinate number sum((c_i - 1) * b**(m-i)), given
+    ``block_of[i-1][p]``, the class-i block of point p.  Needs every class to
+    partition the points and every m blocks of distinct classes to meet in one."""
+    b, n = design.b, design.num_points
+    index = [0] * (n + 1)
+    for cls, blocks in zip(block_of, design.blocks):
+        if sum(map(len, blocks)) != n or not all(cls[1:]):
+            raise UnsupportedDesignError("a parallel class does not partition the points")
+        index = [k * b + j - 1 for k, j in zip(index, cls)]
+    table = [0] * n
+    for p in range(1, n + 1):
+        table[index[p]] = p
+    if 0 in table:
+        raise UnsupportedDesignError("some blocks of distinct classes do not meet in one point")
     return table
 
 
@@ -272,17 +264,23 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
     missing = build_demand_graph(placement, matchings).missing
-    lookup = _point_lookup(design)
+    table = _point_table(design, [design.point_class_index(i) for i in range(1, m + 1)])
+    # cell k of the product is the point table's coordinate number k; the
+    # addressed users and their files are the same in every round
+    cells = list(itertools.product(range(1, b + 1), repeat=m))
+    columns = list(zip(*cells))
+    users = [tuple(i * b + inv[i][c - 1] for i, c in enumerate(coords)) for coords in cells]
+    files = [tuple(demands[u - 1] for u in us) for us in users]
     out: list[Transmission] = []
     for n in range(1, r + 1):
-        for coords in itertools.product(range(1, b + 1), repeat=m):
-            summands = []
-            for i in range(1, m + 1):
-                swap = missing[i - 1][coords[i - 1] - 1][n - 1]
-                key = coords[: i - 1] + (swap,) + coords[i:]
-                user = (i - 1) * b + inv[i - 1][coords[i - 1] - 1]
-                summands.append(Summand(user, demands[user - 1], lookup[key]))
-            out.append(Transmission(n=n, coords=coords, summands=tuple(summands)))
+        summands = []
+        for i in range(1, m + 1):
+            # moving coordinate i from c to the n-th missing block shifts the index
+            stride = b ** (m - i)
+            shift = [0] + [(gap[n - 1] - c) * stride
+                           for c, gap in enumerate(missing[i - 1], start=1)]
+            summands.append([table[k + shift[c]] for k, c in enumerate(columns[i - 1])])
+        out.extend(map(Transmission, itertools.repeat(n), cells, users, files, zip(*summands)))
     return out
 
 
@@ -304,38 +302,35 @@ def decode(placement: Placement, transmissions, demands, contents=None) -> Decod
     design, params = placement.design, placement.params
     demands = _check_demands(demands, params)
     m, b = params.m, params.b
-    in_class = [design.point_class_index(i) for i in range(1, m + 1)]
-    covered = [
-        [placement.user_block_set(i, j) for j in range(1, b + 1)]
-        for i in range(1, m + 1)
-    ]
-    users_by_file: dict[int, list[int]] = {}
-    for user, d in enumerate(demands, start=1):
-        users_by_file.setdefault(d, []).append(user)
-
-    def knows(user: int, subfile: int) -> bool:
-        gi, gj = (user - 1) // b, (user - 1) % b
-        return in_class[gi][subfile] in covered[gi][gj]
+    block_of = [design.point_class_index(i) for i in range(1, m + 1)]
+    # per file: (user index, its class's point -> block list, covered-block flags)
+    readers: dict[int, list] = {}
+    for user, d in enumerate(demands):
+        covered = bytearray(b + 1)
+        for slot in placement.user_blocks[user // b][user % b]:
+            covered[slot] = 1
+        readers.setdefault(d, []).append((user, block_of[user // b], covered))
 
     recovered: list[set[int]] = [set() for _ in demands]
     beneficiary_counts = []
     byte_ok: bool | None = None if contents is None else True
     for tx in transmissions:
+        files, subfiles = tx.files, tx.subfiles
         count = 0
-        for s in tx.summands:
-            for user in users_by_file.get(s.file, ()):
-                if knows(user, s.subfile):
+        for k, s in enumerate(subfiles):
+            for user, cls, covered in readers.get(files[k], ()):
+                # s must be the one summand the user does not cover
+                if covered[cls[s]] or sum([covered[cls[o]] for o in subfiles]) != m - 1:
                     continue
-                if all(o is s or knows(user, o.subfile) for o in tx.summands):
-                    count += 1
-                    recovered[user - 1].add(s.subfile)
-                    if contents is not None:
-                        got = int.from_bytes(tx.payload, "big")
-                        for o in tx.summands:
-                            if o is not s:
-                                got ^= contents[o.file, o.subfile]
-                        if got != contents[s.file, s.subfile]:
-                            byte_ok = False
+                count += 1
+                recovered[user].add(s)
+                if contents is not None:
+                    got = int.from_bytes(tx.payload, "big")
+                    for j, key in enumerate(zip(files, subfiles)):
+                        if j != k:
+                            got ^= contents[key]
+                    if got != contents[files[k], s]:
+                        byte_ok = False
         beneficiary_counts.append(count)
     return Decoding(tuple(recovered), tuple(beneficiary_counts), byte_ok)
 
@@ -374,23 +369,11 @@ class SimulationReport:
         return all(self.users_complete)
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "b": self.b,
-            "z": self.z,
-            "t": self.t,
-            "n_files": self.n_files,
-            "subpacketization": self.subpacketization,
-            "transmission_count": self.transmission_count,
-            "rate": {"num": self.rate.numerator, "den": self.rate.denominator},
-            "expected_rate": {
-                "num": self.expected_rate.numerator,
-                "den": self.expected_rate.denominator,
-            },
-            "users_complete": list(self.users_complete),
-            "beneficiary_counts": list(self.beneficiary_counts),
-            "byte_oracle_ok": self.byte_oracle_ok,
-        }
+        """Every field but the schedule; rates as {"num", "den"}."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transmissions"}
+        for key in ("rate", "expected_rate"):
+            doc[key] = {"num": doc[key].numerator, "den": doc[key].denominator}
+        return doc
 
 
 def simulate(design: Design, topology: Topology, params: SchemeParams, demands=None,
@@ -416,28 +399,22 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
     contents: dict[tuple[int, int], int] | None = None
     if payload_size is not None:
         contents = {}
-        with_payload = []
-        for tx in transmissions:
+        for k, tx in enumerate(transmissions):
             acc = 0
-            for s in tx.summands:
-                key = (s.file, s.subfile)
+            for key in zip(tx.files, tx.subfiles):
                 if key not in contents:
-                    contents[key] = int.from_bytes(
-                        subfile_bytes(seed, s.file, s.subfile, payload_size), "big")
+                    contents[key] = int.from_bytes(subfile_bytes(seed, *key, payload_size), "big")
                 acc ^= contents[key]
-            with_payload.append(replace(tx, payload=acc.to_bytes(payload_size, "big")))
-        transmissions = with_payload
+            transmissions[k] = tx._replace(payload=acc.to_bytes(payload_size, "big"))
 
     decoding = decode(placement, transmissions, demands, contents)
 
     m, b = params.m, params.b
     f = params.subpacketization
-    block_size = b ** (m - 1)
-    users_complete = []
-    for user in range(1, params.num_users + 1):
-        gi, gj = (user - 1) // b, (user - 1) % b
-        cached = len(placement.user_blocks[gi][gj]) * block_size
-        users_complete.append(cached + len(decoding.recovered[user - 1]) == f)
+    users_complete = [
+        len(placement.user_blocks[u // b][u % b]) * b ** (m - 1) + len(got) == f
+        for u, got in enumerate(decoding.recovered)
+    ]
 
     return SimulationReport(
         m=m,

@@ -331,8 +331,10 @@ def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) 
     sizes = cell_sizes(b, z)
     starts = [sum(sizes[:l]) for l in range(z)]
     slots = []
-    for _ in range(m):
-        for attempt in range(max_retries):
+    tries = 0
+    for i in range(1, m + 1):
+        for _ in range(max_retries):
+            tries += 1
             group = [
                 [starts[l] + rng.randrange(sizes[l]) + 1 for l in range(z)]
                 for _ in range(b)
@@ -343,7 +345,9 @@ def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) 
                 slots.append(group)
                 break
         else:
-            raise GenerationError(f"no C3-satisfying group found in {max_retries} tries")
+            raise GenerationError(
+                f"no C3-satisfying draw for group {i} in {max_retries} tries; {len(slots)} of "
+                f"{tries} draws accepted, acceptance rate {len(slots) / tries:.3g}")
     return Topology.from_group_slots(m, b, z, slots)
 
 

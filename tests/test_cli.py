@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from macc import subfile_bytes
 from macc.cli import main
 
 
@@ -231,3 +232,64 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--m", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--K", "8", "--z", "9"], "need 1 <= --z <= --K, got --z 9 and --K 8"),
+    (["--K", "0", "--z", "1"], "need 1 <= --z <= --K, got --z 1 and --K 0"),
+    (["--K", "8", "--z", "0"], "need 1 <= --z <= --K, got --z 0 and --K 8"),
+    (["--K", "8", "--z", "2", "--grid", "1/0"], "--grid: '1/0' is not"),
+])
+def test_compare_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run_cli(capsys, "compare", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_simulate_rejects_seed_outside_int64(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
+                           "--payload", "4", "--seed", "99999999999999999999")
+    assert code == 2 and err.startswith("error: --seed")
+    code, out, _ = run_cli(capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
+                           "--payload", "4", "--seed", str(-(2**63)))
+    assert code == 0 and "byte_oracle=ok" in out
+
+
+def test_random_topology_failure_names_tries_and_rate(capsys):
+    code, _, err = run_cli(capsys, "topology", "--m", "2", "--b", "12", "--z", "1",
+                           "--source", "random")
+    assert code == 2
+    assert "in 1000 tries" in err and "0 of 1000 draws accepted, acceptance rate 0" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--payload", "8"]])
+def test_simulate_log_lines_are_sorted_key_json(capsys, tmp_path, extra):
+    log, demands_path = tmp_path / "tx.jsonl", tmp_path / "demands.json"
+    demands = [u % 3 + 1 for u in range(12)]
+    demands_path.write_text(json.dumps(demands))
+    code, _, _ = run_cli(capsys, "simulate", "--m", "3", "--b", "4", "--z", "2", "--t", "1",
+                         "--files", "3", "--demands", str(demands_path),
+                         "--topology", "random", "--seed", "5", "--log", str(log), *extra)
+    assert code == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 * 4**3
+    for line in lines:
+        doc = json.loads(line)
+        assert line == json.dumps(doc, sort_keys=True)
+        assert [s["file"] for s in doc["summands"]] == \
+            [demands[s["user"] - 1] for s in doc["summands"]]
+        if extra:
+            want = 0
+            for s in doc["summands"]:
+                want ^= int.from_bytes(subfile_bytes(5, s["file"], s["subfile"], 8), "big")
+            assert doc["payload_hex"] == want.to_bytes(8, "big").hex()
+        else:
+            assert "payload_hex" not in doc
+
+
+def test_simulate_rate_zero_writes_empty_log(capsys, tmp_path):
+    log = tmp_path / "tx.jsonl"
+    code, out, _ = run_cli(capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "2",
+                           "--log", str(log))
+    assert code == 0 and "transmissions=0" in out
+    assert log.read_bytes() == b""

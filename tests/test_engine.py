@@ -1,12 +1,14 @@
-from dataclasses import replace
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import (
+    Design,
     SchemeParams,
-    Summand,
     UnsupportedDesignError,
     achievable_rate,
     build_demand_graph,
@@ -17,9 +19,17 @@ from macc import (
     deliver,
     extract_matchings,
     place,
+    point_at,
     simulate,
     subfile_bytes,
+    verify_mcrd,
 )
+from macc.cli import write_log
+
+
+def summands(tx):
+    """The row's (user, file, subfile) triples, group by group."""
+    return tuple(zip(tx.users, tx.files, tx.subfiles))
 
 
 def test_cell_quotas_examples():
@@ -166,10 +176,10 @@ def test_deliver_example_a_published_transmissions(example_a, example_a_matching
     assert len(txs) == 32
     # first broadcast: subfile 5 for user k(1,1) against subfile 2 for k(2,4)
     assert txs[0].n == 1 and txs[0].coords == (1, 1)
-    assert txs[0].summands == (Summand(1, 1, 5), Summand(8, 8, 2))
+    assert summands(txs[0]) == ((1, 1, 5), (8, 8, 2))
     # later rounds swap to the second missing block: coords (1,1), n=2
     tx_2_11 = next(t for t in txs if t.n == 2 and t.coords == (1, 1))
-    assert tx_2_11.summands == (Summand(1, 1, 13), Summand(8, 8, 4))
+    assert summands(tx_2_11) == ((1, 1, 13), (8, 8, 4))
 
 
 def test_deliver_example_b_published_transmissions(example_b, example_b_identity_matching):
@@ -178,9 +188,64 @@ def test_deliver_example_b_published_transmissions(example_b, example_b_identity
     txs = deliver(placement, example_b_identity_matching, range(1, 15))
     assert len(txs) == 49
     by_coords = {t.coords: t for t in txs}
-    assert by_coords[(1, 1)].summands == (Summand(1, 1, 43), Summand(8, 8, 7))
-    assert by_coords[(7, 7)].summands == (Summand(7, 7, 42), Summand(14, 14, 48))
-    assert by_coords[(3, 7)].summands == (Summand(3, 3, 49), Summand(14, 14, 20))
+    assert summands(by_coords[(1, 1)]) == ((1, 1, 43), (8, 8, 7))
+    assert summands(by_coords[(7, 7)]) == ((7, 7, 42), (14, 14, 48))
+    assert summands(by_coords[(3, 7)]) == ((3, 3, 49), (14, 14, 20))
+
+
+def _brute_schedule(placement, matchings, demands):
+    """The schedule read off the design: in round n at blocks ``coords``, group i
+    sends the point where its matched user's n-th missing block meets the rest."""
+    design, params = placement.design, placement.params
+    m, b = params.m, params.b
+    rows = []
+    for n in range(1, params.missing_count + 1):
+        for coords in itertools.product(range(1, b + 1), repeat=m):
+            row = []
+            for i in range(1, m + 1):
+                slot = matchings.inverse(i)[coords[i - 1] - 1]
+                user = (i - 1) * b + slot
+                gaps = sorted(set(range(1, b + 1)) - set(placement.user_blocks[i - 1][slot - 1]))
+                (subfile,) = point_at(design, coords[: i - 1] + (gaps[n - 1],) + coords[i:])
+                row.append((user, demands[user - 1], subfile))
+            rows.append((n, coords, tuple(row)))
+    return rows
+
+
+def _permuted_design(m, b, seed):
+    """construct_mcrd(m, b, 1) with its points relabelled, loaded from JSON."""
+    doc = construct_mcrd(m, b, 1).to_json_dict()
+    labels = list(range(1, b**m + 1))
+    random.Random(seed).shuffle(labels)
+    doc["blocks"] = [[[labels[p - 1] for p in blk] for blk in cls] for cls in doc["blocks"]]
+    return Design.from_json_dict(doc)
+
+
+def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
+                                              example_b, example_b_identity_matching):
+    top_c = canonical_topology(3, 8, 2)
+    permuted = _permuted_design(3, 4, seed=3)
+    assert verify_mcrd(permuted).passed
+    assert any(point_at(permuted, c) != point_at(construct_mcrd(3, 4, 1), c)
+               for c in itertools.product(range(1, 5), repeat=3))
+    top_p = canonical_topology(3, 4, 2)
+    cases = [
+        (*example_a, example_a_matching, range(1, 9)),
+        (*example_b, example_b_identity_matching, [(u * 5) % 14 + 1 for u in range(14)]),
+        (construct_mcrd(3, 8, 1), top_c, SchemeParams(m=3, b=8, z=2, t=1, n_files=24),
+         extract_matchings(top_c), range(1, 25)),
+        (permuted, top_p, SchemeParams(m=3, b=4, z=2, t=1, n_files=4),
+         extract_matchings(top_p), [u % 4 + 1 for u in range(12)]),
+    ]
+    for design, top, params, matchings, demands in cases:
+        placement = place(design, top, params, seed=1)
+        demands = list(demands)
+        txs = deliver(placement, matchings, demands)
+        assert [(tx.n, tx.coords, summands(tx)) for tx in txs] == \
+            _brute_schedule(placement, matchings, demands)
+    report = simulate(permuted, top_p, SchemeParams(m=3, b=4, z=2, t=1, n_files=12),
+                      payload_size=8, seed=2)
+    assert report.all_complete() and report.byte_oracle_ok is True
 
 
 def test_deliver_empty_when_rate_zero():
@@ -207,6 +272,13 @@ def test_deliver_rejects_wide_intersections():
     )
     with pytest.raises(UnsupportedDesignError):
         deliver(forced, extract_matchings(top), range(1, 9))
+    # declared mu = 1, but blocks of the two classes meet in 2 points or none
+    doubled = Design.from_blocks([[[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]],
+                                  [[1, 2, 5, 6], [3, 4, 7, 8], [9, 10, 13, 14],
+                                   [11, 12, 15, 16]]], mu=1)
+    with pytest.raises(UnsupportedDesignError):
+        deliver(place(doubled, top, SchemeParams(m=2, b=4, z=2, t=1, n_files=8)),
+                extract_matchings(top), range(1, 9))
 
 
 def test_deliver_validates_demands(example_a, example_a_matching):
@@ -233,7 +305,7 @@ def test_decode_single_transmission(example_a, example_a_matching):
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
     tx_33 = next(t for t in txs if t.n == 1 and t.coords == (3, 3))
-    assert {s.subfile for s in tx_33.summands} == {3, 9}
+    assert set(tx_33.subfiles) == {3, 9}
     assert decode(placement, [tx_33], demands).recovered[1] == set()
 
 
@@ -306,9 +378,9 @@ def _brute_decode(placement, transmissions, user, demand):
     cached = placement.cached_subfiles(*placement.topology.user_coords(user))
     got = set()
     for tx in transmissions:
-        unknown = [s for s in tx.summands if s.subfile not in cached]
-        if len(unknown) == 1 and unknown[0].file == demand:
-            got.add(unknown[0].subfile)
+        unknown = [(f, s) for _, f, s in summands(tx) if s not in cached]
+        if len(unknown) == 1 and unknown[0][0] == demand:
+            got.add(unknown[0][1])
     return got
 
 
@@ -325,6 +397,25 @@ def test_simulate_matches_decode(example_a):
         assert decoding.recovered[user - 1] == got - cached
 
 
+def test_decode_matches_brute_force_with_shared_files():
+    # with files shared, a broadcast reaches users other than its addressees,
+    # and only those that cover every other summand may count
+    design = construct_mcrd(3, 4, 1)
+    top = canonical_topology(3, 4, 2)
+    params = SchemeParams(m=3, b=4, z=2, t=1, n_files=3)
+    demands = [u % 3 + 1 for u in range(12)]
+    placement = place(design, top, params, seed=4)
+    txs = deliver(placement, extract_matchings(top), demands)
+    decoding = decode(placement, txs, demands)
+    for user in range(1, 13):
+        assert decoding.recovered[user - 1] == \
+            _brute_decode(placement, txs, user, demands[user - 1])
+    assert decoding.beneficiary_counts == tuple(
+        sum(len(_brute_decode(placement, [tx], u, demands[u - 1])) for u in range(1, 13))
+        for tx in txs
+    )
+
+
 def _complete(placement, decoding):
     full = set(range(1, placement.params.subpacketization + 1))
     return [
@@ -336,9 +427,9 @@ def _complete(placement, decoding):
 
 def _contents(transmissions, seed, size):
     return {
-        (s.file, s.subfile): int.from_bytes(subfile_bytes(seed, s.file, s.subfile, size), "big")
+        (f, s): int.from_bytes(subfile_bytes(seed, f, s, size), "big")
         for tx in transmissions
-        for s in tx.summands
+        for f, s in zip(tx.files, tx.subfiles)
     }
 
 
@@ -357,15 +448,15 @@ def test_decode_catches_swapped_summand(example_a):
     report = simulate(design, top, params)
     placement = place(design, top, params)
     tx = report.transmissions[5]
-    first = tx.summands[0]
+    user, first = tx.users[0], tx.subfiles[0]
     # another subfile of the same file, one its addressee still has to decode
-    other = next(s.subfile for t in report.transmissions for s in t.summands
-                 if s.user == first.user and s.subfile != first.subfile)
-    swapped = replace(tx, summands=(first._replace(subfile=other),) + tx.summands[1:])
+    other = next(s for t in report.transmissions for u, _, s in summands(t)
+                 if u == user and s != first)
+    swapped = tx._replace(subfiles=(other,) + tx.subfiles[1:])
     schedule = list(report.transmissions)
     schedule[5] = swapped
     decoding = decode(placement, schedule, range(1, 9))
-    assert not _complete(placement, decoding)[first.user - 1]
+    assert not _complete(placement, decoding)[user - 1]
 
 
 def test_decode_catches_flipped_payload_byte(example_a):
@@ -378,7 +469,7 @@ def test_decode_catches_flipped_payload_byte(example_a):
     payload = bytearray(tx.payload)
     payload[3] ^= 0x01
     schedule = list(report.transmissions)
-    schedule[9] = replace(tx, payload=bytes(payload))
+    schedule[9] = tx._replace(payload=bytes(payload))
     decoding = decode(placement, schedule, range(1, 9), contents)
     assert decoding.byte_ok is False
     assert all(_complete(placement, decoding))  # only the byte oracle sees it
@@ -391,11 +482,12 @@ def test_simulate_requires_enough_files(example_a):
         simulate(design, top, small)
 
 
-def test_transmission_json(example_a, example_a_matching):
+def test_transmission_json(example_a, example_a_matching, tmp_path):
     design, top, params = example_a
     placement = place(design, top, params)
     txs = deliver(placement, example_a_matching, range(1, 9))
-    doc = txs[0].to_json_dict()
+    write_log(tmp_path / "tx.jsonl", txs[:1], 2)
+    doc = json.loads((tmp_path / "tx.jsonl").read_text())
     assert doc == {
         "n": 1,
         "coords": [1, 1],
@@ -430,6 +522,6 @@ def test_canonical_grid_invariants(data):
     assert report.transmission_count == params.missing_count * b**m
     assert report.rate == achievable_rate(b, m, z, t)
     assert report.all_complete()
-    assert all(len(tx.summands) == m for tx in report.transmissions)
+    assert all(len(tx.subfiles) == len(tx.users) == m for tx in report.transmissions)
     assert all(c == m for c in report.beneficiary_counts)
     assert report.byte_oracle_ok is True
