@@ -24,7 +24,6 @@ from .topology import (
     validate,
 )
 from .engine import (
-    DemandGraph,
     Placement,
     SchemeParams,
     SimulationReport,

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from .engine import achievable_rate
+from .topology import cell_sizes
 
 SCHEME_ORDER = ("ours", "RK", "NT", "SICPS", "SPE", "SR1", "SR2", "MR")
 RATE_SCHEMES = ("RK", "NT", "SR1", "SR2", "MR")
@@ -116,8 +117,7 @@ def corner_points(k_users: int, z: int) -> list[RatePoint]:
         if b < z:
             continue
         m = k_users // b
-        t_stop = b - (z - 1) * (b // z)
-        for t in range(1, t_stop + 1):
+        for t in range(1, cell_sizes(b, z)[-1] + 1):  # the last cell's size: rate 0 there
             mem = Fraction(t, b)
             p = RatePoint(mem, achievable_rate(b, m, z, t), "ours",
                           (("m", m), ("b", b), ("t", t)))
@@ -208,6 +208,7 @@ def rival_subpacketization(scheme: str, k_users: int, z: int, tparam: int):
         return k * comb(k - tparam * z + tparam, tparam)
     if scheme == "SPE":
         _require(tparam == 2, "SPE is fixed at M/N = 2/K")
+        _require(k > 2 * z - 2, "SPE needs K > 2z - 2")
         val = Fraction(k * (k - 2 * z + 2), 4)
         return int(val) if val.denominator == 1 else val
     if scheme == "SR1":
@@ -228,27 +229,18 @@ def _zero_point(k: int, z: int, scheme: str) -> RatePoint:
 
 
 def rival_corner_points(scheme: str, k_users: int, z: int) -> list[RatePoint]:
-    """Applicable corners of a rival scheme plus the trivial endpoints."""
+    """Corners t/K, t = 1..floor(K/z), where ``rival_rate`` applies, plus the
+    trivial endpoints."""
     k = k_users
-    pts = [RatePoint(Fraction(0), Fraction(k), scheme, (("t", 0),))]
-    if scheme in ("RK", "NT"):
-        candidates = range(1, k // z + 1)
-    elif scheme == "SR1":
-        candidates = [t for t in range(1, k // z + 1) if gcd(t, k) == 1]
-    elif scheme == "SR2":
-        candidates = []
-        for t in range(1, k // z + 1):
-            rem = k - t * z + t
-            if k % t == 0 and rem > 0 and k % rem == 0:
-                candidates.append(t)
-    elif scheme == "MR":
-        candidates = [1]
-    else:
+    if scheme not in RATE_SCHEMES:
         raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
-    for t in candidates:
-        pts.append(
-            RatePoint(Fraction(t, k), rival_rate(scheme, k, z, t), scheme, (("t", t),))
-        )
+    pts = [RatePoint(Fraction(0), Fraction(k), scheme, (("t", 0),))]
+    for t in range(1, k // z + 1):
+        try:
+            rate = rival_rate(scheme, k, z, t)
+        except ApplicabilityError:
+            continue
+        pts.append(RatePoint(Fraction(t, k), rate, scheme, (("t", t),)))
     pts.append(_zero_point(k, z, scheme))
     return pts
 
@@ -420,25 +412,14 @@ class TableRow:
         return log10_of(s)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "mn": {"num": self.memory.numerator, "den": self.memory.denominator},
-            "scheme": self.scheme,
-            "kind": self.kind,
-            "rate": None
-            if self.rate is None
-            else {"num": self.rate.numerator, "den": self.rate.denominator},
-        }
+        """The row for :func:`json_default`; an SR1 interval goes in its own key."""
         s = self.subpacketization
-        if isinstance(s, tuple):
-            doc["subpacketization_interval"] = [s[0], s[1]]
-            doc["subpacketization"] = None
-        elif isinstance(s, Fraction) and s.denominator != 1:
-            doc["subpacketization"] = {"num": s.numerator, "den": s.denominator}
-        elif s is not None:
-            doc["subpacketization"] = int(s)
-        else:
-            doc["subpacketization"] = None
-        doc["log10_subpacketization"] = self.log10_subpacketization()
+        interval = isinstance(s, tuple)
+        doc = {"mn": self.memory, "scheme": self.scheme, "kind": self.kind, "rate": self.rate,
+               "subpacketization": None if interval else s,
+               "log10_subpacketization": self.log10_subpacketization()}
+        if interval:
+            doc["subpacketization_interval"] = s
         return doc
 
 
@@ -457,21 +438,6 @@ def _log10_int(n: int) -> float:
     return math.log10(int(s[:15])) + (len(s) - 15)
 
 
-def _our_corner_at(k: int, z: int, mem: Fraction) -> tuple[Fraction, int] | None:
-    """(rate, b**m) of the lowest-rate corner of ours sitting exactly at ``mem``."""
-    best = None
-    for b in divisors(k):
-        if b < z:
-            continue
-        t = mem * b
-        if t.denominator != 1 or not 1 <= t <= b - (z - 1) * (b // z):
-            continue
-        rate = achievable_rate(b, k // b, z, int(t))
-        if best is None or rate < best[0]:
-            best = (rate, b ** (k // b))
-    return best
-
-
 def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     """One row per (memory, scheme): envelope rate plus corner subpacketization.
 
@@ -481,7 +447,9 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     corner at that memory; a row's kind is "corner" when the envelope rate
     coincides with that exact corner's rate."""
     k = k_users
-    curves = {"ours": our_envelope(k, z)}
+    corners = corner_points(k, z)
+    ours = {p.memory: p for p in corners[1:]}  # the trivial (0, K) has no subpacketization
+    curves = {"ours": envelope(corners)}
     for scheme in RATE_SCHEMES:
         curves[scheme] = rival_envelope(scheme, k, z)
 
@@ -497,9 +465,10 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
             corner_rate = None
             if scheme == "ours":
                 rate = curves["ours"].rate_at(mem)
-                corner = _our_corner_at(k, z, mem)
+                corner = ours.get(mem)
                 if corner is not None:
-                    corner_rate, sub = corner
+                    params = dict(corner.params)
+                    corner_rate, sub = corner.rate, params["b"] ** params["m"]
             elif scheme in RATE_SCHEMES:
                 rate = curves[scheme].rate_at(mem)
                 if tp_int is not None:
@@ -534,5 +503,15 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_default(obj):
+    """``json.dumps`` hook: a Fraction as {"num", "den"}, a dataclass as its
+    top-level fields (nested values must be JSON-ready or handled here)."""
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def rows_to_json(rows) -> str:
-    return json.dumps([r.to_json_dict() for r in rows], sort_keys=True)
+    return json.dumps([r.to_json_dict() for r in rows], sort_keys=True, default=json_default)

@@ -11,7 +11,6 @@ import argparse
 import json
 import operator
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,14 +25,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=analysis.json_default) + "\n"
 
 
 def cmd_design(args) -> int:
     design = designs.construct_mcrd(args.m, args.b, args.mu)
     report = designs.verify_mcrd(design)
-    doc = {"design": design.to_json_dict(), "verification": asdict(report)}
-    _emit(_json_doc(doc), args.out)
+    _emit(_json_doc({"design": design, "verification": report}), args.out)
     return 0 if report.passed else 1
 
 
@@ -57,8 +55,7 @@ def _load_topology(args) -> topology.Topology:
 def cmd_topology(args) -> int:
     top = _load_topology(args)
     report = topology.validate(top)
-    doc = {"topology": top.to_json_dict(), "validation": asdict(report)}
-    _emit(_json_doc(doc), args.out)
+    _emit(_json_doc({"topology": top, "validation": report}), args.out)
     return 0 if report.passed else 1
 
 
@@ -126,9 +123,13 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
     if not text:
         return []
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        grid = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--grid: {text!r} is not a comma-separated list of fractions") from None
+    for mem in grid:
+        if not 0 <= mem <= 1:
+            raise ValueError(f"--grid: memory fraction {mem} is outside [0, 1]")
+    return grid
 
 
 def cmd_compare(args) -> int:

@@ -67,14 +67,6 @@ class Design:
                 out[p] = j
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "b": self.b,
-            "mu": self.mu,
-            "blocks": [[list(blk) for blk in cls] for cls in self.blocks],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Design":
         blocks = tuple(

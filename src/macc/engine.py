@@ -2,8 +2,8 @@
 
 Pipeline: an intersection-1 design from :mod:`macc.designs` plus a validated
 topology from :mod:`macc.topology` yield a placement (each cache stores whole
-blocks of subfile indices from its cell), a demand graph (which blocks each
-matched user still misses), and a delivery schedule of XOR transmissions.
+blocks of subfile indices from its cell), a missing-block table (which blocks
+each matched user still misses), and a delivery schedule of XOR transmissions.
 Every transmission combines one needed subfile per group, so each serves m
 users at once.  Rates are exact rationals; no floats on correctness paths.
 
@@ -25,6 +25,7 @@ from .topology import (
     MatchingAssignment,
     Topology,
     cache_cell,
+    cell_sizes,
     cell_slots,
     extract_matchings,
     validate,
@@ -40,14 +41,12 @@ class UnsupportedDesignError(Exception):
 def cell_quotas(t: int, b: int, z: int) -> tuple[int, int]:
     """Blocks a cache may store: (quota for cells 1..z-1, quota for cell z).
 
-    Equals (min(t, floor(b/z)), min(t, b - (z-1)*floor(b/z))).
+    Each is t capped by the cell's size from :func:`~macc.topology.cell_sizes`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not 1 <= z <= b:
-        raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
-    x = b // z
-    return min(t, x), min(t, b - (z - 1) * x)
+    sizes = cell_sizes(b, z)
+    return min(t, sizes[0]), min(t, sizes[-1])
 
 
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
@@ -188,21 +187,9 @@ def place(design: Design, topology: Topology, params: SchemeParams,
     )
 
 
-@dataclass(frozen=True)
-class DemandGraph:
-    """Bipartite cache/block graph: cache c(i,j) connects to the class-i blocks
-    its matched user does not cover.  ``missing[i-1][j-1]`` lists those block
-    slots ascending; the left degree is uniform at the missing-block count."""
-
-    m: int
-    b: int
-    missing: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def degree(self, i: int, j: int) -> int:
-        return len(self.missing[i - 1][j - 1])
-
-
-def build_demand_graph(placement: Placement, matchings: MatchingAssignment) -> DemandGraph:
+def build_demand_graph(placement: Placement, matchings: MatchingAssignment):
+    """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the
+    class-i block slots that the user matched to cache c(i,j) does not cover."""
     m, b = placement.params.m, placement.params.b
     rows = []
     for i in range(1, m + 1):
@@ -212,7 +199,7 @@ def build_demand_graph(placement: Placement, matchings: MatchingAssignment) -> D
             covered = set(placement.user_blocks[i - 1][inv[j - 1] - 1])
             row.append(tuple(s for s in range(1, b + 1) if s not in covered))
         rows.append(tuple(row))
-    return DemandGraph(m=m, b=b, missing=tuple(rows))
+    return tuple(rows)
 
 
 def _point_table(design: Design, block_of: list[list[int]]) -> list[int]:
@@ -263,7 +250,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
         return []
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
-    missing = build_demand_graph(placement, matchings).missing
+    missing = build_demand_graph(placement, matchings)
     table = _point_table(design, [design.point_class_index(i) for i in range(1, m + 1)])
     # cell k of the product is the point table's coordinate number k; the
     # addressed users and their files are the same in every round
@@ -369,11 +356,8 @@ class SimulationReport:
         return all(self.users_complete)
 
     def to_json_dict(self) -> dict:
-        """Every field but the schedule; rates as {"num", "den"}."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transmissions"}
-        for key in ("rate", "expected_rate"):
-            doc[key] = {"num": doc[key].numerator, "den": doc[key].denominator}
-        return doc
+        """Every field but the schedule, for :func:`macc.analysis.json_default`."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transmissions"}
 
 
 def simulate(design: Design, topology: Topology, params: SchemeParams, demands=None,
@@ -386,6 +370,8 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
     carry XOR payloads, and every recovery is re-checked at byte level
     against the ground-truth generator.
     """
+    if payload_size is not None and payload_size < 1:
+        raise ValueError("payload size must be >= 1")
     if demands is None:
         if params.n_files < params.num_users:
             raise ValueError("default distinct demands need N >= K")

@@ -15,6 +15,7 @@ or as global ids (i-1)*b + j; the JSON form uses global ids, row-major.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -95,14 +96,6 @@ class Topology:
                 raise ValueError(f"user k({i},{j}) reads cache of group {gi}")
             slots.append(slot)
         return slots
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "b": self.b,
-            "z": self.z,
-            "access": [list(caches) for caches in self.access],
-        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
@@ -353,8 +346,6 @@ def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) 
 
 def count_topologies(m: int, b: int, z: int) -> int:
     """Number of graphs satisfying C1 and C2 (C3 not filtered); exact."""
-    if m < 1 or not 1 <= z <= b:
-        raise ValueError("need m >= 1 and 1 <= z <= b")
-    x = b // z
-    per_user = x ** (z - 1) * (b - (z - 1) * x)
-    return per_user ** (b * m)
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return math.prod(cell_sizes(b, z)) ** (b * m)  # one cache per cell, per user

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from macc import (
     corner_points,
     envelope,
     our_envelope,
+    rival_corner_points,
     rival_envelope,
     rival_rate,
     rival_subpacketization,
@@ -136,6 +137,65 @@ def test_rival_subpacketization():
     assert nt == 100 * comb(60, 10)
     assert abs(log10_of(nt) - 12.8) < 0.1
     assert rival_subpacketization("SR1", 100, 5, 7) == (100, 10000)
+    assert rival_subpacketization("SPE", 5, 3, 2) == F(5, 4)
+    for k, z in [(4, 3), (2, 2), (6, 4), (12, 7)]:  # K <= 2z - 2: K(K - 2z + 2)/4 <= 0
+        with pytest.raises(ApplicabilityError):
+            rival_subpacketization("SPE", k, z, 2)
+
+
+# The paper's applicability condition of each rival's corner t/K, 1 <= t <= floor(K/z).
+RIVAL_CORNER_CONDITIONS = {
+    "RK": lambda k, z, t: True,
+    "NT": lambda k, z, t: True,
+    "SR1": lambda k, z, t: gcd(t, k) == 1,
+    "SR2": lambda k, z, t: k % t == 0 and k % (k - t * z + t) == 0,
+    "MR": lambda k, z, t: t == 1,
+}
+
+
+def test_rival_corner_points_match_the_papers_conditions():
+    for k in range(1, 41):
+        for z in range(1, k + 1):
+            for scheme, applies in RIVAL_CORNER_CONDITIONS.items():
+                pts = rival_corner_points(scheme, k, z)
+                assert (pts[0].memory, pts[0].rate) == (0, k)
+                assert (pts[-1].memory, pts[-1].rate) == (F(-(-k // z), k), 0)
+                want = [t for t in range(1, k // z + 1) if applies(k, z, t)]
+                assert [p.memory * k for p in pts[1:-1]] == want, (scheme, k, z)
+                assert [p.rate for p in pts[1:-1]] == [rival_rate(scheme, k, z, t) for t in want]
+    for scheme in ("SPE", "SICPS", "XX"):
+        with pytest.raises(ApplicabilityError, match="no rate corners"):
+            rival_corner_points(scheme, 12, 2)
+
+
+def _brute_our_corners(k, z):
+    """(rate, b**m) of our lowest-rate corner at each memory t/b: every m, b with
+    m*b = K and b >= z, t from 1 to the first zero rate; ties go to the smallest b."""
+    best = {}
+    for b in range(z, k + 1):
+        for m in range(1, k + 1):
+            if m * b != k:
+                continue
+            for t in range(1, b + 1):
+                rate = achievable_rate(b, m, z, t)
+                if F(t, b) not in best or rate < best[F(t, b)][0]:
+                    best[F(t, b)] = (rate, b**m)
+                if rate == 0:
+                    break
+    return best
+
+
+def test_comparison_table_our_rows_match_brute_force():
+    for k in range(1, 41):
+        for z in range(1, k + 1):
+            corners = _brute_our_corners(k, z)
+            grid = sorted(set(corners) | {F(0), F(1, 2 * k), F(1)})
+            for row in comparison_table(k, z, grid):
+                if row.scheme != "ours":
+                    continue
+                rate, sub = corners.get(row.memory, (None, None))
+                assert row.subpacketization == sub, (k, z, row)
+                assert row.kind == ("corner" if rate == row.rate else "interpolated"), (k, z, row)
 
 
 def test_rk_subpacketization_fraction_when_tp_misses_k():

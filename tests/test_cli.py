@@ -167,6 +167,15 @@ def test_simulate_payload_oracle(capsys):
     assert "byte_oracle=ok" in out
 
 
+@pytest.mark.parametrize("t", ["1", "2"])  # rate 1 and rate 0
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_simulate_rejects_payload_below_one(capsys, t, size):
+    code, out, err = run_cli(capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", t,
+                             "--payload", size)
+    assert code == 2 and out == ""
+    assert err == "error: payload size must be >= 1\n"
+
+
 def test_simulate_random_topology_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "simulate", "--m", "2", "--b", "5", "--z", "2", "--t", "1",
@@ -220,6 +229,12 @@ def test_compare_default_grid(capsys):
     assert code == 0
     # default grid: t/K for t = 0..ceil(K/z) = 0..4 -> 5 memories x 8 schemes
     assert len(out.strip().split("\n")) == 1 + 5 * 8
+    # every shape runs, K <= 2z - 2 included, where SPE has no corner
+    for k in range(1, 25):
+        for z in range(1, k + 1):
+            code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", str(z))
+            assert code == 0 and err == "", (k, z, err)
+            assert len(out.strip().split("\n")) == 1 + 8 * (-(-k // z) + 1), (k, z)
 
 
 def test_usage_error_exit_code(capsys):
@@ -239,6 +254,8 @@ def test_missing_required_flag_exits_2():
     (["--K", "0", "--z", "1"], "need 1 <= --z <= --K, got --z 1 and --K 0"),
     (["--K", "8", "--z", "0"], "need 1 <= --z <= --K, got --z 0 and --K 8"),
     (["--K", "8", "--z", "2", "--grid", "1/0"], "--grid: '1/0' is not"),
+    (["--K", "8", "--z", "2", "--grid", "3/2"], "--grid: memory fraction 3/2 is outside [0, 1]"),
+    (["--K", "8", "--z", "2", "--grid=-1/8"], "--grid: memory fraction -1/8 is outside [0, 1]"),
 ])
 def test_compare_rejects_bad_arguments(capsys, argv, message):
     code, out, err = run_cli(capsys, "compare", *argv)

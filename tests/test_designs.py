@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from macc import (
     point_at,
     verify_mcrd,
 )
+from macc.analysis import json_default
 
 # Block lists of the published small constructions, frozen verbatim.
 KNOWN_CONSTRUCTIONS = {
@@ -137,7 +140,7 @@ def test_argument_and_budget_errors():
 
 def test_json_round_trip():
     d = construct_mcrd(3, 3, 1)
-    again = Design.from_json_dict(d.to_json_dict())
+    again = Design.from_json_dict(json.loads(json.dumps(d, default=json_default)))
     assert again == d
 
 

@@ -25,3 +25,7 @@ def test_comparison_data_script(tmp_path):
     proc = _run("scripts/comparison_data.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "comparison_K100_z5.csv").is_file()
+    # K <= 2z - 2, where SPE has no corner
+    proc = _run("scripts/comparison_data.py", "--K", "12", "--z", "7", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "comparison_K12_z7.csv").is_file()

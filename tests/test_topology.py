@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from macc import (
     random_topology,
     validate,
 )
+from macc.analysis import json_default
 from macc.topology import _max_matching
 
 
@@ -223,7 +225,7 @@ def test_count_topologies_matches_enumeration(m, b, z):
 
 def test_json_round_trip(example_a):
     _, top, _ = example_a
-    assert Topology.from_json_dict(top.to_json_dict()) == top
+    assert Topology.from_json_dict(json.loads(json.dumps(top, default=json_default))) == top
 
 
 def test_global_cache_id_encoding(example_b):
