@@ -6,6 +6,8 @@ block of memory per cache (t=1).  Example B: K=14, b=7, z=3, t=2.  Both
 print the placement, a few transmissions, and the decode summary.
 """
 
+from itertools import islice
+
 from macc import (
     SchemeParams,
     Topology,
@@ -28,7 +30,7 @@ def run(name, design, top, params, show=4):
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
     report = simulate(design, top, params, payload_size=64, seed=0)
-    for tx in report.transmissions[:show]:
+    for tx in islice(report.transmissions, show):
         terms = " + ".join(f"W^{f}({s})" for f, s in zip(tx.files, tx.subfiles))
         print(f"  Y^{tx.n}_{tx.coords} = {terms}")
     print(f"  ... {report.transmission_count} transmissions total")

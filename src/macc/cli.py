@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, designs, engine, topology
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_default)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -25,7 +26,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=analysis.json_default) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def cmd_design(args) -> int:
@@ -62,15 +63,16 @@ def cmd_topology(args) -> int:
 def write_log(path: str, transmissions, m: int) -> None:
     """Write one JSON line per m-group transmission, as ``json.dumps(doc, sort_keys=True)``
     spells it: coords, n, payload_hex (with a payload), then the summands."""
-    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %d, %s"summands": ['
-            + ", ".join(['{"file": %d, "subfile": %d, "user": %d}'] * m) + "]}\n")
-    # a row flattens to coords, n, payload, files, subfiles, users; summands interleave the last 3
-    order = operator.itemgetter(*range(m + 2), *(m + 2 + i + k * m
-                                                 for i in range(m) for k in range(3)))
+    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %%d, %%s"summands": ['
+            + ", ".join(['{"file": %d, "subfile": %%d, "user": %d}'] * m) + "]}\n")
+    filled: dict[tuple, str] = {}  # per cell, the line with its coords, files and users in
     with open(path, "w", encoding="utf-8") as fh:
         for n, coords, users, files, subfiles, payload in transmissions:
+            cell = filled.get((coords, users, files))
+            if cell is None:
+                cell = filled[coords, users, files] = line % (*coords, *sum(zip(files, users), ()))
             paid = "" if payload is None else f'"payload_hex": "{payload.hex()}", '
-            fh.write(line % order((*coords, n, paid, *files, *subfiles, *users)))
+            fh.write(cell % (n, paid, *subfiles))
 
 
 def cmd_simulate(args) -> int:
@@ -100,7 +102,9 @@ def cmd_simulate(args) -> int:
     if args.log:
         write_log(args.log, report.transmissions, args.m)
     if args.report:
-        Path(args.report).write_text(_json_doc(report.to_json_dict()), encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.writelines(_ENCODER.iterencode(report.to_json_dict()))
+            fh.write("\n")
 
     gains = report.beneficiary_counts
     sys.stdout.write(

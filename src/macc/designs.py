@@ -18,10 +18,11 @@ import itertools
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
+MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that engine.SchemeParams accepts
 
 
 class PointBudgetError(Exception):
-    """Requested design is larger than the configured point budget."""
+    """Requested design or delivery schedule is larger than its budget."""
 
 
 @dataclass(frozen=True)

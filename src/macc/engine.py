@@ -16,11 +16,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .designs import Design
+from .designs import MAX_SCHEDULE_ROWS, Design, PointBudgetError
 from .topology import (
     MatchingAssignment,
     Topology,
@@ -74,6 +74,10 @@ class SchemeParams:
         if self.m < 1 or self.n_files < 1:
             raise ValueError("m and n_files must be >= 1")
         cell_quotas(self.t, self.b, self.z)
+        r, f = self.missing_count, self.subpacketization
+        if r * f > MAX_SCHEDULE_ROWS:
+            raise PointBudgetError(f"schedule of r={r} rounds x b^m={f} cells = {r * f} "
+                                   f"transmissions exceeds {MAX_SCHEDULE_ROWS}")
 
     @property
     def subpacketization(self) -> int:
@@ -107,6 +111,31 @@ class Transmission(NamedTuple):
     files: tuple[int, ...]
     subfiles: tuple[int, ...]
     payload: bytes | None = None
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The delivery table as columns; iterating makes its rows in (n, coords) order.
+    Cell k is ``cells[k]`` (coords), ``users[k]`` and ``files[k]`` in every round, and
+    ``rounds[n-1][i-1][k]`` is group i's subfile there in round n.  ``payloads``, when
+    attached, holds one payload per row in row order."""
+
+    cells: list[tuple[int, ...]]
+    users: list[tuple[int, ...]]
+    files: list[tuple[int, ...]]
+    rounds: list[list[list[int]]]
+    payloads: list[bytes] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rounds) * len(self.cells)
+
+    def __iter__(self):
+        payloads = itertools.repeat(None) if self.payloads is None else iter(self.payloads)
+        # zip stops at the cells before drawing a payload; tuple.__new__ skips NamedTuple.__new__
+        return itertools.chain.from_iterable(
+            map(tuple.__new__, itertools.repeat(Transmission), zip(
+                itertools.repeat(n), self.cells, self.users, self.files, zip(*sums), payloads))
+            for n, sums in enumerate(self.rounds, start=1))
 
 
 @dataclass(frozen=True)
@@ -229,8 +258,8 @@ def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
     return demands
 
 
-def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> list[Transmission]:
-    """Enumerate all transmissions in canonical (n, coords) lexicographic order.
+def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Schedule:
+    """The schedule of all transmissions, in canonical (n, coords) lexicographic order.
 
     For each round n and each coordinate tuple, group i contributes the
     subfile at the intersection of the chosen blocks with coordinate i
@@ -247,7 +276,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
     m, b = params.m, params.b
     r = params.missing_count
     if r == 0:
-        return []
+        return Schedule([], [], [], [])
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
     missing = build_demand_graph(placement, matchings)
@@ -258,7 +287,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
     columns = list(zip(*cells))
     users = [tuple(i * b + inv[i][c - 1] for i, c in enumerate(coords)) for coords in cells]
     files = [tuple(demands[u - 1] for u in us) for us in users]
-    out: list[Transmission] = []
+    rounds = []
     for n in range(1, r + 1):
         summands = []
         for i in range(1, m + 1):
@@ -267,12 +296,12 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> lis
             shift = [0] + [(gap[n - 1] - c) * stride
                            for c, gap in enumerate(missing[i - 1], start=1)]
             summands.append([table[k + shift[c]] for k, c in enumerate(columns[i - 1])])
-        out.extend(map(Transmission, itertools.repeat(n), cells, users, files, zip(*summands)))
-    return out
+        rounds.append(summands)
+    return Schedule(cells, users, files, rounds)
 
 
 class Decoding(NamedTuple):
-    recovered: tuple[set[int], ...]  # recovered[u-1]: subfiles user u decodes
+    recovered: tuple[bytearray, ...]  # recovered[u-1][s] == 1 iff user u decodes subfile s
     beneficiary_counts: tuple[int, ...]  # users served, per transmission
     byte_ok: bool | None  # None when no contents were given
 
@@ -290,29 +319,26 @@ def decode(placement: Placement, transmissions, demands, contents=None) -> Decod
     demands = _check_demands(demands, params)
     m, b = params.m, params.b
     block_of = [design.point_class_index(i) for i in range(1, m + 1)]
-    # per file: (user index, its class's point -> block list, covered-block flags)
+    # per file: (user index, the user's flag per point: 1 iff it sits in a covered block)
     readers: dict[int, list] = {}
     for user, d in enumerate(demands):
-        covered = bytearray(b + 1)
-        for slot in placement.user_blocks[user // b][user % b]:
-            covered[slot] = 1
-        readers.setdefault(d, []).append((user, block_of[user // b], covered))
+        covers = set(placement.user_blocks[user // b][user % b]).__contains__
+        readers.setdefault(d, []).append((user, bytes(map(covers, block_of[user // b]))))
 
-    recovered: list[set[int]] = [set() for _ in demands]
+    recovered = [bytearray(design.num_points + 1) for _ in demands]
     beneficiary_counts = []
     byte_ok: bool | None = None if contents is None else True
-    for tx in transmissions:
-        files, subfiles = tx.files, tx.subfiles
+    for _, _, _, files, subfiles, payload in transmissions:
         count = 0
         for k, s in enumerate(subfiles):
-            for user, cls, covered in readers.get(files[k], ()):
-                # s must be the one summand the user does not cover
-                if covered[cls[s]] or sum([covered[cls[o]] for o in subfiles]) != m - 1:
+            for user, knows in readers.get(files[k], ()):
+                # s must be the one summand the user does not know
+                if knows[s] or sum(map(knows.__getitem__, subfiles)) != m - 1:
                     continue
                 count += 1
-                recovered[user].add(s)
+                recovered[user][s] = 1
                 if contents is not None:
-                    got = int.from_bytes(tx.payload, "big")
+                    got = int.from_bytes(payload, "big")
                     for j, key in enumerate(zip(files, subfiles)):
                         if j != k:
                             got ^= contents[key]
@@ -350,7 +376,7 @@ class SimulationReport:
     users_complete: tuple[bool, ...]
     beneficiary_counts: tuple[int, ...]
     byte_oracle_ok: bool | None
-    transmissions: list[Transmission]
+    transmissions: Schedule
 
     def all_complete(self) -> bool:
         return all(self.users_complete)
@@ -380,25 +406,27 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
 
     placement = place(design, topology, params, seed=placement_seed)
     matchings = extract_matchings(topology)
-    transmissions = deliver(placement, matchings, demands)
+    schedule = deliver(placement, matchings, demands)
 
     contents: dict[tuple[int, int], int] | None = None
     if payload_size is not None:
         contents = {}
-        for k, tx in enumerate(transmissions):
+        payloads = []
+        for tx in schedule:
             acc = 0
             for key in zip(tx.files, tx.subfiles):
                 if key not in contents:
                     contents[key] = int.from_bytes(subfile_bytes(seed, *key, payload_size), "big")
                 acc ^= contents[key]
-            transmissions[k] = tx._replace(payload=acc.to_bytes(payload_size, "big"))
+            payloads.append(acc.to_bytes(payload_size, "big"))
+        schedule = replace(schedule, payloads=payloads)
 
-    decoding = decode(placement, transmissions, demands, contents)
+    decoding = decode(placement, schedule, demands, contents)
 
     m, b = params.m, params.b
     f = params.subpacketization
     users_complete = [
-        len(placement.user_blocks[u // b][u % b]) * b ** (m - 1) + len(got) == f
+        len(placement.user_blocks[u // b][u % b]) * b ** (m - 1) + got.count(1) == f
         for u, got in enumerate(decoding.recovered)
     ]
 
@@ -409,11 +437,11 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
         t=params.t,
         n_files=params.n_files,
         subpacketization=f,
-        transmission_count=len(transmissions),
-        rate=Fraction(len(transmissions), f),
+        transmission_count=len(schedule),
+        rate=Fraction(len(schedule), f),
         expected_rate=achievable_rate(b, m, params.z, params.t),
         users_complete=tuple(users_complete),
         beneficiary_counts=decoding.beneficiary_counts,
         byte_oracle_ok=decoding.byte_ok,
-        transmissions=transmissions,
+        transmissions=schedule,
     )

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,7 @@ def test_simulate_command(capsys, tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"n", "coords", "summands"}
     doc = json.loads(report.read_text())
+    assert report.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert doc["rate"] == {"num": 2, "den": 1}
     assert all(doc["users_complete"])
 
@@ -310,3 +312,16 @@ def test_simulate_rate_zero_writes_empty_log(capsys, tmp_path):
                            "--log", str(log))
     assert code == 0 and "transmissions=0" in out
     assert log.read_bytes() == b""
+
+
+def test_simulate_refuses_schedule_above_row_limit(capsys):
+    # 10**6 points fit the design budget, but 999 rounds of them do not fit the schedule
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--m", "2", "--b", "1000", "--z", "1",
+                             "--t", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: schedule of r=999 rounds x b^m=1000000 cells = 999000000 "
+                   "transmissions exceeds 10000000\n")
+    code, out, _ = run_cli(capsys, "simulate", "--m", "3", "--b", "20", "--z", "4", "--t", "1")
+    assert code == 0 and "transmissions=128000\n" in out and "decoded=60/60\n" in out

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from macc import (
     Design,
+    PointBudgetError,
     SchemeParams,
     UnsupportedDesignError,
     achievable_rate,
@@ -26,11 +29,17 @@ from macc import (
 )
 from macc.analysis import json_default
 from macc.cli import write_log
+from macc.designs import MAX_SCHEDULE_ROWS
 
 
 def summands(tx):
     """The row's (user, file, subfile) triples, group by group."""
     return tuple(zip(tx.users, tx.files, tx.subfiles))
+
+
+def decoded(flags):
+    """The subfile ids a ``Decoding.recovered`` flag table marks."""
+    return {s for s, flag in enumerate(flags) if flag}
 
 
 def test_cell_quotas_examples():
@@ -173,7 +182,7 @@ def test_demand_graph_empty_when_rate_zero():
 def test_deliver_example_a_published_transmissions(example_a, example_a_matching):
     design, top, params = example_a
     placement = place(design, top, params)
-    txs = deliver(placement, example_a_matching, range(1, 9))
+    txs = list(deliver(placement, example_a_matching, range(1, 9)))
     assert len(txs) == 32
     # first broadcast: subfile 5 for user k(1,1) against subfile 2 for k(2,4)
     assert txs[0].n == 1 and txs[0].coords == (1, 1)
@@ -241,7 +250,7 @@ def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
     for design, top, params, matchings, demands in cases:
         placement = place(design, top, params, seed=1)
         demands = list(demands)
-        txs = deliver(placement, matchings, demands)
+        txs = list(deliver(placement, matchings, demands))
         assert [(tx.n, tx.coords, summands(tx)) for tx in txs] == \
             _brute_schedule(placement, matchings, demands)
     report = simulate(permuted, top_p, SchemeParams(m=3, b=4, z=2, t=1, n_files=12),
@@ -254,7 +263,54 @@ def test_deliver_empty_when_rate_zero():
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
     placement = place(design, top, params)
-    assert deliver(placement, extract_matchings(top), range(1, 9)) == []
+    schedule = deliver(placement, extract_matchings(top), range(1, 9))
+    assert len(schedule) == 0
+    assert list(schedule) == []
+
+
+def test_scheme_params_bound_the_schedule_rows():
+    # (m, b, z, t) = (7, 10, 1, 9): rate 1 over 10**7 cells, exactly the limit
+    assert SchemeParams(m=7, b=10, z=1, t=9, n_files=1).missing_count * 10**7 == MAX_SCHEDULE_ROWS
+    with pytest.raises(PointBudgetError, match="r=2 rounds x b\\^m=10000000 cells = 20000000"):
+        SchemeParams(m=7, b=10, z=1, t=8, n_files=1)
+
+
+def test_schedule_rows_are_made_on_each_iteration(example_a, example_a_matching):
+    design, top, params = example_a
+    schedule = deliver(place(design, top, params), example_a_matching, range(1, 9))
+    rows = list(schedule)
+    assert len(schedule) == len(rows) == 32
+    assert list(schedule) == rows  # decode and write_log both iterate
+    report = simulate(design, top, params, payload_size=16, seed=5)
+    rows = list(report.transmissions)
+    assert len(report.transmissions) == len(rows) == 32
+    assert list(report.transmissions) == rows
+    assert [tx._replace(payload=None) for tx in rows] == \
+        list(deliver(place(design, top, params), extract_matchings(top), range(1, 9)))
+    for tx in rows:
+        want = 0
+        for f, s in zip(tx.files, tx.subfiles):
+            want ^= int.from_bytes(subfile_bytes(5, f, s, 16), "big")
+        assert tx.payload == want.to_bytes(16, "big")
+
+
+def test_simulate_peak_memory_stays_below_materialised_rows():
+    # a list of the rows alone, or one set of recovered ids per user, exceeds the bound
+    design = construct_mcrd(3, 12, 1)
+    top = canonical_topology(3, 12, 3)
+    params = SchemeParams(m=3, b=12, z=3, t=1, n_files=36)
+    schedule = deliver(place(design, top, params), extract_matchings(top), range(1, 37))
+    row = next(iter(schedule))
+    bound = len(schedule) * (sys.getsizeof(row) + sys.getsizeof(row.subfiles))
+    del schedule
+    tracemalloc.start()
+    try:
+        report = simulate(design, top, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.transmission_count == 15552 and report.all_complete()
+    assert peak < bound
 
 
 def test_deliver_rejects_wide_intersections():
@@ -297,17 +353,17 @@ def test_decode_single_transmission(example_a, example_a_matching):
     design, top, params = example_a
     placement = place(design, top, params)
     demands = range(1, 9)
-    txs = deliver(placement, example_a_matching, demands)
+    txs = list(deliver(placement, example_a_matching, demands))
     first = decode(placement, txs[:1], demands)
     # user 1 learns subfile 5 of file 1 from the very first broadcast
-    assert first.recovered[0] == {5}
+    assert decoded(first.recovered[0]) == {5}
     # user 2 can cancel one summand but the leftover is not its file
-    assert first.recovered[1] == set()
+    assert decoded(first.recovered[1]) == set()
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
     tx_33 = next(t for t in txs if t.n == 1 and t.coords == (3, 3))
     assert set(tx_33.subfiles) == {3, 9}
-    assert decode(placement, [tx_33], demands).recovered[1] == set()
+    assert decoded(decode(placement, [tx_33], demands).recovered[1]) == set()
 
 
 def test_decode_completeness(example_a, example_a_matching):
@@ -318,7 +374,7 @@ def test_decode_completeness(example_a, example_a_matching):
     full = set(range(1, 17))
     for user in range(1, 9):
         i, j = top.user_coords(user)
-        got = decoding.recovered[user - 1]
+        got = decoded(decoding.recovered[user - 1])
         cached = placement.cached_subfiles(i, j)
         assert not (got & cached)
         assert got | cached == full
@@ -395,7 +451,7 @@ def test_simulate_matches_decode(example_a):
         got = _brute_decode(placement, report.transmissions, user, demand=user)
         cached = placement.cached_subfiles(i, j)
         assert (got | cached == set(range(1, 17))) == report.users_complete[user - 1]
-        assert decoding.recovered[user - 1] == got - cached
+        assert decoded(decoding.recovered[user - 1]) == got - cached
 
 
 def test_decode_matches_brute_force_with_shared_files():
@@ -409,7 +465,7 @@ def test_decode_matches_brute_force_with_shared_files():
     txs = deliver(placement, extract_matchings(top), demands)
     decoding = decode(placement, txs, demands)
     for user in range(1, 13):
-        assert decoding.recovered[user - 1] == \
+        assert decoded(decoding.recovered[user - 1]) == \
             _brute_decode(placement, txs, user, demands[user - 1])
     assert decoding.beneficiary_counts == tuple(
         sum(len(_brute_decode(placement, [tx], u, demands[u - 1])) for u in range(1, 13))
@@ -420,7 +476,8 @@ def test_decode_matches_brute_force_with_shared_files():
 def _complete(placement, decoding):
     full = set(range(1, placement.params.subpacketization + 1))
     return [
-        decoding.recovered[u - 1] | placement.cached_subfiles(*placement.topology.user_coords(u))
+        decoded(decoding.recovered[u - 1])
+        | placement.cached_subfiles(*placement.topology.user_coords(u))
         == full
         for u in range(1, placement.params.num_users + 1)
     ]
@@ -438,9 +495,10 @@ def test_decode_catches_dropped_broadcast(example_a):
     design, top, params = example_a
     report = simulate(design, top, params)
     placement = place(design, top, params)
-    assert all(_complete(placement, decode(placement, report.transmissions, range(1, 9))))
+    rows = list(report.transmissions)
+    assert all(_complete(placement, decode(placement, rows, range(1, 9))))
     for k in (0, 17, 31):
-        schedule = report.transmissions[:k] + report.transmissions[k + 1:]
+        schedule = rows[:k] + rows[k + 1:]
         assert not all(_complete(placement, decode(placement, schedule, range(1, 9))))
 
 
@@ -448,14 +506,13 @@ def test_decode_catches_swapped_summand(example_a):
     design, top, params = example_a
     report = simulate(design, top, params)
     placement = place(design, top, params)
-    tx = report.transmissions[5]
+    schedule = list(report.transmissions)
+    tx = schedule[5]
     user, first = tx.users[0], tx.subfiles[0]
     # another subfile of the same file, one its addressee still has to decode
-    other = next(s for t in report.transmissions for u, _, s in summands(t)
+    other = next(s for t in schedule for u, _, s in summands(t)
                  if u == user and s != first)
-    swapped = tx._replace(subfiles=(other,) + tx.subfiles[1:])
-    schedule = list(report.transmissions)
-    schedule[5] = swapped
+    schedule[5] = tx._replace(subfiles=(other,) + tx.subfiles[1:])
     decoding = decode(placement, schedule, range(1, 9))
     assert not _complete(placement, decoding)[user - 1]
 
@@ -466,10 +523,10 @@ def test_decode_catches_flipped_payload_byte(example_a):
     placement = place(design, top, params)
     contents = _contents(report.transmissions, seed=4, size=16)
     assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
-    tx = report.transmissions[9]
+    schedule = list(report.transmissions)
+    tx = schedule[9]
     payload = bytearray(tx.payload)
     payload[3] ^= 0x01
-    schedule = list(report.transmissions)
     schedule[9] = tx._replace(payload=bytes(payload))
     decoding = decode(placement, schedule, range(1, 9), contents)
     assert decoding.byte_ok is False
@@ -487,7 +544,7 @@ def test_transmission_json(example_a, example_a_matching, tmp_path):
     design, top, params = example_a
     placement = place(design, top, params)
     txs = deliver(placement, example_a_matching, range(1, 9))
-    write_log(tmp_path / "tx.jsonl", txs[:1], 2)
+    write_log(tmp_path / "tx.jsonl", itertools.islice(txs, 1), 2)
     doc = json.loads((tmp_path / "tx.jsonl").read_text())
     assert doc == {
         "n": 1,

@@ -42,3 +42,19 @@ def test_traced_bindings_exist_and_carry_the_calls(monkeypatch, tmp_path, capsys
                           "engine.simulate", "engine.place", "engine.deliver"}
     assert spans["engine.deliver"].count == 2 * 4**2
     assert tracer.counted["calls"] > 0
+
+
+def test_traced_deliver_count_is_the_schedule_length(monkeypatch):
+    # the tracer reads the count through len(), which a generator would not have
+    tracing = _load_tracing(monkeypatch)
+    design, top = designs.construct_mcrd(3, 4, 1), topology.canonical_topology(3, 4, 2)
+    params = engine.SchemeParams(m=3, b=4, z=2, t=1, n_files=12)
+    schedule = engine.deliver(engine.place(design, top, params),
+                              topology.extract_matchings(top), range(1, 13))
+    assert hasattr(schedule, "__len__")
+    tracer = tracing.Tracer({"designs": designs, "topology": topology, "engine": engine,
+                             "analysis": analysis})
+    with tracer.installed(0):
+        report, _ = tracer.call(tracing.ROOT, engine.simulate, design, top, params)
+    (span,) = [s for s in tracer.spans if s.name == "engine.deliver"]
+    assert span.count == report.transmission_count == len(schedule) == 2 * 4**3
