@@ -11,7 +11,6 @@ from itertools import islice
 from macc import (
     SchemeParams,
     Topology,
-    construct_mcrd,
     extract_matchings,
     place,
     simulate,
@@ -19,17 +18,17 @@ from macc import (
 )
 
 
-def run(name, design, top, params, show=4):
+def run(name, top, params, show=4):
     print(f"=== {name}: K={params.num_users} z={params.z} t={params.t} "
           f"M/N={params.memory_fraction} F={params.subpacketization}")
     report_v = validate(top)
     print("topology:", report_v.summary())
     matching = extract_matchings(top)
     print("matching per group:", matching.to_cache)
-    placement = place(design, top, params)
+    placement = place(top, params)
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
-    report = simulate(design, top, params, payload_size=64, seed=0)
+    report = simulate(top, params, payload_size=64, seed=0)
     for tx in islice(report.transmissions, show):
         terms = " + ".join(f"W^{f}({s})" for f, s in zip(tx.files, tx.subfiles))
         print(f"  Y^{tx.n}_{tx.coords} = {terms}")
@@ -42,7 +41,6 @@ def run(name, design, top, params, show=4):
 
 
 def main() -> None:
-    design_a = construct_mcrd(2, 4, 1)
     top_a = Topology.from_group_slots(
         2, 4, 2,
         [
@@ -50,12 +48,11 @@ def main() -> None:
             [[1, 4], [2, 3], [2, 4], [1, 3]],
         ],
     )
-    run("Example A", design_a, top_a, SchemeParams(m=2, b=4, z=2, t=1, n_files=8))
+    run("Example A", top_a, SchemeParams(m=2, b=4, z=2, t=1, n_files=8))
 
-    design_b = construct_mcrd(2, 7, 1)
     group = [[1, 3, 5], [2, 3, 5], [2, 3, 5], [2, 4, 5], [2, 3, 5], [2, 3, 6], [2, 3, 7]]
     top_b = Topology.from_group_slots(2, 7, 3, [group, group])
-    run("Example B", design_b, top_b, SchemeParams(m=2, b=7, z=3, t=2, n_files=14))
+    run("Example B", top_b, SchemeParams(m=2, b=7, z=3, t=2, n_files=14))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .engine import (
     SchemeParams,
     SimulationReport,
     Transmission,
-    UnsupportedDesignError,
     achievable_rate,
     build_demand_graph,
     cell_quotas,

@@ -80,7 +80,6 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--seed must be a signed 64-bit integer, got {args.seed}")
     n_files = args.files if args.files is not None else args.m * args.b
     params = engine.SchemeParams(m=args.m, b=args.b, z=args.z, t=args.t, n_files=n_files)
-    design = designs.construct_mcrd(args.m, args.b, 1)
     top = _load_topology(args)
 
     demands = None
@@ -90,7 +89,6 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"{args.demands}: demands must be a JSON list of integer file indices")
 
     report = engine.simulate(
-        design,
         top,
         params,
         demands=demands,
@@ -206,8 +204,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, designs.PointBudgetError,
-            topology.MatchingError, topology.GenerationError,
-            engine.UnsupportedDesignError, analysis.ApplicabilityError,
+            topology.MatchingError, topology.GenerationError, analysis.ApplicabilityError,
             OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -60,14 +60,6 @@ class Design:
             raise ValueError(f"block index ({i},{j}) out of range")
         return self.blocks[i - 1][j - 1]
 
-    def point_class_index(self, i: int) -> list[int]:
-        """Class-i block index of each point, indexed by point (first wins; 0 if none)."""
-        out = [0] * (self.num_points + 1)
-        for j in range(self.b, 0, -1):
-            for p in self.blocks[i - 1][j - 1]:
-                out[p] = j
-        return out
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Design":
         blocks = tuple(

@@ -1,12 +1,15 @@
 """Placement, XOR broadcast delivery, and decode verification.
 
-Pipeline: an intersection-1 design from :mod:`macc.designs` plus a validated
-topology from :mod:`macc.topology` yield a placement (each cache stores whole
-blocks of subfile indices from its cell), a missing-block table (which blocks
-each matched user still misses), and a delivery schedule of XOR transmissions.
-Every transmission combines one needed subfile per group, so each serves m
-users at once.  Rates are exact rationals; no floats on correctness paths.
+Pipeline: a validated topology from :mod:`macc.topology` yields a placement
+(each cache stores whole blocks of subfile indices from its cell), a
+missing-block table (which blocks each matched user still misses), and a
+delivery schedule of XOR transmissions.  Every transmission combines one
+needed subfile per group, so each serves m users at once.  Rates are exact
+rationals; no floats on correctness paths.
 
+Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
+s is mixed-radix coordinate number s - 1 of its blocks, as
+:func:`class_blocks` states; the engine takes no design object.
 File indices run 1..N, subfile indices 1..b**m, users and caches are
 addressed as in :mod:`macc.topology`.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .designs import MAX_SCHEDULE_ROWS, Design, PointBudgetError
+from .designs import DEFAULT_POINT_BUDGET, MAX_SCHEDULE_ROWS, PointBudgetError
 from .topology import (
     MatchingAssignment,
     Topology,
@@ -32,10 +35,6 @@ from .topology import (
 )
 
 DEFAULT_PAYLOAD_SIZE = 64
-
-
-class UnsupportedDesignError(Exception):
-    """Delivery needs singleton cross intersections (mu = 1)."""
 
 
 def cell_quotas(t: int, b: int, z: int) -> tuple[int, int]:
@@ -78,6 +77,8 @@ class SchemeParams:
         if r * f > MAX_SCHEDULE_ROWS:
             raise PointBudgetError(f"schedule of r={r} rounds x b^m={f} cells = {r * f} "
                                    f"transmissions exceeds {MAX_SCHEDULE_ROWS}")
+        if f > DEFAULT_POINT_BUDGET:
+            raise PointBudgetError(f"{f} points exceeds budget {DEFAULT_POINT_BUDGET}")
 
     @property
     def subpacketization(self) -> int:
@@ -147,34 +148,21 @@ class Placement:
     k(i,j) reads.  Caches in different cells of a group never share blocks.
     """
 
-    design: Design
     topology: Topology
     params: SchemeParams
     cache_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     user_blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def cached_subfiles(self, i: int, j: int) -> set[int]:
-        """Subfile indices user k(i,j) reads from its caches (any file)."""
-        out: set[int] = set()
-        for slot in self.user_blocks[i - 1][j - 1]:
-            out.update(self.design.block(i, slot))
-        return out
 
-
-def place(design: Design, topology: Topology, params: SchemeParams,
-          seed: int | None = None) -> Placement:
+def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> Placement:
     """Fill caches: c(i,j) keeps block (i,j) plus quota-1 more from its cell.
 
     Deterministic mode (seed None) picks the lowest-indexed extra blocks;
-    seeded mode samples them reproducibly.  Requires a mu = 1 design shaped
-    like the topology, and a topology that passes validation.
+    seeded mode samples them reproducibly.  Requires params shaped like the
+    topology, and a topology that passes validation.
     """
-    if (design.m, design.b) != (topology.m, topology.b):
-        raise ValueError("design and topology shapes differ")
     if (params.m, params.b, params.z) != (topology.m, topology.b, topology.z):
         raise ValueError("params and topology shapes differ")
-    if design.mu != 1:
-        raise ValueError("placement needs a design with mu = 1")
     report = validate(topology)
     if not report.passed:
         raise ValueError(f"topology invalid: {report.summary()}")
@@ -208,7 +196,6 @@ def place(design: Design, topology: Topology, params: SchemeParams,
         user_rows.append(tuple(row))
 
     return Placement(
-        design=design,
         topology=topology,
         params=params,
         cache_blocks=tuple(cache_rows),
@@ -231,22 +218,14 @@ def build_demand_graph(placement: Placement, matchings: MatchingAssignment):
     return tuple(rows)
 
 
-def _point_table(design: Design, block_of: list[list[int]]) -> list[int]:
-    """Point at each mixed-radix coordinate number sum((c_i - 1) * b**(m-i)), given
-    ``block_of[i-1][p]``, the class-i block of point p.  Needs every class to
-    partition the points and every m blocks of distinct classes to meet in one."""
-    b, n = design.b, design.num_points
-    index = [0] * (n + 1)
-    for cls, blocks in zip(block_of, design.blocks):
-        if sum(map(len, blocks)) != n or not all(cls[1:]):
-            raise UnsupportedDesignError("a parallel class does not partition the points")
-        index = [k * b + j - 1 for k, j in zip(index, cls)]
-    table = [0] * n
-    for p in range(1, n + 1):
-        table[index[p]] = p
-    if 0 in table:
-        raise UnsupportedDesignError("some blocks of distinct classes do not meet in one point")
-    return table
+def class_blocks(m: int, b: int, i: int) -> list[int]:
+    """The class-i block of each subfile, indexed by subfile (index 0 unused).
+
+    Subfile s is coordinate number s - 1 in base b, most significant class
+    first, so its class-i block is ((s - 1) // b**(m-i)) % b + 1.
+    """
+    stride = b ** (m - i)
+    return [0] + [j for j in range(1, b + 1) for _ in range(stride)] * b ** (i - 1)
 
 
 def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
@@ -266,9 +245,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     swapped for the n-th block its matched user misses.  Repeated demands
     are allowed; the schedule never inspects them.
     """
-    design, params = placement.design, placement.params
-    if design.mu != 1:
-        raise UnsupportedDesignError("delivery needs singleton intersections (mu = 1)")
+    params = placement.params
     if not matchings.is_valid_for(placement.topology):
         raise ValueError("matchings do not fit the placement's topology")
     demands = _check_demands(demands, params)
@@ -280,22 +257,24 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
     missing = build_demand_graph(placement, matchings)
-    table = _point_table(design, [design.point_class_index(i) for i in range(1, m + 1)])
-    # cell k of the product is the point table's coordinate number k; the
+    # cell k of the product has coordinate number k, so it is subfile k + 1; the
     # addressed users and their files are the same in every round
     cells = list(itertools.product(range(1, b + 1), repeat=m))
     columns = list(zip(*cells))
     users = [tuple(i * b + inv[i][c - 1] for i, c in enumerate(coords)) for coords in cells]
     files = [tuple(demands[u - 1] for u in us) for us in users]
+    # subfile[k] is k + 1: the r*b^m entries of the rounds then share one int object
+    # per subfile instead of each holding its own
+    subfile = list(range(1, len(cells) + 1))
     rounds = []
     for n in range(1, r + 1):
         summands = []
         for i in range(1, m + 1):
-            # moving coordinate i from c to the n-th missing block shifts the index
+            # moving coordinate i from c to the n-th missing block shifts the coordinate number
             stride = b ** (m - i)
             shift = [0] + [(gap[n - 1] - c) * stride
                            for c, gap in enumerate(missing[i - 1], start=1)]
-            summands.append([table[k + shift[c]] for k, c in enumerate(columns[i - 1])])
+            summands.append([subfile[k + shift[c]] for k, c in enumerate(columns[i - 1])])
         rounds.append(summands)
     return Schedule(cells, users, files, rounds)
 
@@ -315,17 +294,17 @@ def decode(placement: Placement, transmissions, demands, contents=None) -> Decod
     int; when given, each recovery XORs the payload the transmission
     carries with the cancelled summands and must yield the ground truth.
     """
-    design, params = placement.design, placement.params
+    params = placement.params
     demands = _check_demands(demands, params)
     m, b = params.m, params.b
-    block_of = [design.point_class_index(i) for i in range(1, m + 1)]
-    # per file: (user index, the user's flag per point: 1 iff it sits in a covered block)
+    block_of = [class_blocks(m, b, i) for i in range(1, m + 1)]
+    # per file: (user index, the user's flag per subfile: 1 iff it sits in a covered block)
     readers: dict[int, list] = {}
     for user, d in enumerate(demands):
         covers = set(placement.user_blocks[user // b][user % b]).__contains__
         readers.setdefault(d, []).append((user, bytes(map(covers, block_of[user // b]))))
 
-    recovered = [bytearray(design.num_points + 1) for _ in demands]
+    recovered = [bytearray(params.subpacketization + 1) for _ in demands]
     beneficiary_counts = []
     byte_ok: bool | None = None if contents is None else True
     for _, _, _, files, subfiles, payload in transmissions:
@@ -386,7 +365,7 @@ class SimulationReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transmissions"}
 
 
-def simulate(design: Design, topology: Topology, params: SchemeParams, demands=None,
+def simulate(topology: Topology, params: SchemeParams, demands=None,
              payload_size: int | None = None, seed: int = 0,
              placement_seed: int | None = None) -> SimulationReport:
     """Run placement, delivery, and per-user decode; report rate and completeness.
@@ -404,7 +383,7 @@ def simulate(design: Design, topology: Topology, params: SchemeParams, demands=N
         demands = range(1, params.num_users + 1)
     demands = _check_demands(demands, params)
 
-    placement = place(design, topology, params, seed=placement_seed)
+    placement = place(topology, params, seed=placement_seed)
     matchings = extract_matchings(topology)
     schedule = deliver(placement, matchings, demands)
 

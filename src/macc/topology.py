@@ -320,8 +320,18 @@ def canonical_topology(m: int, b: int, z: int) -> Topology:
 
 def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) -> Topology:
     """Seeded uniform choice of one cache per cell per user; groups resampled until C3 holds."""
-    rng = random.Random(seed)
     sizes = cell_sizes(b, z)
+    if z == 1:
+        # a draw is accepted iff the b users pick distinct caches: rate b!/b^b
+        log10_rate = (math.lgamma(b + 1) - b * math.log(b)) / math.log(10)
+        if max_retries * 10**log10_rate < 1e-9:
+            exponent = math.floor(log10_rate)
+            raise GenerationError(
+                f"no C3-satisfying draw is within reach for b={b}, z=1: a group draw is "
+                f"accepted with probability b!/b^b = {10 ** (log10_rate - exponent):.3f}e"
+                f"{exponent}, so {max_retries} tries per group succeed with probability "
+                f"below 1e-9")
+    rng = random.Random(seed)
     starts = [sum(sizes[:l]) for l in range(z)]
     slots = []
     tries = 0

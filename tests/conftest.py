@@ -2,13 +2,12 @@
 
 import pytest
 
-from macc import MatchingAssignment, SchemeParams, Topology, construct_mcrd
+from macc import MatchingAssignment, SchemeParams, Topology
 
 
 @pytest.fixture
 def example_a():
     """K=8, z=2, t=1 setup: m=2 groups of b=4, the classic 16-subfile run."""
-    design = construct_mcrd(2, 4, 1)
     top = Topology.from_group_slots(
         2, 4, 2,
         [
@@ -17,7 +16,7 @@ def example_a():
         ],
     )
     params = SchemeParams(m=2, b=4, z=2, t=1, n_files=8)
-    return design, top, params
+    return top, params
 
 
 @pytest.fixture
@@ -29,11 +28,10 @@ def example_a_matching():
 @pytest.fixture
 def example_b():
     """K=14, z=3, t=2 setup: m=2 groups of b=7, 49 subfiles."""
-    design = construct_mcrd(2, 7, 1)
     group = [[1, 3, 5], [2, 3, 5], [2, 3, 5], [2, 4, 5], [2, 3, 5], [2, 3, 6], [2, 3, 7]]
     top = Topology.from_group_slots(2, 7, 3, [group, group])
     params = SchemeParams(m=2, b=7, z=3, t=2, n_files=14)
-    return design, top, params
+    return top, params
 
 
 @pytest.fixture

@@ -37,9 +37,9 @@ def _ok(criterion, text):
 
 
 def test_criterion_1_first_example_regression(example_a):
-    design, top, params = example_a
+    top, params = example_a
     start = time.perf_counter()
-    report = simulate(design, top, params)
+    report = simulate(top, params)
     elapsed = time.perf_counter() - start
     assert report.transmission_count == 32
     assert report.rate == 2
@@ -51,12 +51,12 @@ def test_criterion_1_first_example_regression(example_a):
 
 
 def test_criterion_2_second_example_regression(example_b):
-    design, top, params = example_b
+    top, params = example_b
     start = time.perf_counter()
-    placement = place(design, top, params)
+    placement = place(top, params)
     expected = ((1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (5, 6), (5, 7))
     assert placement.cache_blocks == (expected, expected)
-    report = simulate(design, top, params)
+    report = simulate(top, params)
     elapsed = time.perf_counter() - start
     assert report.transmission_count == 49
     assert report.rate == 1
@@ -130,14 +130,13 @@ def _random_config(rng):
 
 def _check_config(m, b, z, t, seed, payload_size=16):
     k = m * b
-    design = construct_mcrd(m, b, 1)
     top = random_topology(m, b, z, seed=seed)
     params = SchemeParams(m=m, b=b, z=z, t=t, n_files=k)
     rng = random.Random(seed ^ 0x5EED)
     demands = rng.sample(range(1, k + 1), k)
 
     report = simulate(
-        design, top, params,
+        top, params,
         demands=demands,
         payload_size=payload_size,
         seed=seed,
@@ -151,7 +150,7 @@ def _check_config(m, b, z, t, seed, payload_size=16):
     if payload_size is not None:
         assert report.byte_oracle_ok is True
 
-    placement = place(design, top, params, seed=seed + 1)
+    placement = place(top, params, seed=seed + 1)
     for i in range(1, m + 1):
         for j1 in range(1, b + 1):
             for j2 in range(j1 + 1, b + 1):

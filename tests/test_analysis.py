@@ -353,8 +353,8 @@ def test_simulated_rate_meets_envelope_corner(example_a):
     # measured rate == closed form == the envelope corner at the same memory
     from macc import simulate
 
-    design, top, params = example_a
-    report = simulate(design, top, params)
+    top, params = example_a
+    report = simulate(top, params)
     assert report.rate == achievable_rate(4, 2, 2, 1) == our_envelope(8, 2).rate_at(F(1, 4))
 
 

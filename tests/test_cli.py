@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import time
 
@@ -325,3 +327,33 @@ def test_simulate_refuses_schedule_above_row_limit(capsys):
                    "transmissions exceeds 10000000\n")
     code, out, _ = run_cli(capsys, "simulate", "--m", "3", "--b", "20", "--z", "4", "--t", "1")
     assert code == 0 and "transmissions=128000\n" in out and "decoded=60/60\n" in out
+
+
+def test_simulate_refuses_points_above_budget(capsys):
+    # 1001**2 cells of one round fit the schedule rows, but not the point budget
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--m", "2", "--b", "1001", "--z", "1",
+                             "--t", "1000", "--topology", "random")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: 1002001 points exceeds budget 1000000\n"
+
+
+# sha256 over exit code, stdout, stderr, --log and --report bytes of every run below
+SIMULATE_GOLDEN = "01532469f16d4beaf8887d32b173e942cacf1cc0242a087ddabad4ab68f935e5"
+
+
+def test_simulate_output_bytes_are_pinned(capsys, tmp_path):
+    log, report = tmp_path / "tx.jsonl", tmp_path / "report.json"
+    seeded = ["--payload", "8", "--topology", "random", "--placement", "seeded", "--seed", "7"]
+    digest = hashlib.sha256()
+    for m, b in itertools.product((1, 2), range(1, 5)):
+        for z, t, extra in itertools.product(range(1, b + 1), range(1, b + 1), ([], seeded)):
+            shape = ["--m", str(m), "--b", str(b), "--z", str(z), "--t", str(t)]
+            code, out, err = run_cli(capsys, "simulate", *shape, *extra,
+                                     "--log", str(log), "--report", str(report))
+            written = [path.read_bytes() if path.exists() else None for path in (log, report)]
+            log.unlink(missing_ok=True)
+            report.unlink(missing_ok=True)
+            digest.update(repr((shape, extra, code, out, err, *written)).encode())
+    assert digest.hexdigest() == SIMULATE_GOLDEN

@@ -1,6 +1,5 @@
 import itertools
 import json
-import random
 import sys
 import tracemalloc
 
@@ -9,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import (
-    Design,
     PointBudgetError,
     SchemeParams,
-    UnsupportedDesignError,
     achievable_rate,
     build_demand_graph,
     canonical_topology,
@@ -25,11 +22,10 @@ from macc import (
     point_at,
     simulate,
     subfile_bytes,
-    verify_mcrd,
 )
-from macc.analysis import json_default
 from macc.cli import write_log
-from macc.designs import MAX_SCHEDULE_ROWS
+from macc.designs import DEFAULT_POINT_BUDGET, MAX_SCHEDULE_ROWS
+from macc.engine import class_blocks
 
 
 def summands(tx):
@@ -40,6 +36,13 @@ def summands(tx):
 def decoded(flags):
     """The subfile ids a ``Decoding.recovered`` flag table marks."""
     return {s for s, flag in enumerate(flags) if flag}
+
+
+def cached_subfiles(placement, i, j):
+    """Subfile indices user k(i,j) reads from its caches (any file), read off the
+    blocks of the design the engine's subfile numbering comes from."""
+    design = construct_mcrd(placement.params.m, placement.params.b, 1)
+    return {p for slot in placement.user_blocks[i - 1][j - 1] for p in design.block(i, slot)}
 
 
 def test_cell_quotas_examples():
@@ -80,16 +83,16 @@ def test_achievable_rate_equals_quota_form():
 
 
 def test_place_single_block_per_cache(example_a):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     assert placement.cache_blocks == (((1,), (2,), (3,), (4,)),) * 2
     # user k(1,1) reads caches 1 and 3, so covers blocks 1 and 3
     assert placement.user_blocks[0][0] == (1, 3)
 
 
 def test_place_matches_published_block_sets(example_b):
-    design, top, params = example_b
-    placement = place(design, top, params)
+    top, params = example_b
+    placement = place(top, params)
     expected = ((1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (5, 6), (5, 7))
     assert placement.cache_blocks == (expected, expected)
     # every user but the last covers all blocks except block 7
@@ -100,10 +103,9 @@ def test_place_matches_published_block_sets(example_b):
 
 
 def test_place_full_cell_when_quota_saturates():
-    design = construct_mcrd(2, 4, 1)
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
-    placement = place(design, top, params)
+    placement = place(top, params)
     for i in (1, 2):
         for j in (1, 2):
             assert placement.cache_blocks[i - 1][j - 1] == (1, 2)
@@ -112,11 +114,10 @@ def test_place_full_cell_when_quota_saturates():
 
 
 def test_place_seeded_choice_is_deterministic_and_valid():
-    design = construct_mcrd(1, 9, 1)
     top = canonical_topology(1, 9, 2)
     params = SchemeParams(m=1, b=9, z=2, t=3, n_files=9)
-    p1 = place(design, top, params, seed=5)
-    p2 = place(design, top, params, seed=5)
+    p1 = place(top, params, seed=5)
+    p2 = place(top, params, seed=5)
     assert p1.cache_blocks == p2.cache_blocks
     for j in range(1, 10):
         blocks = p1.cache_blocks[0][j - 1]
@@ -124,10 +125,9 @@ def test_place_seeded_choice_is_deterministic_and_valid():
 
 
 def test_place_cell_disjointness():
-    design = construct_mcrd(2, 7, 1)
     top = canonical_topology(2, 7, 3)
     params = SchemeParams(m=2, b=7, z=3, t=2, n_files=14)
-    placement = place(design, top, params, seed=2)
+    placement = place(top, params, seed=2)
     from macc.topology import cache_cell
 
     for i in (1, 2):
@@ -140,21 +140,19 @@ def test_place_cell_disjointness():
 
 
 def test_place_rejects_bad_inputs(example_a):
-    design, top, params = example_a
-    with pytest.raises(ValueError):
-        place(construct_mcrd(2, 3, 1), top, params)
-    with pytest.raises(ValueError):
-        place(construct_mcrd(2, 4, 2), top, SchemeParams(m=2, b=4, z=2, t=1, n_files=8))
+    top, params = example_a
+    with pytest.raises(ValueError, match="params and topology shapes differ"):
+        place(top, SchemeParams(m=2, b=3, z=2, t=1, n_files=6))
     from macc import Topology
 
     broken = Topology.from_group_slots(2, 4, 2, [[[1], [2], [3], [4]]] * 2)
     with pytest.raises(ValueError):
-        place(design, broken, params)
+        place(broken, params)
 
 
 def test_demand_graph_example_a(example_a, example_a_matching):
-    design, top, params = example_a
-    missing = build_demand_graph(place(design, top, params), example_a_matching)
+    top, params = example_a
+    missing = build_demand_graph(place(top, params), example_a_matching)
     # cache (1,1) is matched to user k(1,1), which covers blocks 1 and 3
     assert missing[0][0] == (2, 4)
     for i in (1, 2):
@@ -163,8 +161,8 @@ def test_demand_graph_example_a(example_a, example_a_matching):
 
 
 def test_demand_graph_example_b(example_b, example_b_identity_matching):
-    design, top, params = example_b
-    missing = build_demand_graph(place(design, top, params), example_b_identity_matching)
+    top, params = example_b
+    missing = build_demand_graph(place(top, params), example_b_identity_matching)
     for i in (1, 2):
         for j in range(1, 7):
             assert missing[i - 1][j - 1] == (7,)
@@ -172,16 +170,15 @@ def test_demand_graph_example_b(example_b, example_b_identity_matching):
 
 
 def test_demand_graph_empty_when_rate_zero():
-    design = construct_mcrd(2, 4, 1)
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
-    missing = build_demand_graph(place(design, top, params), extract_matchings(top))
+    missing = build_demand_graph(place(top, params), extract_matchings(top))
     assert all(len(missing[i - 1][j - 1]) == 0 for i in (1, 2) for j in range(1, 5))
 
 
 def test_deliver_example_a_published_transmissions(example_a, example_a_matching):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     txs = list(deliver(placement, example_a_matching, range(1, 9)))
     assert len(txs) == 32
     # first broadcast: subfile 5 for user k(1,1) against subfile 2 for k(2,4)
@@ -193,8 +190,8 @@ def test_deliver_example_a_published_transmissions(example_a, example_a_matching
 
 
 def test_deliver_example_b_published_transmissions(example_b, example_b_identity_matching):
-    design, top, params = example_b
-    placement = place(design, top, params)
+    top, params = example_b
+    placement = place(top, params)
     txs = deliver(placement, example_b_identity_matching, range(1, 15))
     assert len(txs) == 49
     by_coords = {t.coords: t for t in txs}
@@ -206,8 +203,9 @@ def test_deliver_example_b_published_transmissions(example_b, example_b_identity
 def _brute_schedule(placement, matchings, demands):
     """The schedule read off the design: in round n at blocks ``coords``, group i
     sends the point where its matched user's n-th missing block meets the rest."""
-    design, params = placement.design, placement.params
+    params = placement.params
     m, b = params.m, params.b
+    design = construct_mcrd(m, b, 1)
     rows = []
     for n in range(1, params.missing_count + 1):
         for coords in itertools.product(range(1, b + 1), repeat=m):
@@ -222,71 +220,66 @@ def _brute_schedule(placement, matchings, demands):
     return rows
 
 
-def _permuted_design(m, b, seed):
-    """construct_mcrd(m, b, 1) with its points relabelled, loaded from JSON."""
-    doc = json.loads(json.dumps(construct_mcrd(m, b, 1), default=json_default))
-    labels = list(range(1, b**m + 1))
-    random.Random(seed).shuffle(labels)
-    doc["blocks"] = [[[labels[p - 1] for p in blk] for blk in cls] for cls in doc["blocks"]]
-    return Design.from_json_dict(doc)
-
-
 def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
                                               example_b, example_b_identity_matching):
     top_c = canonical_topology(3, 8, 2)
-    permuted = _permuted_design(3, 4, seed=3)
-    assert verify_mcrd(permuted).passed
-    assert any(point_at(permuted, c) != point_at(construct_mcrd(3, 4, 1), c)
-               for c in itertools.product(range(1, 5), repeat=3))
-    top_p = canonical_topology(3, 4, 2)
     cases = [
         (*example_a, example_a_matching, range(1, 9)),
         (*example_b, example_b_identity_matching, [(u * 5) % 14 + 1 for u in range(14)]),
-        (construct_mcrd(3, 8, 1), top_c, SchemeParams(m=3, b=8, z=2, t=1, n_files=24),
+        (top_c, SchemeParams(m=3, b=8, z=2, t=1, n_files=24),
          extract_matchings(top_c), range(1, 25)),
-        (permuted, top_p, SchemeParams(m=3, b=4, z=2, t=1, n_files=4),
-         extract_matchings(top_p), [u % 4 + 1 for u in range(12)]),
     ]
-    for design, top, params, matchings, demands in cases:
-        placement = place(design, top, params, seed=1)
+    for top, params, matchings, demands in cases:
+        placement = place(top, params, seed=1)
         demands = list(demands)
         txs = list(deliver(placement, matchings, demands))
         assert [(tx.n, tx.coords, summands(tx)) for tx in txs] == \
             _brute_schedule(placement, matchings, demands)
-    report = simulate(permuted, top_p, SchemeParams(m=3, b=4, z=2, t=1, n_files=12),
-                      payload_size=8, seed=2)
-    assert report.all_complete() and report.byte_oracle_ok is True
+
+
+def test_class_blocks_match_the_constructed_design():
+    for m, b in itertools.product(range(1, 4), range(1, 9)):
+        design = construct_mcrd(m, b, 1)
+        for i in range(1, m + 1):
+            block_of = class_blocks(m, b, i)
+            assert len(block_of) == b**m + 1
+            assert [tuple(p for p in range(1, b**m + 1) if block_of[p] == j)
+                    for j in range(1, b + 1)] == list(design.blocks[i - 1])
 
 
 def test_deliver_empty_when_rate_zero():
-    design = construct_mcrd(2, 4, 1)
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
-    placement = place(design, top, params)
+    placement = place(top, params)
     schedule = deliver(placement, extract_matchings(top), range(1, 9))
     assert len(schedule) == 0
     assert list(schedule) == []
 
 
 def test_scheme_params_bound_the_schedule_rows():
-    # (m, b, z, t) = (7, 10, 1, 9): rate 1 over 10**7 cells, exactly the limit
-    assert SchemeParams(m=7, b=10, z=1, t=9, n_files=1).missing_count * 10**7 == MAX_SCHEDULE_ROWS
+    # (m, b, z, t) = (1, 10**6, 1, 999990): rate 10 over 10**6 cells, both limits exactly
+    params = SchemeParams(m=1, b=10**6, z=1, t=999990, n_files=1)
+    assert params.subpacketization == DEFAULT_POINT_BUDGET
+    assert params.missing_count * params.subpacketization == MAX_SCHEDULE_ROWS
     with pytest.raises(PointBudgetError, match="r=2 rounds x b\\^m=10000000 cells = 20000000"):
         SchemeParams(m=7, b=10, z=1, t=8, n_files=1)
+    # rate 1 over 10**7 cells fits the rows, but not the points
+    with pytest.raises(PointBudgetError, match="^10000000 points exceeds budget 1000000$"):
+        SchemeParams(m=7, b=10, z=1, t=9, n_files=1)
 
 
 def test_schedule_rows_are_made_on_each_iteration(example_a, example_a_matching):
-    design, top, params = example_a
-    schedule = deliver(place(design, top, params), example_a_matching, range(1, 9))
+    top, params = example_a
+    schedule = deliver(place(top, params), example_a_matching, range(1, 9))
     rows = list(schedule)
     assert len(schedule) == len(rows) == 32
     assert list(schedule) == rows  # decode and write_log both iterate
-    report = simulate(design, top, params, payload_size=16, seed=5)
+    report = simulate(top, params, payload_size=16, seed=5)
     rows = list(report.transmissions)
     assert len(report.transmissions) == len(rows) == 32
     assert list(report.transmissions) == rows
     assert [tx._replace(payload=None) for tx in rows] == \
-        list(deliver(place(design, top, params), extract_matchings(top), range(1, 9)))
+        list(deliver(place(top, params), extract_matchings(top), range(1, 9)))
     for tx in rows:
         want = 0
         for f, s in zip(tx.files, tx.subfiles):
@@ -296,16 +289,15 @@ def test_schedule_rows_are_made_on_each_iteration(example_a, example_a_matching)
 
 def test_simulate_peak_memory_stays_below_materialised_rows():
     # a list of the rows alone, or one set of recovered ids per user, exceeds the bound
-    design = construct_mcrd(3, 12, 1)
     top = canonical_topology(3, 12, 3)
     params = SchemeParams(m=3, b=12, z=3, t=1, n_files=36)
-    schedule = deliver(place(design, top, params), extract_matchings(top), range(1, 37))
+    schedule = deliver(place(top, params), extract_matchings(top), range(1, 37))
     row = next(iter(schedule))
     bound = len(schedule) * (sys.getsizeof(row) + sys.getsizeof(row.subfiles))
     del schedule
     tracemalloc.start()
     try:
-        report = simulate(design, top, params)
+        report = simulate(top, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,34 +305,9 @@ def test_simulate_peak_memory_stays_below_materialised_rows():
     assert peak < bound
 
 
-def test_deliver_rejects_wide_intersections():
-    design = construct_mcrd(2, 4, 2)
-    top = canonical_topology(2, 4, 2)
-    params = SchemeParams(m=2, b=4, z=2, t=1, n_files=8)
-    # place() refuses mu != 1 already; build the placement by hand to reach deliver
-    from macc import Placement
-
-    forced = Placement(
-        design=design,
-        topology=top,
-        params=params,
-        cache_blocks=(((1,), (2,), (3,), (4,)),) * 2,
-        user_blocks=(((1, 3), (2, 4), (1, 3), (2, 4)),) * 2,
-    )
-    with pytest.raises(UnsupportedDesignError):
-        deliver(forced, extract_matchings(top), range(1, 9))
-    # declared mu = 1, but blocks of the two classes meet in 2 points or none
-    doubled = Design.from_blocks([[[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]],
-                                  [[1, 2, 5, 6], [3, 4, 7, 8], [9, 10, 13, 14],
-                                   [11, 12, 15, 16]]], mu=1)
-    with pytest.raises(UnsupportedDesignError):
-        deliver(place(doubled, top, SchemeParams(m=2, b=4, z=2, t=1, n_files=8)),
-                extract_matchings(top), range(1, 9))
-
-
 def test_deliver_validates_demands(example_a, example_a_matching):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     with pytest.raises(ValueError):
         deliver(placement, example_a_matching, [1] * 7)
     with pytest.raises(ValueError):
@@ -350,8 +317,8 @@ def test_deliver_validates_demands(example_a, example_a_matching):
 
 
 def test_decode_single_transmission(example_a, example_a_matching):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     demands = range(1, 9)
     txs = list(deliver(placement, example_a_matching, demands))
     first = decode(placement, txs[:1], demands)
@@ -367,15 +334,15 @@ def test_decode_single_transmission(example_a, example_a_matching):
 
 
 def test_decode_completeness(example_a, example_a_matching):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     txs = deliver(placement, example_a_matching, range(1, 9))
     decoding = decode(placement, txs, range(1, 9))
     full = set(range(1, 17))
     for user in range(1, 9):
         i, j = top.user_coords(user)
         got = decoded(decoding.recovered[user - 1])
-        cached = placement.cached_subfiles(i, j)
+        cached = cached_subfiles(placement, i, j)
         assert not (got & cached)
         assert got | cached == full
     assert decoding.beneficiary_counts == (2,) * 32
@@ -383,18 +350,17 @@ def test_decode_completeness(example_a, example_a_matching):
 
 
 def test_decode_rate_zero_regime():
-    design = construct_mcrd(2, 4, 1)
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
-    placement = place(design, top, params)
+    placement = place(top, params)
     for user in range(1, 9):
         i, j = top.user_coords(user)
-        assert placement.cached_subfiles(i, j) == set(range(1, 17))
+        assert cached_subfiles(placement, i, j) == set(range(1, 17))
 
 
 def test_simulate_example_a(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params, payload_size=64, seed=1)
+    top, params = example_a
+    report = simulate(top, params, payload_size=64, seed=1)
     assert report.transmission_count == 32
     assert report.rate == 2
     assert report.subpacketization == 16
@@ -404,8 +370,8 @@ def test_simulate_example_a(example_a):
 
 
 def test_simulate_example_b(example_b):
-    design, top, params = example_b
-    report = simulate(design, top, params)
+    top, params = example_b
+    report = simulate(top, params)
     assert report.transmission_count == 49
     assert report.rate == 1
     assert report.all_complete()
@@ -414,16 +380,15 @@ def test_simulate_example_b(example_b):
 
 def test_simulate_scaled_down_high_rate_point():
     # same b, z, t as the rate-5 full-scale point, with fewer groups
-    design = construct_mcrd(2, 10, 1)
     top = canonical_topology(2, 10, 5)
     params = SchemeParams(m=2, b=10, z=5, t=1, n_files=20)
-    report = simulate(design, top, params)
+    report = simulate(top, params)
     assert report.rate == 5 == report.expected_rate
 
 
 def test_simulate_with_repeated_demands(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params, demands=[1] * 8, payload_size=32, seed=9)
+    top, params = example_a
+    report = simulate(top, params, demands=[1] * 8, payload_size=32, seed=9)
     assert report.transmission_count == 32
     assert report.all_complete()
     assert report.byte_oracle_ok is True
@@ -432,7 +397,7 @@ def test_simulate_with_repeated_demands(example_a):
 
 def _brute_decode(placement, transmissions, user, demand):
     """Subfiles of ``demand`` that ``user`` recovers, checked one broadcast at a time."""
-    cached = placement.cached_subfiles(*placement.topology.user_coords(user))
+    cached = cached_subfiles(placement, *placement.topology.user_coords(user))
     got = set()
     for tx in transmissions:
         unknown = [(f, s) for _, f, s in summands(tx) if s not in cached]
@@ -442,14 +407,14 @@ def _brute_decode(placement, transmissions, user, demand):
 
 
 def test_simulate_matches_decode(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params)
-    placement = place(design, top, params)
+    top, params = example_a
+    report = simulate(top, params)
+    placement = place(top, params)
     decoding = decode(placement, report.transmissions, range(1, 9))
     for user in range(1, 9):
         i, j = top.user_coords(user)
         got = _brute_decode(placement, report.transmissions, user, demand=user)
-        cached = placement.cached_subfiles(i, j)
+        cached = cached_subfiles(placement, i, j)
         assert (got | cached == set(range(1, 17))) == report.users_complete[user - 1]
         assert decoded(decoding.recovered[user - 1]) == got - cached
 
@@ -457,11 +422,10 @@ def test_simulate_matches_decode(example_a):
 def test_decode_matches_brute_force_with_shared_files():
     # with files shared, a broadcast reaches users other than its addressees,
     # and only those that cover every other summand may count
-    design = construct_mcrd(3, 4, 1)
     top = canonical_topology(3, 4, 2)
     params = SchemeParams(m=3, b=4, z=2, t=1, n_files=3)
     demands = [u % 3 + 1 for u in range(12)]
-    placement = place(design, top, params, seed=4)
+    placement = place(top, params, seed=4)
     txs = deliver(placement, extract_matchings(top), demands)
     decoding = decode(placement, txs, demands)
     for user in range(1, 13):
@@ -477,7 +441,7 @@ def _complete(placement, decoding):
     full = set(range(1, placement.params.subpacketization + 1))
     return [
         decoded(decoding.recovered[u - 1])
-        | placement.cached_subfiles(*placement.topology.user_coords(u))
+        | cached_subfiles(placement, *placement.topology.user_coords(u))
         == full
         for u in range(1, placement.params.num_users + 1)
     ]
@@ -492,9 +456,9 @@ def _contents(transmissions, seed, size):
 
 
 def test_decode_catches_dropped_broadcast(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params)
-    placement = place(design, top, params)
+    top, params = example_a
+    report = simulate(top, params)
+    placement = place(top, params)
     rows = list(report.transmissions)
     assert all(_complete(placement, decode(placement, rows, range(1, 9))))
     for k in (0, 17, 31):
@@ -503,9 +467,9 @@ def test_decode_catches_dropped_broadcast(example_a):
 
 
 def test_decode_catches_swapped_summand(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params)
-    placement = place(design, top, params)
+    top, params = example_a
+    report = simulate(top, params)
+    placement = place(top, params)
     schedule = list(report.transmissions)
     tx = schedule[5]
     user, first = tx.users[0], tx.subfiles[0]
@@ -518,9 +482,9 @@ def test_decode_catches_swapped_summand(example_a):
 
 
 def test_decode_catches_flipped_payload_byte(example_a):
-    design, top, params = example_a
-    report = simulate(design, top, params, payload_size=16, seed=4)
-    placement = place(design, top, params)
+    top, params = example_a
+    report = simulate(top, params, payload_size=16, seed=4)
+    placement = place(top, params)
     contents = _contents(report.transmissions, seed=4, size=16)
     assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
     schedule = list(report.transmissions)
@@ -534,15 +498,15 @@ def test_decode_catches_flipped_payload_byte(example_a):
 
 
 def test_simulate_requires_enough_files(example_a):
-    design, top, params = example_a
+    top, params = example_a
     small = SchemeParams(m=2, b=4, z=2, t=1, n_files=4)
     with pytest.raises(ValueError):
-        simulate(design, top, small)
+        simulate(top, small)
 
 
 def test_transmission_json(example_a, example_a_matching, tmp_path):
-    design, top, params = example_a
-    placement = place(design, top, params)
+    top, params = example_a
+    placement = place(top, params)
     txs = deliver(placement, example_a_matching, range(1, 9))
     write_log(tmp_path / "tx.jsonl", itertools.islice(txs, 1), 2)
     doc = json.loads((tmp_path / "tx.jsonl").read_text())
@@ -559,10 +523,9 @@ def test_transmission_json(example_a, example_a_matching, tmp_path):
 def test_placement_respects_memory_budget():
     # stored blocks per cache never exceed t, i.e. t * b**(m-1) * N subfiles
     for b, z, t in [(7, 3, 2), (9, 4, 5), (6, 2, 4), (5, 5, 1)]:
-        design = construct_mcrd(1, b, 1)
         top = canonical_topology(1, b, z)
         params = SchemeParams(m=1, b=b, z=z, t=t, n_files=b)
-        placement = place(design, top, params, seed=1)
+        placement = place(top, params, seed=1)
         assert all(len(blocks) <= t for blocks in placement.cache_blocks[0])
 
 
@@ -573,10 +536,9 @@ def test_canonical_grid_invariants(data):
     b = data.draw(st.integers(1, 6))
     z = data.draw(st.integers(1, b))
     t = data.draw(st.integers(1, b))
-    design = construct_mcrd(m, b, 1)
     top = canonical_topology(m, b, z)
     params = SchemeParams(m=m, b=b, z=z, t=t, n_files=m * b)
-    report = simulate(design, top, params, payload_size=8, seed=0)
+    report = simulate(top, params, payload_size=8, seed=0)
     assert report.transmission_count == params.missing_count * b**m
     assert report.rate == achievable_rate(b, m, z, t)
     assert report.all_complete()

@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 import json
+import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import (
+    GenerationError,
     MatchingError,
     Topology,
     cache_cell,
@@ -41,12 +46,12 @@ def test_cache_cell_partitions_slots():
 
 
 def test_validate_example_a(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     assert validate(top).passed
 
 
 def test_validate_flags_cross_group_edge(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     access = list(top.access)
     access[0] = (5, 3)  # cache 5 lives in group 2
     warped = Topology(m=2, b=4, z=2, access=tuple(access))
@@ -62,7 +67,7 @@ def test_validate_flags_missing_matching():
 
 
 def test_validate_warns_on_at_most_users(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     access = list(top.access)
     access[0] = (1,)  # user covers cell 1 but misses cell 2
     short = Topology(m=2, b=4, z=2, access=tuple(access))
@@ -73,7 +78,7 @@ def test_validate_warns_on_at_most_users(example_a):
 
 
 def test_validate_flags_two_caches_in_one_cell(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     access = list(top.access)
     access[0] = (1, 2)  # both in cell 1
     doubled = Topology(m=2, b=4, z=2, access=tuple(access))
@@ -82,7 +87,7 @@ def test_validate_flags_two_caches_in_one_cell(example_a):
 
 
 def test_extract_matchings_example_a(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     match = extract_matchings(top)
     assert match.is_valid_for(top)
     for i in (1, 2):
@@ -90,7 +95,7 @@ def test_extract_matchings_example_a(example_a):
 
 
 def test_extract_matchings_example_b(example_b):
-    _, top, _ = example_b
+    top, _ = example_b
     match = extract_matchings(top)
     assert match.is_valid_for(top)
     # the identity assignment is also valid for this graph
@@ -202,6 +207,35 @@ def test_random_topology_spreads_over_seeds():
     assert len(seen) > 10
 
 
+def test_random_topology_z1_fails_before_drawing_when_hopeless():
+    start = time.perf_counter()
+    with pytest.raises(GenerationError, match="b=1000, z=1") as exc:
+        random_topology(1, 1000, 1, seed=0)
+    assert time.perf_counter() - start < 0.1
+    rate = Fraction(math.factorial(1000), 1000**1000)  # the exact acceptance rate
+    assert f"b!/b^b = {float(rate * 10**433):.3f}e-433, so 1000 tries" in str(exc.value)
+    # b = 31 is the first size where 1000 tries succeed with probability below 1e-9
+    with pytest.raises(GenerationError, match="b=31, z=1"):
+        random_topology(1, 31, 1, seed=0)
+    with pytest.raises(GenerationError, match="in 1000 tries; 0 of 1000 draws accepted"):
+        random_topology(1, 30, 1, seed=0)
+
+
+# sha256 over the seeded draws (or failure messages) below; the early refusal at
+# z = 1 must leave every draw that can succeed as it was
+RANDOM_Z1_GOLDEN = "1ef933f7ff6e640d7a00dda3b12ee7cb3a2b761df2b19a605dd143d99270b2b9"
+
+
+def test_random_topology_z1_draws_are_unchanged():
+    digest = hashlib.sha256()
+    for m, b, seed in itertools.product((1, 2), range(1, 9), range(4)):
+        try:
+            digest.update(repr((m, b, seed, random_topology(m, b, 1, seed=seed))).encode())
+        except GenerationError as exc:
+            digest.update(repr((m, b, seed, str(exc))).encode())
+    assert digest.hexdigest() == RANDOM_Z1_GOLDEN
+
+
 def test_count_topologies_values():
     assert count_topologies(1, 2, 2) == 1
     assert count_topologies(2, 4, 2) == 65536
@@ -224,12 +258,12 @@ def test_count_topologies_matches_enumeration(m, b, z):
 
 
 def test_json_round_trip(example_a):
-    _, top, _ = example_a
+    top, _ = example_a
     assert Topology.from_json_dict(json.loads(json.dumps(top, default=json_default))) == top
 
 
 def test_global_cache_id_encoding(example_b):
-    _, top, _ = example_b
+    top, _ = example_b
     # group 2 user 7 reads caches (2,2), (2,3), (2,7) -> global 9, 10, 14
     assert top.user_access(2, 7) == (9, 10, 14)
 

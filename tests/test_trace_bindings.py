@@ -37,24 +37,32 @@ def test_traced_bindings_exist_and_carry_the_calls(monkeypatch, tmp_path, capsys
     capsys.readouterr()
     assert rc == 0
     spans = {s.name: s for s in tracer.spans}
-    assert set(spans) >= {"designs.construct_mcrd", "topology.random_topology",
-                          "topology.validate", "topology.extract_matchings",
-                          "engine.simulate", "engine.place", "engine.deliver"}
+    assert set(spans) >= {"topology.random_topology", "topology.validate",
+                          "topology.extract_matchings", "engine.simulate", "engine.place",
+                          "engine.deliver"}
     assert spans["engine.deliver"].count == 2 * 4**2
     assert tracer.counted["calls"] > 0
+
+    # simulate numbers subfiles without a design; `macc design` still builds one
+    with tracer.installed(1):
+        rc, _ = tracer.call(tracing.ROOT, cli.main, ["design", "--m", "2", "--b", "4"])
+    capsys.readouterr()
+    assert rc == 0
+    assert {s.name for s in tracer.spans if s.op == 1} >= {"designs.construct_mcrd",
+                                                          "designs.verify_mcrd"}
 
 
 def test_traced_deliver_count_is_the_schedule_length(monkeypatch):
     # the tracer reads the count through len(), which a generator would not have
     tracing = _load_tracing(monkeypatch)
-    design, top = designs.construct_mcrd(3, 4, 1), topology.canonical_topology(3, 4, 2)
+    top = topology.canonical_topology(3, 4, 2)
     params = engine.SchemeParams(m=3, b=4, z=2, t=1, n_files=12)
-    schedule = engine.deliver(engine.place(design, top, params),
+    schedule = engine.deliver(engine.place(top, params),
                               topology.extract_matchings(top), range(1, 13))
     assert hasattr(schedule, "__len__")
     tracer = tracing.Tracer({"designs": designs, "topology": topology, "engine": engine,
                              "analysis": analysis})
     with tracer.installed(0):
-        report, _ = tracer.call(tracing.ROOT, engine.simulate, design, top, params)
+        report, _ = tracer.call(tracing.ROOT, engine.simulate, top, params)
     (span,) = [s for s in tracer.spans if s.name == "engine.deliver"]
     assert span.count == report.transmission_count == len(schedule) == 2 * 4**3
