@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that engine.SchemeParams accepts
+MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
 
 
 class PointBudgetError(Exception):

@@ -21,9 +21,15 @@ import itertools
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
-from .designs import DEFAULT_POINT_BUDGET, MAX_SCHEDULE_ROWS, PointBudgetError
+from .designs import (
+    DEFAULT_POINT_BUDGET,
+    MAX_COVERAGE_ENTRIES,
+    MAX_SCHEDULE_ROWS,
+    PointBudgetError,
+)
 from .topology import (
     MatchingAssignment,
     Topology,
@@ -79,6 +85,9 @@ class SchemeParams:
                                    f"transmissions exceeds {MAX_SCHEDULE_ROWS}")
         if f > DEFAULT_POINT_BUDGET:
             raise PointBudgetError(f"{f} points exceeds budget {DEFAULT_POINT_BUDGET}")
+        if self.m * self.b**2 > MAX_COVERAGE_ENTRIES:
+            raise PointBudgetError(f"coverage tables of m*b^2 = {self.m * self.b**2} entries "
+                                   f"exceed {MAX_COVERAGE_ENTRIES}")
 
     @property
     def subpacketization(self) -> int:
@@ -285,46 +294,74 @@ class Decoding(NamedTuple):
     byte_ok: bool | None  # None when no contents were given
 
 
-def decode(placement: Placement, transmissions, demands, contents=None) -> Decoding:
-    """Decode every user's demanded file from the broadcasts.
+def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> Decoding:
+    """Decode every user's demanded file from the schedule, a round and a group at a time.
 
     A user recovers a summand addressed to its file when the subfiles of
     all other summands sit in blocks it covers.  ``contents`` maps
     (file, subfile) to that subfile's ground-truth bytes as a big-endian
-    int; when given, each recovery XORs the payload the transmission
-    carries with the cancelled summands and must yield the ground truth.
+    int; when given, every row some user decodes must carry the XOR of all
+    its summands' contents, which is each recovery yielding the ground truth.
     """
     params = placement.params
     demands = _check_demands(demands, params)
-    m, b = params.m, params.b
-    block_of = [class_blocks(m, b, i) for i in range(1, m + 1)]
-    # per file: (user index, the user's flag per subfile: 1 iff it sits in a covered block)
-    readers: dict[int, list] = {}
-    for user, d in enumerate(demands):
-        covers = set(placement.user_blocks[user // b][user % b]).__contains__
-        readers.setdefault(d, []).append((user, bytes(map(covers, block_of[user // b]))))
+    m, b, f = params.m, params.b, params.subpacketization
+    users, cells, w = len(demands), len(schedule.cells), b + 1
+    # known[v*w + block] == 1 iff user v covers that block of its group's class; the
+    # last row is a reader that knows everything, so it never decodes
+    known = bytearray(b"\1") * ((users + 1) * w)
+    every_block = frozenset(range(1, w))
+    for v, blocks in enumerate(itertools.chain.from_iterable(placement.user_blocks)):
+        for block in every_block.difference(blocks):
+            known[v * w + block] = 0
+    unknown = known.translate(b"\1" + bytes(255))
+    block_of = [class_blocks(m, b, g) for g in range(1, m + 1)]
 
-    recovered = [bytearray(params.subpacketization + 1) for _ in demands]
-    beneficiary_counts = []
+    by_file_group: dict[tuple[int, int], list[int]] = {}
+    for v, d in enumerate(demands):
+        by_file_group.setdefault((d, v // b), []).append(v)
+    # per (summand group i, reader group g, slot): the row offset v*w of the slot-th
+    # user v of group g that wants the cell's group-i file
+    readings = []
+    for i in range(m):
+        column = [fs[i] for fs in schedule.files]
+        wanted = set(column)
+        for g in range(m):
+            found = [by_file_group.get((d, g), ()) for d in wanted]
+            for slot in range(max(map(len, found), default=0)):
+                row_at = {d: (vs[slot] if slot < len(vs) else users) * w
+                          for d, vs in zip(wanted, found)}
+                readings.append((i, g, list(map(row_at.__getitem__, column))))
+
+    recovered = tuple(bytearray(f + 1) for _ in demands)
+    beneficiary_counts: list[int] = []
     byte_ok: bool | None = None if contents is None else True
-    for _, _, _, files, subfiles, payload in transmissions:
-        count = 0
-        for k, s in enumerate(subfiles):
-            for user, knows in readers.get(files[k], ()):
-                # s must be the one summand the user does not know
-                if knows[s] or sum(map(knows.__getitem__, subfiles)) != m - 1:
-                    continue
-                count += 1
-                recovered[user][s] = 1
-                if contents is not None:
-                    got = int.from_bytes(payload, "big")
-                    for j, key in enumerate(zip(files, subfiles)):
-                        if j != k:
-                            got ^= contents[key]
-                    if got != contents[files[k], s]:
-                        byte_ok = False
-        beneficiary_counts.append(count)
-    return Decoding(tuple(recovered), tuple(beneficiary_counts), byte_ok)
+    for n, summands in enumerate(schedule.rounds):
+        counts = [0] * cells
+        decoded_rows = 0
+        for i, g, offsets in readings:
+            # the reader must cover every summand's class-g block but summand i's
+            hits = -1
+            for j, column in enumerate(summands):
+                table = unknown if j == i else known
+                hits &= int.from_bytes(bytes(map(table.__getitem__, map(
+                    add, offsets, map(block_of[g].__getitem__, column)))), "big")
+            if not hits:
+                continue
+            hit = hits.to_bytes(cells, "big")
+            for offset, s in itertools.compress(zip(offsets, summands[i]), hit):
+                recovered[offset // w][s] = 1
+            counts = list(map(add, counts, hit))
+            decoded_rows |= hits
+        beneficiary_counts += counts
+        if contents is not None and decoded_rows:
+            for k in itertools.compress(range(cells), decoded_rows.to_bytes(cells, "big")):
+                got = int.from_bytes(schedule.payloads[n * cells + k], "big")
+                for file, column in zip(schedule.files[k], summands):
+                    got ^= contents[file, column[k]]
+                if got:
+                    byte_ok = False
+    return Decoding(recovered, tuple(beneficiary_counts), byte_ok)
 
 
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:

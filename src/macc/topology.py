@@ -320,6 +320,8 @@ def canonical_topology(m: int, b: int, z: int) -> Topology:
 
 def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) -> Topology:
     """Seeded uniform choice of one cache per cell per user; groups resampled until C3 holds."""
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     sizes = cell_sizes(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b

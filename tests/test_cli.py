@@ -339,6 +339,17 @@ def test_simulate_refuses_points_above_budget(capsys):
     assert err == "error: 1002001 points exceeds budget 1000000\n"
 
 
+def test_simulate_refuses_coverage_above_budget(capsys):
+    # 10 rounds of 10**6 cells fit the rows and the points; 10**6 users' coverage does not
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--m", "1", "--b", "1000000", "--z", "1",
+                             "--t", "999990")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: coverage tables of m*b^2 = 1000000000000 entries "
+                   "exceed 10000000\n")
+
+
 # sha256 over exit code, stdout, stderr, --log and --report bytes of every run below
 SIMULATE_GOLDEN = "01532469f16d4beaf8887d32b173e942cacf1cc0242a087ddabad4ab68f935e5"
 

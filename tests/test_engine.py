@@ -1,7 +1,9 @@
+import functools
 import itertools
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,13 @@ from macc import (
     extract_matchings,
     place,
     point_at,
+    random_topology,
     simulate,
     subfile_bytes,
 )
 from macc.cli import write_log
 from macc.designs import DEFAULT_POINT_BUDGET, MAX_SCHEDULE_ROWS
-from macc.engine import class_blocks
+from macc.engine import Schedule, class_blocks
 
 
 def summands(tx):
@@ -38,10 +41,23 @@ def decoded(flags):
     return {s for s, flag in enumerate(flags) if flag}
 
 
+def sub_schedule(schedule, rounds, cells):
+    """The part of ``schedule`` in the given rounds and cells (0-based indices)."""
+    def pick(column):
+        return [column[k] for k in cells]
+    payloads = None if schedule.payloads is None else [
+        schedule.payloads[n * len(schedule.cells) + k] for n in rounds for k in cells]
+    return Schedule(pick(schedule.cells), pick(schedule.users), pick(schedule.files),
+                    [[pick(column) for column in schedule.rounds[n]] for n in rounds], payloads)
+
+
+_design = functools.lru_cache(maxsize=None)(construct_mcrd)
+
+
 def cached_subfiles(placement, i, j):
     """Subfile indices user k(i,j) reads from its caches (any file), read off the
     blocks of the design the engine's subfile numbering comes from."""
-    design = construct_mcrd(placement.params.m, placement.params.b, 1)
+    design = _design(placement.params.m, placement.params.b, 1)
     return {p for slot in placement.user_blocks[i - 1][j - 1] for p in design.block(i, slot)}
 
 
@@ -257,10 +273,18 @@ def test_deliver_empty_when_rate_zero():
 
 
 def test_scheme_params_bound_the_schedule_rows():
-    # (m, b, z, t) = (1, 10**6, 1, 999990): rate 10 over 10**6 cells, both limits exactly
-    params = SchemeParams(m=1, b=10**6, z=1, t=999990, n_files=1)
+    # (m, b, z, t) = (2, 1000, 1, 990): rate 10 over 10**6 cells, both limits exactly,
+    # and coverage tables of m*b^2 = 2*10**6 entries
+    params = SchemeParams(m=2, b=1000, z=1, t=990, n_files=1)
     assert params.subpacketization == DEFAULT_POINT_BUDGET
     assert params.missing_count * params.subpacketization == MAX_SCHEDULE_ROWS
+    # the same rows and points from one group of 10**6 users need 10**12 coverage entries
+    with pytest.raises(PointBudgetError, match="^coverage tables of m\\*b\\^2 = "
+                                               "1000000000000 entries exceed 10000000$"):
+        SchemeParams(m=1, b=10**6, z=1, t=999990, n_files=1)
+    SchemeParams(m=1, b=3162, z=1, t=3161, n_files=1)  # 9998244 entries
+    with pytest.raises(PointBudgetError, match="m\\*b\\^2 = 10004569 entries"):
+        SchemeParams(m=1, b=3163, z=1, t=3162, n_files=1)
     with pytest.raises(PointBudgetError, match="r=2 rounds x b\\^m=10000000 cells = 20000000"):
         SchemeParams(m=7, b=10, z=1, t=8, n_files=1)
     # rate 1 over 10**7 cells fits the rows, but not the points
@@ -320,17 +344,18 @@ def test_decode_single_transmission(example_a, example_a_matching):
     top, params = example_a
     placement = place(top, params)
     demands = range(1, 9)
-    txs = list(deliver(placement, example_a_matching, demands))
-    first = decode(placement, txs[:1], demands)
+    schedule = deliver(placement, example_a_matching, demands)
+    first = decode(placement, sub_schedule(schedule, [0], [0]), demands)
     # user 1 learns subfile 5 of file 1 from the very first broadcast
     assert decoded(first.recovered[0]) == {5}
     # user 2 can cancel one summand but the leftover is not its file
     assert decoded(first.recovered[1]) == set()
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
-    tx_33 = next(t for t in txs if t.n == 1 and t.coords == (3, 3))
+    only_33 = sub_schedule(schedule, [0], [schedule.cells.index((3, 3))])
+    (tx_33,) = only_33
     assert set(tx_33.subfiles) == {3, 9}
-    assert decoded(decode(placement, [tx_33], demands).recovered[1]) == set()
+    assert decoded(decode(placement, only_33, demands).recovered[1]) == set()
 
 
 def test_decode_completeness(example_a, example_a_matching):
@@ -395,15 +420,19 @@ def test_simulate_with_repeated_demands(example_a):
     assert min(report.beneficiary_counts) >= 2
 
 
-def _brute_decode(placement, transmissions, user, demand):
-    """Subfiles of ``demand`` that ``user`` recovers, checked one broadcast at a time."""
+def _brute_decoded_rows(placement, transmissions, user, demand):
+    """Per broadcast, the subfile of ``demand`` that ``user`` recovers from it, or None."""
     cached = cached_subfiles(placement, *placement.topology.user_coords(user))
-    got = set()
+    got = []
     for tx in transmissions:
         unknown = [(f, s) for _, f, s in summands(tx) if s not in cached]
-        if len(unknown) == 1 and unknown[0][0] == demand:
-            got.add(unknown[0][1])
+        got.append(unknown[0][1] if len(unknown) == 1 and unknown[0][0] == demand else None)
     return got
+
+
+def _brute_decode(placement, transmissions, user, demand):
+    """Subfiles of ``demand`` that ``user`` recovers, checked one broadcast at a time."""
+    return set(_brute_decoded_rows(placement, transmissions, user, demand)) - {None}
 
 
 def test_simulate_matches_decode(example_a):
@@ -437,6 +466,27 @@ def test_decode_matches_brute_force_with_shared_files():
     )
 
 
+def test_decode_matches_brute_force_sweep():
+    # every shape with m <= 3, b <= 5; canonical and seeded random placements; distinct
+    # files, files shared by 3 users, and one file for everyone
+    for m, b in itertools.product(range(1, 4), range(1, 6)):
+        users = m * b
+        for z, t in itertools.product(range(1, b + 1), repeat=2):
+            params = SchemeParams(m=m, b=b, z=z, t=t, n_files=users)
+            tops = ((canonical_topology(m, b, z), None), (random_topology(m, b, z, seed=t), z + t))
+            for (top, seed), demands in itertools.product(tops, (
+                    list(range(1, users + 1)), [u // 3 + 1 for u in range(users)], [1] * users)):
+                placement = place(top, params, seed=seed)
+                schedule = deliver(placement, extract_matchings(top), demands)
+                decoding = decode(placement, schedule, demands)
+                rows = [_brute_decoded_rows(placement, schedule, u, demands[u - 1])
+                        for u in range(1, users + 1)]
+                assert [decoded(got) for got in decoding.recovered] == \
+                    [set(got) - {None} for got in rows]
+                assert decoding.beneficiary_counts == tuple(
+                    sum(s is not None for s in row) for row in zip(*rows))
+
+
 def _complete(placement, decoding):
     full = set(range(1, placement.params.subpacketization + 1))
     return [
@@ -459,25 +509,27 @@ def test_decode_catches_dropped_broadcast(example_a):
     top, params = example_a
     report = simulate(top, params)
     placement = place(top, params)
-    rows = list(report.transmissions)
-    assert all(_complete(placement, decode(placement, rows, range(1, 9))))
-    for k in (0, 17, 31):
-        schedule = rows[:k] + rows[k + 1:]
-        assert not all(_complete(placement, decode(placement, schedule, range(1, 9))))
+    schedule = report.transmissions
+    assert all(_complete(placement, decode(placement, schedule, range(1, 9))))
+    rounds = range(len(schedule.rounds))
+    for k in (0, 9, 15):
+        # cell k's entries leave every column, so its broadcast is gone from each round
+        dropped = sub_schedule(schedule, rounds, [c for c in range(16) if c != k])
+        assert not all(_complete(placement, decode(placement, dropped, range(1, 9))))
 
 
 def test_decode_catches_swapped_summand(example_a):
     top, params = example_a
     report = simulate(top, params)
     placement = place(top, params)
-    schedule = list(report.transmissions)
-    tx = schedule[5]
-    user, first = tx.users[0], tx.subfiles[0]
+    schedule = report.transmissions
+    user, first = schedule.users[5][0], schedule.rounds[0][0][5]
     # another subfile of the same file, one its addressee still has to decode
     other = next(s for t in schedule for u, _, s in summands(t)
                  if u == user and s != first)
-    schedule[5] = tx._replace(subfiles=(other,) + tx.subfiles[1:])
-    decoding = decode(placement, schedule, range(1, 9))
+    rounds = [[list(column) for column in summands_n] for summands_n in schedule.rounds]
+    rounds[0][0][5] = other
+    decoding = decode(placement, replace(schedule, rounds=rounds), range(1, 9))
     assert not _complete(placement, decoding)[user - 1]
 
 
@@ -487,12 +539,12 @@ def test_decode_catches_flipped_payload_byte(example_a):
     placement = place(top, params)
     contents = _contents(report.transmissions, seed=4, size=16)
     assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
-    schedule = list(report.transmissions)
-    tx = schedule[9]
-    payload = bytearray(tx.payload)
+    payloads = list(report.transmissions.payloads)
+    payload = bytearray(payloads[9])
     payload[3] ^= 0x01
-    schedule[9] = tx._replace(payload=bytes(payload))
-    decoding = decode(placement, schedule, range(1, 9), contents)
+    payloads[9] = bytes(payload)
+    decoding = decode(placement, replace(report.transmissions, payloads=payloads),
+                      range(1, 9), contents)
     assert decoding.byte_ok is False
     assert all(_complete(placement, decoding))  # only the byte oracle sees it
 
@@ -507,8 +559,8 @@ def test_simulate_requires_enough_files(example_a):
 def test_transmission_json(example_a, example_a_matching, tmp_path):
     top, params = example_a
     placement = place(top, params)
-    txs = deliver(placement, example_a_matching, range(1, 9))
-    write_log(tmp_path / "tx.jsonl", itertools.islice(txs, 1), 2)
+    schedule = deliver(placement, example_a_matching, range(1, 9))
+    write_log(tmp_path / "tx.jsonl", sub_schedule(schedule, [0], [0]), 2)
     doc = json.loads((tmp_path / "tx.jsonl").read_text())
     assert doc == {
         "n": 1,

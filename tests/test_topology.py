@@ -221,6 +221,15 @@ def test_random_topology_z1_fails_before_drawing_when_hopeless():
         random_topology(1, 30, 1, seed=0)
 
 
+def test_random_topology_refuses_max_retries_below_one():
+    # refused before any draw, even where z = 1 would fail for its hopeless rate
+    for m, b, z in ((1, 4, 2), (1, 1000, 1)):
+        for tries in (0, -3):
+            with pytest.raises(ValueError, match=f"^max_retries must be >= 1, got {tries}$"):
+                random_topology(m, b, z, seed=0, max_retries=tries)
+    assert validate(random_topology(1, 4, 2, seed=0, max_retries=1000)).passed
+
+
 # sha256 over the seeded draws (or failure messages) below; the early refusal at
 # z = 1 must leave every draw that can succeed as it was
 RANDOM_Z1_GOLDEN = "1ef933f7ff6e640d7a00dda3b12ee7cb3a2b761df2b19a605dd143d99270b2b9"
