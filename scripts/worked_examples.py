@@ -29,9 +29,12 @@ def run(name, top, params, show=4):
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
     report = simulate(top, params, payload_size=64, seed=0)
-    for tx in islice(report.transmissions, show):
-        terms = " + ".join(f"W^{f}({s})" for f, s in zip(tx.files, tx.subfiles))
-        print(f"  Y^{tx.n}_{tx.coords} = {terms}")
+    schedule = report.transmissions
+    # the first broadcasts of round 1: one subfile per group at each cell's coords
+    for coords, files, subfiles in islice(zip(schedule.cells, schedule.files,
+                                              zip(*schedule.rounds[0])), show):
+        terms = " + ".join(f"W^{f}({s})" for f, s in zip(files, subfiles))
+        print(f"  Y^1_{coords} = {terms}")
     print(f"  ... {report.transmission_count} transmissions total")
     print(f"rate = {report.rate} (expected {report.expected_rate}), "
           f"decoded {sum(report.users_complete)}/{len(report.users_complete)}, "

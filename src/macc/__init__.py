@@ -27,7 +27,6 @@ from .engine import (
     Placement,
     SchemeParams,
     SimulationReport,
-    Transmission,
     achievable_rate,
     build_demand_graph,
     cell_quotas,

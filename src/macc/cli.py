@@ -73,19 +73,17 @@ def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
             + ", ".join(['{"file": %d, "subfile": %%d, "user": %d}'] * m) + "]}\n")
     templates = [line % (*coords, *itertools.chain.from_iterable(zip(files, users)))
                  for coords, users, files in zip(schedule.cells, schedule.users, schedule.files)]
-    payloads = None if schedule.payloads is None else iter(schedule.payloads)
+    payloads = schedule.payloads
     with open(path, "w", encoding="utf-8") as fh:
         if not schedule.rounds:
             return
-        hex_width = 0 if payloads is None else 2 * len(schedule.payloads[0]) + 19
+        hex_width = 0 if payloads is None else 2 * len(payloads[0][0]) + 19
         # lines per write of about 8 KB, the text layer's own chunk: larger writes
         # measurably raised the peak RSS of runs with 1 KB payloads
         step = max(1, 2**13 // (len(templates[0]) + 8 * m + hex_width))
         for n, summands in enumerate(schedule.rounds, start=1):
-            # islice draws exactly this round's payloads, so zip drops none at the round's end
             paid = itertools.repeat("") if payloads is None else map(
-                '"payload_hex": "{}", '.format,
-                map(bytes.hex, itertools.islice(payloads, len(templates))))
+                '"payload_hex": "{}", '.format, map(bytes.hex, payloads[n - 1]))
             lines = map(operator.mod, templates, zip(itertools.repeat(n), paid, *summands))
             while chunk := "".join(itertools.islice(lines, step)):
                 fh.write(chunk)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 DEFAULT_POINT_BUDGET = 10**6
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that engine.SchemeParams accepts
 MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
+MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
 
 
 class PointBudgetError(Exception):

@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .designs import (
     DEFAULT_POINT_BUDGET,
     MAX_COVERAGE_ENTRIES,
+    MAX_RECOVERED_FLAGS,
     MAX_SCHEDULE_ROWS,
     PointBudgetError,
 )
@@ -88,6 +89,9 @@ class SchemeParams:
         if self.m * self.b**2 > MAX_COVERAGE_ENTRIES:
             raise PointBudgetError(f"coverage tables of m*b^2 = {self.m * self.b**2} entries "
                                    f"exceed {MAX_COVERAGE_ENTRIES}")
+        if self.num_users * (f + 1) > MAX_RECOVERED_FLAGS:
+            raise PointBudgetError(f"recovered flags K*(F+1) = {self.num_users * (f + 1)} "
+                                   f"exceed {MAX_RECOVERED_FLAGS}")
 
     @property
     def subpacketization(self) -> int:
@@ -107,60 +111,37 @@ class SchemeParams:
         return self.m * self.b
 
 
-class Transmission(NamedTuple):
-    """One XOR broadcast as a row of the schedule table.
-
-    Round ``n`` and ``coords`` (one block per class) fix the broadcast;
-    position i-1 of ``users``, ``files`` and ``subfiles`` is the summand for
-    group i: the addressed user, that user's demanded file and the subfile.
-    """
-
-    n: int
-    coords: tuple[int, ...]
-    users: tuple[int, ...]
-    files: tuple[int, ...]
-    subfiles: tuple[int, ...]
-    payload: bytes | None = None
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """The delivery table as columns; iterating makes its rows in (n, coords) order.
-    Cell k is ``cells[k]`` (coords), ``users[k]`` and ``files[k]`` in every round, and
-    ``rounds[n-1][i-1][k]`` is group i's subfile there in round n.  ``payloads``, when
-    attached, holds one payload per row in row order."""
+    """The delivery table as columns, in (n, coords) order.  Cell k is ``cells[k]``
+    (coords), ``users[k]`` and ``files[k]`` in every round; ``rounds[n-1][i-1][k]`` is
+    group i's subfile there in round n, and ``payloads[n-1][k]``, when attached, is
+    that broadcast's XOR payload."""
 
     cells: list[tuple[int, ...]]
     users: list[tuple[int, ...]]
     files: list[tuple[int, ...]]
     rounds: list[list[list[int]]]
-    payloads: list[bytes] | None = None
+    payloads: list[list[bytes]] | None = None
 
     def __len__(self) -> int:
         return len(self.rounds) * len(self.cells)
 
-    def __iter__(self):
-        payloads = itertools.repeat(None) if self.payloads is None else iter(self.payloads)
-        # zip stops at the cells before drawing a payload; tuple.__new__ skips NamedTuple.__new__
-        return itertools.chain.from_iterable(
-            map(tuple.__new__, itertools.repeat(Transmission), zip(
-                itertools.repeat(n), self.cells, self.users, self.files, zip(*sums), payloads))
-            for n, sums in enumerate(self.rounds, start=1))
-
 
 @dataclass(frozen=True)
 class Placement:
-    """Block slots stored per cache and the derived per-user coverage.
+    """Block slots stored per cache and the blocks each user misses.
 
     ``cache_blocks[i-1][j-1]`` lists the class-i block slots cache c(i,j)
-    stores; ``user_blocks[i-1][j-1]`` is the union over the caches user
-    k(i,j) reads.  Caches in different cells of a group never share blocks.
+    stores; ``missing[i-1][j-1]`` lists, ascending, the r class-i block slots
+    that none of user k(i,j)'s caches stores.  Caches in different cells of a
+    group never share blocks.
     """
 
     topology: Topology
     params: SchemeParams
     cache_blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    user_blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    missing: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> Placement:
@@ -168,7 +149,8 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
 
     Deterministic mode (seed None) picks the lowest-indexed extra blocks;
     seeded mode samples them reproducibly.  Requires params shaped like the
-    topology, and a topology that passes validation.
+    topology, and a topology that passes validation, so each user reads one
+    cache per cell and misses the blocks of those cells its caches leave out.
     """
     if (params.m, params.b, params.z) != (topology.m, topology.b, topology.z):
         raise ValueError("params and topology shapes differ")
@@ -180,51 +162,35 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
     m, b, z = params.m, params.b, params.z
     t_prime, t_z = cell_quotas(params.t, b, z)
 
-    cache_rows = []
+    cache_rows, missing_rows = [], []
     for i in range(1, m + 1):
-        row = []
+        row, gaps = [], []  # gaps[j-1]: the blocks of c(i,j)'s cell that it does not store
         for j in range(1, b + 1):
             l = cache_cell(j, b, z)
+            cell = cell_slots(b, z, l)
+            pool = [s for s in cell if s != j]
             quota = t_prime if l < z else t_z
-            pool = [s for s in cell_slots(b, z, l) if s != j]
-            if rng is None:
-                extra = pool[: quota - 1]
-            else:
-                extra = sorted(rng.sample(pool, quota - 1))
-            row.append(tuple(sorted([j] + extra)))
+            extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
+            stored = {j, *extra}
+            row.append(tuple(sorted(stored)))
+            gaps.append(tuple(s for s in cell if s not in stored))
         cache_rows.append(tuple(row))
-
-    user_rows = []
-    for i in range(1, m + 1):
-        row = []
+        misses = []
         for j in range(1, b + 1):
-            covered: set[int] = set()
-            for slot in topology.group_slots(i, j):
-                covered.update(cache_rows[i - 1][slot - 1])
-            row.append(tuple(sorted(covered)))
-        user_rows.append(tuple(row))
+            # the cells are contiguous, so ascending slots chain their gaps in ascending order
+            slots = sorted(topology.group_slots(i, j))
+            misses.append(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots)))
+        missing_rows.append(tuple(misses))
 
-    return Placement(
-        topology=topology,
-        params=params,
-        cache_blocks=tuple(cache_rows),
-        user_blocks=tuple(user_rows),
-    )
+    return Placement(topology=topology, params=params,
+                     cache_blocks=tuple(cache_rows), missing=tuple(missing_rows))
 
 
 def build_demand_graph(placement: Placement, matchings: MatchingAssignment):
     """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the
     class-i block slots that the user matched to cache c(i,j) does not cover."""
-    m, b = placement.params.m, placement.params.b
-    rows = []
-    for i in range(1, m + 1):
-        inv = matchings.inverse(i)
-        row = []
-        for j in range(1, b + 1):
-            covered = set(placement.user_blocks[i - 1][inv[j - 1] - 1])
-            row.append(tuple(s for s in range(1, b + 1) if s not in covered))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(row[u - 1] for u in matchings.inverse(i))
+                 for i, row in enumerate(placement.missing, start=1))
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
@@ -303,6 +269,8 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     int; when given, every row some user decodes must carry the XOR of all
     its summands' contents, which is each recovery yielding the ground truth.
     """
+    if contents is not None and schedule.payloads is None:
+        raise ValueError("checking contents needs a schedule with payloads")
     params = placement.params
     demands = _check_demands(demands, params)
     m, b, f = params.m, params.b, params.subpacketization
@@ -310,9 +278,8 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     # known[v*w + block] == 1 iff user v covers that block of its group's class; the
     # last row is a reader that knows everything, so it never decodes
     known = bytearray(b"\1") * ((users + 1) * w)
-    every_block = frozenset(range(1, w))
-    for v, blocks in enumerate(itertools.chain.from_iterable(placement.user_blocks)):
-        for block in every_block.difference(blocks):
+    for v, blocks in enumerate(itertools.chain.from_iterable(placement.missing)):
+        for block in blocks:
             known[v * w + block] = 0
     unknown = known.translate(b"\1" + bytes(255))
     block_of = [class_blocks(m, b, g) for g in range(1, m + 1)]
@@ -356,7 +323,7 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
         beneficiary_counts += counts
         if contents is not None and decoded_rows:
             for k in itertools.compress(range(cells), decoded_rows.to_bytes(cells, "big")):
-                got = int.from_bytes(schedule.payloads[n * cells + k], "big")
+                got = int.from_bytes(schedule.payloads[n][k], "big")
                 for file, column in zip(schedule.files[k], summands):
                     got ^= contents[file, column[k]]
                 if got:
@@ -428,23 +395,24 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     if payload_size is not None:
         contents = {}
         payloads = []
-        for tx in schedule:
-            acc = 0
-            for key in zip(tx.files, tx.subfiles):
-                if key not in contents:
-                    contents[key] = int.from_bytes(subfile_bytes(seed, *key, payload_size), "big")
-                acc ^= contents[key]
-            payloads.append(acc.to_bytes(payload_size, "big"))
+        for summands in schedule.rounds:
+            column = []
+            for files, subfiles in zip(schedule.files, zip(*summands)):
+                acc = 0
+                for key in zip(files, subfiles):
+                    if key not in contents:
+                        contents[key] = int.from_bytes(subfile_bytes(seed, *key, payload_size), "big")
+                    acc ^= contents[key]
+                column.append(acc.to_bytes(payload_size, "big"))
+            payloads.append(column)
         schedule = replace(schedule, payloads=payloads)
 
     decoding = decode(placement, schedule, demands, contents)
 
     m, b = params.m, params.b
     f = params.subpacketization
-    users_complete = [
-        len(placement.user_blocks[u // b][u % b]) * b ** (m - 1) + got.count(1) == f
-        for u, got in enumerate(decoding.recovered)
-    ]
+    users_complete = [got.count(1) == len(gaps) * b ** (m - 1) for gaps, got in
+                      zip(itertools.chain.from_iterable(placement.missing), decoding.recovered)]
 
     return SimulationReport(
         m=m,

@@ -368,3 +368,26 @@ def test_simulate_output_bytes_are_pinned(capsys, tmp_path):
             report.unlink(missing_ok=True)
             digest.update(repr((shape, extra, code, out, err, *written)).encode())
     assert digest.hexdigest() == SIMULATE_GOLDEN
+
+
+# the same, over runs whose users share each file 3 ways
+SHARED_SIMULATE_GOLDEN = "872177fed414c3414d170439484cf607d91a2ae8b9727547bc436f33ffe07d9b"
+
+
+def test_simulate_shared_demand_bytes_are_pinned(capsys, tmp_path):
+    log, report, demands = tmp_path / "tx.jsonl", tmp_path / "report.json", tmp_path / "d.json"
+    digest = hashlib.sha256()
+    for m, b in itertools.product((1, 2, 3), range(1, 5)):
+        users = m * b
+        demands.write_text(json.dumps([u // 3 + 1 for u in range(users)]))
+        extra = ["--files", str(-(-users // 3)), "--demands", str(demands), "--payload", "4",
+                 "--topology", "random", "--placement", "seeded", "--seed", "3"]
+        for z, t in itertools.product(range(1, b + 1), repeat=2):
+            shape = ["--m", str(m), "--b", str(b), "--z", str(z), "--t", str(t)]
+            code, out, err = run_cli(capsys, "simulate", *shape, *extra,
+                                     "--log", str(log), "--report", str(report))
+            written = [path.read_bytes() if path.exists() else None for path in (log, report)]
+            log.unlink(missing_ok=True)
+            report.unlink(missing_ok=True)
+            digest.update(repr((shape, code, out, err, *written)).encode())
+    assert digest.hexdigest() == SHARED_SIMULATE_GOLDEN

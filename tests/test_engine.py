@@ -27,13 +27,17 @@ from macc import (
     subfile_bytes,
 )
 from macc.cli import write_log
-from macc.designs import DEFAULT_POINT_BUDGET, MAX_SCHEDULE_ROWS
+from macc.designs import DEFAULT_POINT_BUDGET, MAX_RECOVERED_FLAGS, MAX_SCHEDULE_ROWS
 from macc.engine import Schedule, class_blocks
 
 
-def summands(tx):
-    """The row's (user, file, subfile) triples, group by group."""
-    return tuple(zip(tx.users, tx.files, tx.subfiles))
+def rows(schedule):
+    """The schedule read row by row, in (n, coords) order: (n, coords, summands) per
+    broadcast, where summands holds group i's (user, file, subfile) at position i-1."""
+    return [(n, coords, tuple(zip(users, files, subfiles)))
+            for n, summands in enumerate(schedule.rounds, start=1)
+            for coords, users, files, subfiles in zip(
+                schedule.cells, schedule.users, schedule.files, zip(*summands))]
 
 
 def decoded(flags):
@@ -45,8 +49,7 @@ def sub_schedule(schedule, rounds, cells):
     """The part of ``schedule`` in the given rounds and cells (0-based indices)."""
     def pick(column):
         return [column[k] for k in cells]
-    payloads = None if schedule.payloads is None else [
-        schedule.payloads[n * len(schedule.cells) + k] for n in rounds for k in cells]
+    payloads = None if schedule.payloads is None else [pick(schedule.payloads[n]) for n in rounds]
     return Schedule(pick(schedule.cells), pick(schedule.users), pick(schedule.files),
                     [[pick(column) for column in schedule.rounds[n]] for n in rounds], payloads)
 
@@ -54,11 +57,17 @@ def sub_schedule(schedule, rounds, cells):
 _design = functools.lru_cache(maxsize=None)(construct_mcrd)
 
 
+def covered_blocks(placement, i, j):
+    """The class-i block slots that the caches user k(i,j) reads store."""
+    return {block for slot in placement.topology.group_slots(i, j)
+            for block in placement.cache_blocks[i - 1][slot - 1]}
+
+
 def cached_subfiles(placement, i, j):
     """Subfile indices user k(i,j) reads from its caches (any file), read off the
     blocks of the design the engine's subfile numbering comes from."""
     design = _design(placement.params.m, placement.params.b, 1)
-    return {p for slot in placement.user_blocks[i - 1][j - 1] for p in design.block(i, slot)}
+    return {p for block in covered_blocks(placement, i, j) for p in design.block(i, block)}
 
 
 def test_cell_quotas_examples():
@@ -102,8 +111,8 @@ def test_place_single_block_per_cache(example_a):
     top, params = example_a
     placement = place(top, params)
     assert placement.cache_blocks == (((1,), (2,), (3,), (4,)),) * 2
-    # user k(1,1) reads caches 1 and 3, so covers blocks 1 and 3
-    assert placement.user_blocks[0][0] == (1, 3)
+    # user k(1,1) reads caches 1 and 3, so covers blocks 1 and 3 and misses 2 and 4
+    assert placement.missing[0][0] == (2, 4)
 
 
 def test_place_matches_published_block_sets(example_b):
@@ -111,11 +120,11 @@ def test_place_matches_published_block_sets(example_b):
     placement = place(top, params)
     expected = ((1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (5, 6), (5, 7))
     assert placement.cache_blocks == (expected, expected)
-    # every user but the last covers all blocks except block 7
+    # every user but the last covers all blocks except block 7; the last misses block 6
     for i in (1, 2):
         for j in range(1, 7):
-            assert placement.user_blocks[i - 1][j - 1] == (1, 2, 3, 4, 5, 6)
-        assert placement.user_blocks[i - 1][6] == (1, 2, 3, 4, 5, 7)
+            assert placement.missing[i - 1][j - 1] == (7,)
+        assert placement.missing[i - 1][6] == (6,)
 
 
 def test_place_full_cell_when_quota_saturates():
@@ -138,6 +147,25 @@ def test_place_seeded_choice_is_deterministic_and_valid():
     for j in range(1, 10):
         blocks = p1.cache_blocks[0][j - 1]
         assert j in blocks and len(blocks) == 3
+
+
+def test_place_missing_is_the_complement_of_read_caches():
+    # every shape with m <= 3, b <= 8; deterministic and seeded placement on the canonical
+    # topology, and seeded placement on a random one where z >= 2 makes draws cheap
+    for m, b in itertools.product(range(1, 4), range(1, 9)):
+        for z, t in itertools.product(range(1, b + 1), repeat=2):
+            params = SchemeParams(m=m, b=b, z=z, t=t, n_files=1)
+            top = canonical_topology(m, b, z)
+            cases = [(top, None), (top, t)]
+            if z > 1:
+                cases.append((random_topology(m, b, z, seed=b + t), t))
+            for top, seed in cases:
+                placement = place(top, params, seed=seed)
+                for i, j in itertools.product(range(1, m + 1), range(1, b + 1)):
+                    missing = placement.missing[i - 1][j - 1]
+                    assert list(missing) == sorted(set(missing))
+                    assert len(missing) == params.missing_count
+                    assert set(missing) == set(range(1, b + 1)) - covered_blocks(placement, i, j)
 
 
 def test_place_cell_disjointness():
@@ -195,14 +223,13 @@ def test_demand_graph_empty_when_rate_zero():
 def test_deliver_example_a_published_transmissions(example_a, example_a_matching):
     top, params = example_a
     placement = place(top, params)
-    txs = list(deliver(placement, example_a_matching, range(1, 9)))
+    txs = rows(deliver(placement, example_a_matching, range(1, 9)))
     assert len(txs) == 32
     # first broadcast: subfile 5 for user k(1,1) against subfile 2 for k(2,4)
-    assert txs[0].n == 1 and txs[0].coords == (1, 1)
-    assert summands(txs[0]) == ((1, 1, 5), (8, 8, 2))
+    assert txs[0] == (1, (1, 1), ((1, 1, 5), (8, 8, 2)))
     # later rounds swap to the second missing block: coords (1,1), n=2
-    tx_2_11 = next(t for t in txs if t.n == 2 and t.coords == (1, 1))
-    assert summands(tx_2_11) == ((1, 1, 13), (8, 8, 4))
+    tx_2_11 = next(sums for n, coords, sums in txs if n == 2 and coords == (1, 1))
+    assert tx_2_11 == ((1, 1, 13), (8, 8, 4))
 
 
 def test_deliver_example_b_published_transmissions(example_b, example_b_identity_matching):
@@ -210,10 +237,10 @@ def test_deliver_example_b_published_transmissions(example_b, example_b_identity
     placement = place(top, params)
     txs = deliver(placement, example_b_identity_matching, range(1, 15))
     assert len(txs) == 49
-    by_coords = {t.coords: t for t in txs}
-    assert summands(by_coords[(1, 1)]) == ((1, 1, 43), (8, 8, 7))
-    assert summands(by_coords[(7, 7)]) == ((7, 7, 42), (14, 14, 48))
-    assert summands(by_coords[(3, 7)]) == ((3, 3, 49), (14, 14, 20))
+    by_coords = {coords: sums for _, coords, sums in rows(txs)}
+    assert by_coords[(1, 1)] == ((1, 1, 43), (8, 8, 7))
+    assert by_coords[(7, 7)] == ((7, 7, 42), (14, 14, 48))
+    assert by_coords[(3, 7)] == ((3, 3, 49), (14, 14, 20))
 
 
 def _brute_schedule(placement, matchings, demands):
@@ -229,7 +256,7 @@ def _brute_schedule(placement, matchings, demands):
             for i in range(1, m + 1):
                 slot = matchings.inverse(i)[coords[i - 1] - 1]
                 user = (i - 1) * b + slot
-                gaps = sorted(set(range(1, b + 1)) - set(placement.user_blocks[i - 1][slot - 1]))
+                gaps = sorted(set(range(1, b + 1)) - covered_blocks(placement, i, slot))
                 (subfile,) = point_at(design, coords[: i - 1] + (gaps[n - 1],) + coords[i:])
                 row.append((user, demands[user - 1], subfile))
             rows.append((n, coords, tuple(row)))
@@ -248,8 +275,7 @@ def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
     for top, params, matchings, demands in cases:
         placement = place(top, params, seed=1)
         demands = list(demands)
-        txs = list(deliver(placement, matchings, demands))
-        assert [(tx.n, tx.coords, summands(tx)) for tx in txs] == \
+        assert rows(deliver(placement, matchings, demands)) == \
             _brute_schedule(placement, matchings, demands)
 
 
@@ -269,15 +295,25 @@ def test_deliver_empty_when_rate_zero():
     placement = place(top, params)
     schedule = deliver(placement, extract_matchings(top), range(1, 9))
     assert len(schedule) == 0
-    assert list(schedule) == []
+    assert rows(schedule) == []
 
 
 def test_scheme_params_bound_the_schedule_rows():
-    # (m, b, z, t) = (2, 1000, 1, 990): rate 10 over 10**6 cells, both limits exactly,
-    # and coverage tables of m*b^2 = 2*10**6 entries
-    params = SchemeParams(m=2, b=1000, z=1, t=990, n_files=1)
-    assert params.subpacketization == DEFAULT_POINT_BUDGET
+    # (m, b, z, t) = (2, 250, 1, 90): rate 160 over 62500 cells, the row limit exactly
+    params = SchemeParams(m=2, b=250, z=1, t=90, n_files=1)
     assert params.missing_count * params.subpacketization == MAX_SCHEDULE_ROWS
+    # (6, 10, 1, 1): rate 9 over 10**6 cells, the point limit exactly
+    params = SchemeParams(m=6, b=10, z=1, t=1, n_files=1)
+    assert params.subpacketization == DEFAULT_POINT_BUDGET
+    # (2, 1000, 1, 990) meets both limits too, but 2000 users' recovered flags over
+    # 10**6 + 1 subfile ids do not fit
+    with pytest.raises(PointBudgetError, match="^recovered flags K\\*\\(F\\+1\\) = "
+                                               "2000002000 exceed 100000000$"):
+        SchemeParams(m=2, b=1000, z=1, t=990, n_files=1)
+    params = SchemeParams(m=2, b=368, z=1, t=300, n_files=1)  # 99672800 flags
+    assert params.num_users * (params.subpacketization + 1) <= MAX_RECOVERED_FLAGS
+    with pytest.raises(PointBudgetError, match="K\\*\\(F\\+1\\) = 100487556 exceed"):
+        SchemeParams(m=2, b=369, z=1, t=300, n_files=1)
     # the same rows and points from one group of 10**6 users need 10**12 coverage entries
     with pytest.raises(PointBudgetError, match="^coverage tables of m\\*b\\^2 = "
                                                "1000000000000 entries exceed 10000000$"):
@@ -292,33 +328,32 @@ def test_scheme_params_bound_the_schedule_rows():
         SchemeParams(m=7, b=10, z=1, t=9, n_files=1)
 
 
-def test_schedule_rows_are_made_on_each_iteration(example_a, example_a_matching):
+def test_schedule_payloads_sit_beside_their_rounds(example_a, example_a_matching):
     top, params = example_a
     schedule = deliver(place(top, params), example_a_matching, range(1, 9))
-    rows = list(schedule)
-    assert len(schedule) == len(rows) == 32
-    assert list(schedule) == rows  # decode and write_log both iterate
+    assert len(schedule) == len(rows(schedule)) == 32
     report = simulate(top, params, payload_size=16, seed=5)
-    rows = list(report.transmissions)
-    assert len(report.transmissions) == len(rows) == 32
-    assert list(report.transmissions) == rows
-    assert [tx._replace(payload=None) for tx in rows] == \
-        list(deliver(place(top, params), extract_matchings(top), range(1, 9)))
-    for tx in rows:
-        want = 0
-        for f, s in zip(tx.files, tx.subfiles):
-            want ^= int.from_bytes(subfile_bytes(5, f, s, 16), "big")
-        assert tx.payload == want.to_bytes(16, "big")
+    schedule = report.transmissions
+    assert len(schedule) == len(rows(schedule)) == 32
+    assert replace(schedule, payloads=None) == \
+        deliver(place(top, params), extract_matchings(top), range(1, 9))
+    assert [len(column) for column in schedule.payloads] == [16, 16]
+    for n, summands in enumerate(schedule.rounds):
+        for k, (files, subfiles) in enumerate(zip(schedule.files, zip(*summands))):
+            want = 0
+            for f, s in zip(files, subfiles):
+                want ^= int.from_bytes(subfile_bytes(5, f, s, 16), "big")
+            assert schedule.payloads[n][k] == want.to_bytes(16, "big")
 
 
 def test_simulate_peak_memory_stays_below_materialised_rows():
-    # a list of the rows alone, or one set of recovered ids per user, exceeds the bound
+    # a list of the rows alone, or one set of recovered ids per user, exceeds the bound;
+    # a row is a 6-field tuple (n, coords, users, files, subfiles, payload) holding an
+    # m-tuple of subfiles
     top = canonical_topology(3, 12, 3)
     params = SchemeParams(m=3, b=12, z=3, t=1, n_files=36)
-    schedule = deliver(place(top, params), extract_matchings(top), range(1, 37))
-    row = next(iter(schedule))
-    bound = len(schedule) * (sys.getsizeof(row) + sys.getsizeof(row.subfiles))
-    del schedule
+    bound = params.missing_count * params.subpacketization * (
+        sys.getsizeof((0,) * 6) + sys.getsizeof((0,) * params.m))
     tracemalloc.start()
     try:
         report = simulate(top, params)
@@ -353,8 +388,8 @@ def test_decode_single_transmission(example_a, example_a_matching):
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
     only_33 = sub_schedule(schedule, [0], [schedule.cells.index((3, 3))])
-    (tx_33,) = only_33
-    assert set(tx_33.subfiles) == {3, 9}
+    ((_, _, sums_33),) = rows(only_33)
+    assert {s for _, _, s in sums_33} == {3, 9}
     assert decoded(decode(placement, only_33, demands).recovered[1]) == set()
 
 
@@ -420,19 +455,19 @@ def test_simulate_with_repeated_demands(example_a):
     assert min(report.beneficiary_counts) >= 2
 
 
-def _brute_decoded_rows(placement, transmissions, user, demand):
+def _brute_decoded_rows(placement, schedule, user, demand):
     """Per broadcast, the subfile of ``demand`` that ``user`` recovers from it, or None."""
     cached = cached_subfiles(placement, *placement.topology.user_coords(user))
     got = []
-    for tx in transmissions:
-        unknown = [(f, s) for _, f, s in summands(tx) if s not in cached]
+    for _, _, sums in rows(schedule):
+        unknown = [(f, s) for _, f, s in sums if s not in cached]
         got.append(unknown[0][1] if len(unknown) == 1 and unknown[0][0] == demand else None)
     return got
 
 
-def _brute_decode(placement, transmissions, user, demand):
+def _brute_decode(placement, schedule, user, demand):
     """Subfiles of ``demand`` that ``user`` recovers, checked one broadcast at a time."""
-    return set(_brute_decoded_rows(placement, transmissions, user, demand)) - {None}
+    return set(_brute_decoded_rows(placement, schedule, user, demand)) - {None}
 
 
 def test_simulate_matches_decode(example_a):
@@ -460,10 +495,9 @@ def test_decode_matches_brute_force_with_shared_files():
     for user in range(1, 13):
         assert decoded(decoding.recovered[user - 1]) == \
             _brute_decode(placement, txs, user, demands[user - 1])
+    per_user = [_brute_decoded_rows(placement, txs, u, demands[u - 1]) for u in range(1, 13)]
     assert decoding.beneficiary_counts == tuple(
-        sum(len(_brute_decode(placement, [tx], u, demands[u - 1])) for u in range(1, 13))
-        for tx in txs
-    )
+        sum(s is not None for s in row) for row in zip(*per_user))
 
 
 def test_decode_matches_brute_force_sweep():
@@ -497,11 +531,11 @@ def _complete(placement, decoding):
     ]
 
 
-def _contents(transmissions, seed, size):
+def _contents(schedule, seed, size):
     return {
         (f, s): int.from_bytes(subfile_bytes(seed, f, s, size), "big")
-        for tx in transmissions
-        for f, s in zip(tx.files, tx.subfiles)
+        for _, _, sums in rows(schedule)
+        for _, f, s in sums
     }
 
 
@@ -525,7 +559,7 @@ def test_decode_catches_swapped_summand(example_a):
     schedule = report.transmissions
     user, first = schedule.users[5][0], schedule.rounds[0][0][5]
     # another subfile of the same file, one its addressee still has to decode
-    other = next(s for t in schedule for u, _, s in summands(t)
+    other = next(s for _, _, sums in rows(schedule) for u, _, s in sums
                  if u == user and s != first)
     rounds = [[list(column) for column in summands_n] for summands_n in schedule.rounds]
     rounds[0][0][5] = other
@@ -539,14 +573,22 @@ def test_decode_catches_flipped_payload_byte(example_a):
     placement = place(top, params)
     contents = _contents(report.transmissions, seed=4, size=16)
     assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
-    payloads = list(report.transmissions.payloads)
-    payload = bytearray(payloads[9])
+    payloads = [list(column) for column in report.transmissions.payloads]
+    payload = bytearray(payloads[0][9])
     payload[3] ^= 0x01
-    payloads[9] = bytes(payload)
+    payloads[0][9] = bytes(payload)
     decoding = decode(placement, replace(report.transmissions, payloads=payloads),
                       range(1, 9), contents)
     assert decoding.byte_ok is False
     assert all(_complete(placement, decoding))  # only the byte oracle sees it
+
+
+def test_decode_refuses_contents_without_payloads(example_a):
+    top, params = example_a
+    placement = place(top, params)
+    schedule = deliver(placement, extract_matchings(top), range(1, 9))
+    with pytest.raises(ValueError, match="needs a schedule with payloads"):
+        decode(placement, schedule, range(1, 9), contents={})
 
 
 def test_simulate_requires_enough_files(example_a):
@@ -594,6 +636,8 @@ def test_canonical_grid_invariants(data):
     assert report.transmission_count == params.missing_count * b**m
     assert report.rate == achievable_rate(b, m, z, t)
     assert report.all_complete()
-    assert all(len(tx.subfiles) == len(tx.users) == m for tx in report.transmissions)
+    schedule = report.transmissions
+    assert all(len(summands) == m for summands in schedule.rounds)
+    assert all(len(users) == len(files) == m for users, files in zip(schedule.users, schedule.files))
     assert all(c == m for c in report.beneficiary_counts)
     assert report.byte_oracle_ok is True

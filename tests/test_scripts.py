@@ -1,11 +1,14 @@
 """The experiment scripts under scripts/ run to completion."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# sha256 of scripts/worked_examples.py's stdout
+WORKED_EXAMPLES_GOLDEN = "f4289cebf1c06073835cde3f59e842fc51af19d4044881b87627af257a90f279"
 
 
 def _run(*argv):
@@ -19,6 +22,7 @@ def test_worked_examples_script():
     proc = _run("scripts/worked_examples.py")
     assert proc.returncode == 0, proc.stderr
     assert "decoded 8/8" in proc.stdout and "decoded 14/14" in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WORKED_EXAMPLES_GOLDEN
 
 
 def test_comparison_data_script(tmp_path):
