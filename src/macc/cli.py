@@ -56,6 +56,7 @@ def _load_topology(args) -> topology.Topology:
 
 
 def cmd_topology(args) -> int:
+    engine.check_coverage_budget(args.m, args.b)
     top = _load_topology(args)
     report = topology.validate(top)
     _emit(_json_doc({"topology": top, "validation": report}), args.out)

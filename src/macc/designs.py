@@ -3,10 +3,11 @@
 A design here is a ground set X = {1, ..., mu * b**m} together with m
 parallel classes of b blocks each.  Every parallel class partitions X, and
 any m blocks picked from m distinct classes meet in exactly ``mu`` points
-(a maximal cross resolvable design, MCRD).  These designs drive the cache
-placement and the XOR delivery schedule in :mod:`macc.engine`: blocks index
-subfiles, and the m-wise intersections are the subfiles a single
-transmission serves.
+(a maximal cross resolvable design, MCRD).  Blocks index subfiles, and the
+m-wise intersections are the subfiles a single transmission serves.
+:mod:`macc.engine` takes no design: it numbers subfiles as the points of
+``construct_mcrd(m, b, 1)`` arithmetically, and the tests check that
+numbering against the design built here.
 
 Blocks and points are 1-based throughout, matching the usual design-theory
 convention.
@@ -18,9 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
-MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that engine.SchemeParams accepts
-MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
-MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
 
 
 class PointBudgetError(Exception):

@@ -24,17 +24,10 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .designs import (
-    DEFAULT_POINT_BUDGET,
-    MAX_COVERAGE_ENTRIES,
-    MAX_RECOVERED_FLAGS,
-    MAX_SCHEDULE_ROWS,
-    PointBudgetError,
-)
+from .designs import DEFAULT_POINT_BUDGET, PointBudgetError
 from .topology import (
     MatchingAssignment,
     Topology,
-    cache_cell,
     cell_sizes,
     cell_slots,
     extract_matchings,
@@ -42,6 +35,9 @@ from .topology import (
 )
 
 DEFAULT_PAYLOAD_SIZE = 64
+MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
+MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
+MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
 
 
 def cell_quotas(t: int, b: int, z: int) -> tuple[int, int]:
@@ -66,6 +62,13 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
     return Fraction(b - t_prime * (z - 1) - t_z)
 
 
+def check_coverage_budget(m: int, b: int) -> None:
+    """Refuse a graph whose m*b^2 coverage and placement table entries exceed the budget."""
+    if m * b**2 > MAX_COVERAGE_ENTRIES:
+        raise PointBudgetError(f"coverage tables of m*b^2 = {m * b**2} entries "
+                               f"exceed {MAX_COVERAGE_ENTRIES}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Problem parameters: m*b users/caches, access degree z, memory t*N/b, N files."""
@@ -86,9 +89,7 @@ class SchemeParams:
                                    f"transmissions exceeds {MAX_SCHEDULE_ROWS}")
         if f > DEFAULT_POINT_BUDGET:
             raise PointBudgetError(f"{f} points exceeds budget {DEFAULT_POINT_BUDGET}")
-        if self.m * self.b**2 > MAX_COVERAGE_ENTRIES:
-            raise PointBudgetError(f"coverage tables of m*b^2 = {self.m * self.b**2} entries "
-                                   f"exceed {MAX_COVERAGE_ENTRIES}")
+        check_coverage_budget(self.m, self.b)
         if self.num_users * (f + 1) > MAX_RECOVERED_FLAGS:
             raise PointBudgetError(f"recovered flags K*(F+1) = {self.num_users * (f + 1)} "
                                    f"exceed {MAX_RECOVERED_FLAGS}")
@@ -159,28 +160,23 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
         raise ValueError(f"topology invalid: {report.summary()}")
 
     rng = None if seed is None else random.Random(seed)
-    m, b, z = params.m, params.b, params.z
-    t_prime, t_z = cell_quotas(params.t, b, z)
-
+    cells = cell_slots(params.b, params.z)
     cache_rows, missing_rows = [], []
-    for i in range(1, m + 1):
+    for i in range(1, params.m + 1):
         row, gaps = [], []  # gaps[j-1]: the blocks of c(i,j)'s cell that it does not store
-        for j in range(1, b + 1):
-            l = cache_cell(j, b, z)
-            cell = cell_slots(b, z, l)
-            pool = [s for s in cell if s != j]
-            quota = t_prime if l < z else t_z
-            extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
-            stored = {j, *extra}
-            row.append(tuple(sorted(stored)))
-            gaps.append(tuple(s for s in cell if s not in stored))
+        # cells ascending, then slots ascending: the order of the seeded draws
+        for cell in cells:
+            quota = min(params.t, len(cell))
+            for j in cell:
+                pool = [s for s in cell if s != j]
+                extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
+                stored = {j, *extra}
+                row.append(tuple(sorted(stored)))
+                gaps.append(tuple(s for s in cell if s not in stored))
         cache_rows.append(tuple(row))
-        misses = []
-        for j in range(1, b + 1):
-            # the cells are contiguous, so ascending slots chain their gaps in ascending order
-            slots = sorted(topology.group_slots(i, j))
-            misses.append(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots)))
-        missing_rows.append(tuple(misses))
+        # the cells are contiguous, so ascending slots chain their gaps in ascending order
+        missing_rows.append(tuple(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots))
+                                  for slots in topology.group_slots(i)))
 
     return Placement(topology=topology, params=params,
                      cache_blocks=tuple(cache_rows), missing=tuple(missing_rows))

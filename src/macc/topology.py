@@ -38,20 +38,19 @@ def cache_cell(j: int, b: int, z: int) -> int:
     return min(-(-j // x), z)
 
 
-def cell_sizes(b: int, z: int) -> list[int]:
-    """Sizes of the z cells: floor(b/z) for cells 1..z-1, remainder for cell z."""
+def cell_slots(b: int, z: int) -> list[range]:
+    """The z cells as ranges of cache slots: floor(b/z) slots for cells 1..z-1, the rest
+    for cell z.  The one place the cell bounds are computed."""
     if not 1 <= z <= b:
         raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
     x = b // z
-    return [x] * (z - 1) + [b - (z - 1) * x]
+    starts = [l * x + 1 for l in range(z)] + [b + 1]
+    return [range(start, end) for start, end in zip(starts, starts[1:])]
 
 
-def cell_slots(b: int, z: int, l: int) -> range:
-    """Cache slots belonging to cell l (1-based, contiguous layout)."""
-    x = b // z
-    if l < z:
-        return range((l - 1) * x + 1, l * x + 1)
-    return range((z - 1) * x + 1, b + 1)
+def cell_sizes(b: int, z: int) -> list[int]:
+    """Sizes of the z cells of :func:`cell_slots`."""
+    return [len(cell) for cell in cell_slots(b, z)]
 
 
 @dataclass(frozen=True)
@@ -80,22 +79,16 @@ class Topology:
     def user_coords(self, user: int) -> tuple[int, int]:
         return (user - 1) // self.b + 1, (user - 1) % self.b + 1
 
-    def cache_coords(self, cache: int) -> tuple[int, int]:
-        return (cache - 1) // self.b + 1, (cache - 1) % self.b + 1
-
     def user_access(self, i: int, j: int) -> tuple[int, ...]:
         """Global cache ids read by user k(i,j)."""
         return self.access[(i - 1) * self.b + j - 1]
 
-    def group_slots(self, i: int, j: int) -> list[int]:
-        """Within-group cache slots read by k(i,j); requires C1 to hold for the user."""
-        slots = []
-        for c in self.user_access(i, j):
-            gi, slot = self.cache_coords(c)
-            if gi != i:
-                raise ValueError(f"user k({i},{j}) reads cache of group {gi}")
-            slots.append(slot)
-        return slots
+    def group_slots(self, i: int) -> list[list[int]]:
+        """The within-group view of group i: entry j-1 lists, ascending, the cache slots
+        user k(i,j) reads in group i; caches of other groups are left out."""
+        first = (i - 1) * self.b
+        return [sorted(c - first for c in caches if first < c <= first + self.b)
+                for caches in self.access[first:first + self.b]]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
@@ -204,19 +197,6 @@ def _augment(adj: list[list[int]], match_right: list[int], root: int) -> bool:
     return False
 
 
-def _group_adj(topology: Topology, i: int) -> list[list[int]]:
-    """Within-group adjacency for group i, ignoring any cross-group edges."""
-    adj: list[list[int]] = [[]]
-    for j in range(1, topology.b + 1):
-        slots = []
-        for c in topology.user_access(i, j):
-            gi, slot = topology.cache_coords(c)
-            if gi == i:
-                slots.append(slot)
-        adj.append(sorted(slots))
-    return adj
-
-
 @dataclass(frozen=True)
 class TopologyReport:
     c1_ok: bool
@@ -240,52 +220,34 @@ def validate(topology: Topology) -> TopologyReport:
     user that reads two caches in one cell.
     """
     m, b, z = topology.m, topology.b, topology.z
-    violations: list[str] = []
+    c1: list[str] = []
+    c2: list[str] = []
+    c3: list[str] = []
     warnings: list[str] = []
-
-    c1_ok = True
     for i in range(1, m + 1):
-        for j in range(1, b + 1):
-            for c in topology.user_access(i, j):
-                gi, _ = topology.cache_coords(c)
-                if gi != i:
-                    c1_ok = False
-                    violations.append(f"C1: user k({i},{j}) reads cache {c} of group {gi}")
-
-    c2_ok = True
-    c2_at_most_ok = True
-    for i in range(1, m + 1):
-        for j in range(1, b + 1):
-            per_cell = [0] * z
-            for c in topology.user_access(i, j):
-                gi, slot = topology.cache_coords(c)
-                if gi != i:
-                    continue
-                per_cell[cache_cell(slot, b, z) - 1] += 1
-            if any(n > 1 for n in per_cell):
-                c2_ok = False
-                c2_at_most_ok = False
-                violations.append(f"C2: user k({i},{j}) reads several caches in one cell")
-            elif any(n == 0 for n in per_cell):
-                c2_ok = False
+        group = topology.group_slots(i)
+        for j, slots in enumerate(group, start=1):
+            caches = topology.user_access(i, j)
+            if len(slots) < len(caches):  # group_slots left out caches of other groups
+                c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
+                       for c in caches if (c - 1) // b + 1 != i]
+            cells = {cache_cell(s, b, z) for s in slots}
+            if len(cells) < len(slots):
+                c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
+            elif len(cells) < z:
                 warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
-
-    c3_ok = True
-    for i in range(1, m + 1):
-        match = _max_matching(_group_adj(topology, i), b)
-        size = sum(1 for v in match[1:] if v)
+        size = sum(1 for v in _max_matching([[]] + group, b) if v)
         if size != b:
-            c3_ok = False
-            violations.append(f"C3: group {i} has maximum matching {size} < {b}")
+            c3.append(f"C3: group {i} has maximum matching {size} < {b}")
 
-    passed = c1_ok and c2_ok and c3_ok
+    c2_at_most_ok = not c2
     return TopologyReport(
-        c1_ok=c1_ok,
-        c2_ok=c2_ok,
+        c1_ok=not c1,
+        c2_ok=c2_at_most_ok and not warnings,
         c2_at_most_ok=c2_at_most_ok,
-        c3_ok=c3_ok,
-        passed=passed,
-        violations=tuple(violations),
+        c3_ok=not c3,
+        passed=not (c1 or c2 or c3 or warnings),
+        violations=tuple(c1 + c2 + c3),
         warnings=tuple(warnings),
     )
 
@@ -294,7 +256,7 @@ def extract_matchings(topology: Topology) -> MatchingAssignment:
     """Deterministic perfect matching per group (lowest-index tie-breaking)."""
     rows = []
     for i in range(1, topology.m + 1):
-        match = _max_matching(_group_adj(topology, i), topology.b)
+        match = _max_matching([[]] + topology.group_slots(i), topology.b)
         if any(v == 0 for v in match[1:]):
             raise MatchingError(f"group {i} admits no perfect matching (C3)")
         rows.append(tuple(match[1:]))
@@ -303,26 +265,16 @@ def extract_matchings(topology: Topology) -> MatchingAssignment:
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:
     """Fixed valid topology: in each cell, user j reads the cache at offset (j-1) mod cellsize."""
-    sizes = cell_sizes(b, z)
-    slots = []
-    for _ in range(m):
-        group = []
-        for j in range(1, b + 1):
-            user_slots = []
-            start = 0
-            for s in sizes:
-                user_slots.append(start + (j - 1) % s + 1)
-                start += s
-            group.append(user_slots)
-        slots.append(group)
-    return Topology.from_group_slots(m, b, z, slots)
+    cells = cell_slots(b, z)
+    group = [[cell[(j - 1) % len(cell)] for cell in cells] for j in range(1, b + 1)]
+    return Topology.from_group_slots(m, b, z, [group] * m)
 
 
 def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) -> Topology:
     """Seeded uniform choice of one cache per cell per user; groups resampled until C3 holds."""
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-    sizes = cell_sizes(b, z)
+    cells = cell_slots(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b
         log10_rate = (math.lgamma(b + 1) - b * math.log(b)) / math.log(10)
@@ -334,18 +286,14 @@ def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) 
                 f"{exponent}, so {max_retries} tries per group succeed with probability "
                 f"below 1e-9")
     rng = random.Random(seed)
-    starts = [sum(sizes[:l]) for l in range(z)]
     slots = []
     tries = 0
     for i in range(1, m + 1):
         for _ in range(max_retries):
             tries += 1
-            group = [
-                [starts[l] + rng.randrange(sizes[l]) + 1 for l in range(z)]
-                for _ in range(b)
-            ]
-            adj = [[]] + [sorted(user_slots) for user_slots in group]
-            match = _max_matching(adj, b)
+            # one slot per cell, cells ascending, so each user's slots come out ascending
+            group = [[rng.choice(cell) for cell in cells] for _ in range(b)]
+            match = _max_matching([[]] + group, b)
             if all(v != 0 for v in match[1:]):
                 slots.append(group)
                 break

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import json
+import random
 import time
 
 import pytest
 
-from macc import subfile_bytes
+from macc import canonical_topology, subfile_bytes
 from macc.cli import main
 
 
@@ -350,6 +351,17 @@ def test_simulate_refuses_coverage_above_budget(capsys):
                    "exceed 10000000\n")
 
 
+def test_topology_refuses_coverage_above_budget(capsys):
+    # simulate's coverage budget bounds topology too, before any graph is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1000", "--z", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: coverage tables of m*b^2 = 11000000 entries exceed 10000000\n"
+    code, out, _ = run_cli(capsys, "topology", "--m", "10", "--b", "1000", "--z", "1")
+    assert code == 0 and json.loads(out)["validation"]["passed"]
+
+
 # sha256 over exit code, stdout, stderr, --log and --report bytes of every run below
 SIMULATE_GOLDEN = "01532469f16d4beaf8887d32b173e942cacf1cc0242a087ddabad4ab68f935e5"
 
@@ -391,3 +403,54 @@ def test_simulate_shared_demand_bytes_are_pinned(capsys, tmp_path):
             report.unlink(missing_ok=True)
             digest.update(repr((shape, code, out, err, *written)).encode())
     assert digest.hexdigest() == SHARED_SIMULATE_GOLDEN
+
+
+# sha256 over exit code, stdout and stderr of every `topology` run below
+TOPOLOGY_GOLDEN = "dd455e8ba33b382abb07efc7791810785634b5fff896f1dec62f11e3c671da18"
+
+
+def _broken_access(rng, m, b, z):
+    """Canonical access lists with one to three seeded faults: a cache of another
+    group, a cache repeated or a second cache in its cell, a missed cell, one group
+    reading a single user's caches (no perfect matching), or a random access list."""
+    access = [list(caches) for caches in canonical_topology(m, b, z).access]
+    for _ in range(rng.randint(1, 3)):
+        u = rng.randrange(m * b)
+        kind = rng.randrange(5)
+        if kind == 0 and m > 1 and access[u]:
+            group = u // b
+            other = rng.choice([g for g in range(m) if g != group])
+            access[u][rng.randrange(len(access[u]))] = other * b + rng.randint(1, b)
+        elif kind == 1 and access[u]:
+            access[u].append(rng.choice(access[u]))
+            access[u].append(u // b * b + rng.randint(1, b))
+        elif kind == 2 and access[u]:
+            access[u].pop(rng.randrange(len(access[u])))
+        elif kind == 3:
+            first = u // b * b
+            access[first:first + b] = [list(access[first]) for _ in range(b)]
+        else:
+            access[u] = rng.sample(range(1, m * b + 1), rng.randint(1, min(z + 1, m * b)))
+        rng.shuffle(access[u])
+    return access
+
+
+def test_topology_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "topology.json"
+    digest = hashlib.sha256()
+    for m, b in itertools.product((1, 2, 3), range(1, 7)):
+        for z in range(1, b + 1):
+            shape = ["--m", str(m), "--b", str(b), "--z", str(z)]
+            for source in (["canonical"], ["random", "--seed", "5"], ["random", "--seed", "6"]):
+                code, out, err = run_cli(capsys, "topology", *shape, "--source", *source)
+                digest.update(repr((shape, source, code, out, err)).encode())
+    for n in range(280):
+        rng = random.Random(n)
+        m, b = rng.randint(1, 3), rng.randint(1, 6)
+        z = rng.randint(1, b)
+        path.write_text(json.dumps({"m": m, "b": b, "z": z,
+                                    "access": _broken_access(rng, m, b, z)}))
+        code, out, err = run_cli(capsys, "topology", "--m", str(m), "--b", str(b),
+                                 "--z", str(z), "--source", str(path))
+        digest.update(repr((n, code, out, err)).encode())
+    assert digest.hexdigest() == TOPOLOGY_GOLDEN

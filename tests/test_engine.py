@@ -27,8 +27,8 @@ from macc import (
     subfile_bytes,
 )
 from macc.cli import write_log
-from macc.designs import DEFAULT_POINT_BUDGET, MAX_RECOVERED_FLAGS, MAX_SCHEDULE_ROWS
-from macc.engine import Schedule, class_blocks
+from macc.designs import DEFAULT_POINT_BUDGET
+from macc.engine import MAX_RECOVERED_FLAGS, MAX_SCHEDULE_ROWS, Schedule, class_blocks
 
 
 def rows(schedule):
@@ -59,7 +59,7 @@ _design = functools.lru_cache(maxsize=None)(construct_mcrd)
 
 def covered_blocks(placement, i, j):
     """The class-i block slots that the caches user k(i,j) reads store."""
-    return {block for slot in placement.topology.group_slots(i, j)
+    return {block for slot in placement.topology.group_slots(i)[j - 1]
             for block in placement.cache_blocks[i - 1][slot - 1]}
 
 

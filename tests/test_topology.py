@@ -22,7 +22,7 @@ from macc import (
     validate,
 )
 from macc.analysis import json_default
-from macc.topology import _max_matching
+from macc.topology import _max_matching, cell_slots
 
 
 def test_cache_cell_examples():
@@ -43,6 +43,12 @@ def test_cache_cell_partitions_slots():
             for j in range(1, b + 1):
                 counts[cache_cell(j, b, z) - 1] += 1
             assert counts == sizes
+            cells = cell_slots(b, z)
+            assert [s for cell in cells for s in cell] == list(range(1, b + 1))
+            assert all(cell.step == 1 for cell in cells)
+            assert [len(cell) for cell in cells] == sizes
+            assert all(cache_cell(j, b, z) == l for l, cell in enumerate(cells, start=1)
+                       for j in cell)
 
 
 def test_validate_example_a(example_a):
