@@ -15,7 +15,6 @@ from .topology import (
     MatchingError,
     Topology,
     TopologyReport,
-    cache_cell,
     canonical_topology,
     cell_sizes,
     count_topologies,
@@ -29,7 +28,6 @@ from .engine import (
     SimulationReport,
     achievable_rate,
     build_demand_graph,
-    cell_quotas,
     decode,
     deliver,
     place,

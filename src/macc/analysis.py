@@ -13,6 +13,7 @@ to lie in [K, K**2] and is reported as that interval.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
@@ -192,13 +193,8 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
 
 
 def rival_subpacketization(scheme: str, k_users: int, z: int, tparam: int):
-    """Subpacketization at the scheme's corner; int/Fraction, or interval for SR1.
-
-    For scheme "ours", ``tparam`` is the group count m (must divide K)."""
+    """Subpacketization at the scheme's corner; int/Fraction, or interval for SR1."""
     k = k_users
-    if scheme == "ours":
-        _require(tparam >= 1 and k % tparam == 0, "ours needs m dividing K")
-        return (k // tparam) ** tparam
     if scheme in ("RK", "SICPS"):
         _require(1 <= tparam <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
         val = Fraction(k, tparam) * comb(k - tparam * z + tparam - 1, tparam - 1)
@@ -310,23 +306,13 @@ def check_sr1_rate(k_users: int, z: int, tpp: int, pair=None) -> ComparisonCheck
     k = k_users
     if gcd(tpp, k) != 1 or tpp * z == k - 1 or not 1 <= tpp * z <= k:
         return ComparisonCheck("sr1_rate", False)
-    if pair is not None:
-        pairs = [tuple(pair)]
-    else:
-        divs = [m for m in divisors(k) if k // m >= z]
-        pairs = [
-            (m1, m2)
-            for m1 in divs
-            for m2 in divs
-            if m1 < m2 and m1 <= tpp <= m2
-        ]
+    divs = [m for m in divisors(k) if k // m >= z]  # group counts with b = K/m >= z
+    pairs = itertools.combinations(divs, 2) if pair is None else [tuple(pair)]
     best = None
     for m1, m2 in pairs:
-        if k % m1 or k % m2 or m1 >= m2 or not m1 <= tpp <= m2:
+        if m1 not in divs or m2 not in divs or m1 >= m2 or not m1 <= tpp <= m2:
             continue
         b1, b2 = k // m1, k // m2
-        if b1 < z or b2 < z:
-            continue
         lam = Fraction(tpp - m1, m2 - m1)
         shared = b1 + lam * (b2 - b1)
         if best is None or shared < best[0]:

@@ -60,21 +60,8 @@ class Design:
             raise ValueError(f"block index ({i},{j}) out of range")
         return self.blocks[i - 1][j - 1]
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Design":
-        blocks = tuple(
-            tuple(tuple(sorted(blk)) for blk in klass) for klass in doc["blocks"]
-        )
-        return cls(m=int(doc["m"]), b=int(doc["b"]), mu=int(doc["mu"]), blocks=blocks)
 
-    @classmethod
-    def from_blocks(cls, block_lists, mu: int) -> "Design":
-        """Build from nested lists; blocks are sorted, shape inferred."""
-        blocks = tuple(tuple(tuple(sorted(blk)) for blk in klass) for klass in block_lists)
-        return cls(m=len(blocks), b=len(blocks[0]), mu=mu, blocks=blocks)
-
-
-def construct_mcrd(m: int, b: int, mu: int, point_budget: int = DEFAULT_POINT_BUDGET) -> Design:
+def construct_mcrd(m: int, b: int, mu: int) -> Design:
     """Construct an MCRD with m classes, b blocks per class, intersection mu.
 
     Points are the columns of the m x (mu * b**m) matrix whose columns run
@@ -85,8 +72,8 @@ def construct_mcrd(m: int, b: int, mu: int, point_budget: int = DEFAULT_POINT_BU
     if m < 1 or b < 1 or mu < 1:
         raise ValueError("m, b, mu must be positive")
     n = mu * b**m
-    if n > point_budget:
-        raise PointBudgetError(f"{n} points exceeds budget {point_budget}")
+    if n > DEFAULT_POINT_BUDGET:
+        raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
 
     classes = [[[] for _ in range(b)] for _ in range(m)]
     for col in range(n):

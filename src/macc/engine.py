@@ -1,15 +1,17 @@
 """Placement, XOR broadcast delivery, and decode verification.
 
 Pipeline: a validated topology from :mod:`macc.topology` yields a placement
-(each cache stores whole blocks of subfile indices from its cell), a
-missing-block table (which blocks each matched user still misses), and a
-delivery schedule of XOR transmissions.  Every transmission combines one
-needed subfile per group, so each serves m users at once.  Rates are exact
-rationals; no floats on correctness paths.
+(each cache stores min(t, |cell|) blocks of its cell), a missing-block table
+(which blocks each matched user still misses), and a delivery schedule of XOR
+transmissions.  Every transmission combines one needed subfile per group, so
+each serves m users at once.  The rate, :func:`achievable_rate`, is the number
+of blocks per group that no user covers.  Rates are exact rationals; no floats
+on correctness paths.
 
 Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
-s is mixed-radix coordinate number s - 1 of its blocks, as
-:func:`class_blocks` states; the engine takes no design object.
+s is mixed-radix coordinate number s - 1 of its blocks.  :func:`class_blocks`
+states that labelling, and :func:`deliver` and :func:`decode` both read it
+there; the engine takes no design object.
 File indices run 1..N, subfile indices 1..b**m, users and caches are
 addressed as in :mod:`macc.topology`.
 """
@@ -28,7 +30,6 @@ from .designs import DEFAULT_POINT_BUDGET, PointBudgetError
 from .topology import (
     MatchingAssignment,
     Topology,
-    cell_sizes,
     cell_slots,
     extract_matchings,
     validate,
@@ -40,26 +41,18 @@ MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table e
 MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
 
 
-def cell_quotas(t: int, b: int, z: int) -> tuple[int, int]:
-    """Blocks a cache may store: (quota for cells 1..z-1, quota for cell z).
-
-    Each is t capped by the cell's size from :func:`~macc.topology.cell_sizes`.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    sizes = cell_sizes(b, z)
-    return min(t, sizes[0]), min(t, sizes[-1])
-
-
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
-    """Broadcast rate in file units, r = b - t'(z-1) - t_z; exact.
+    """Broadcast rate in file units: the blocks per group that no user covers; exact.
 
-    r is also the number of blocks per group that no user covers.
+    A user reads one cache per cell of :func:`~macc.topology.cell_slots`, and each
+    cache stores min(t, |cell|) blocks of its cell, so r is the sum over the cells
+    of |cell| - min(t, |cell|).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    t_prime, t_z = cell_quotas(t, b, z)
-    return Fraction(b - t_prime * (z - 1) - t_z)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return Fraction(sum(len(cell) - min(t, len(cell)) for cell in cell_slots(b, z)))
 
 
 def check_coverage_budget(m: int, b: int) -> None:
@@ -82,7 +75,6 @@ class SchemeParams:
     def __post_init__(self):
         if self.m < 1 or self.n_files < 1:
             raise ValueError("m and n_files must be >= 1")
-        cell_quotas(self.t, self.b, self.z)
         r, f = self.missing_count, self.subpacketization
         if r * f > MAX_SCHEDULE_ROWS:
             raise PointBudgetError(f"schedule of r={r} rounds x b^m={f} cells = {r * f} "
@@ -228,10 +220,10 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
 
     inv = [matchings.inverse(i) for i in range(1, m + 1)]
     missing = build_demand_graph(placement, matchings)
-    # cell k of the product has coordinate number k, so it is subfile k + 1; the
-    # addressed users and their files are the same in every round
-    cells = list(itertools.product(range(1, b + 1), repeat=m))
-    columns = list(zip(*cells))
+    # cell k has coordinate number k, so it is subfile k + 1; the addressed users and
+    # their files are the same in every round
+    columns = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
+    cells = list(zip(*columns))
     users = [tuple(i * b + inv[i][c - 1] for i, c in enumerate(coords)) for coords in cells]
     files = [tuple(demands[u - 1] for u in us) for us in users]
     # subfile[k] is k + 1: the r*b^m entries of the rounds then share one int object
@@ -332,13 +324,9 @@ def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOA
     if size < 1:
         raise ValueError("payload size must be >= 1")
     key = seed.to_bytes(8, "big", signed=True)
-    out = b""
-    counter = 0
-    while len(out) < size:
-        data = b"%d:%d:%d" % (file, subfile, counter)
-        out += hashlib.blake2b(data, key=key, digest_size=64).digest()
-        counter += 1
-    return out[:size]
+    blocks = [hashlib.blake2b(b"%d:%d:%d" % (file, subfile, counter), key=key,
+                              digest_size=64).digest() for counter in range(-(-size // 64))]
+    return b"".join(blocks)[:size]
 
 
 @dataclass(frozen=True)

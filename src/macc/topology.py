@@ -4,9 +4,10 @@ The K = m*b users and caches split into m groups of b.  A valid topology
 satisfies three conditions:
 
   C1  edges stay inside a group: user k(i,j) only reads caches c(i, .)
-  C2  the b caches of a group split into z contiguous cells (the first z-1
-      of size floor(b/z), the last of size b - (z-1)*floor(b/z)) and every
-      user reads exactly one cache per cell, hence exactly z caches
+  C2  the b caches of a group split into the z contiguous cells of
+      :func:`cell_slots` (the first z-1 of size floor(b/z), the last of size
+      b - (z-1)*floor(b/z)) and every user reads exactly one cache per cell,
+      hence exactly z caches
   C3  every group graph has a perfect matching
 
 Users and caches are addressed either as (group i, slot j), both 1-based,
@@ -28,14 +29,7 @@ class GenerationError(Exception):
     """Random generation failed to satisfy C3 within the retry budget."""
 
 
-def cache_cell(j: int, b: int, z: int) -> int:
-    """Cell index (1..z) of cache slot j under the contiguous cell layout."""
-    if not 1 <= z <= b:
-        raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
-    if not 1 <= j <= b:
-        raise ValueError(f"cache slot {j} out of range 1..{b}")
-    x = b // z
-    return min(-(-j // x), z)
+RANDOM_TRIES = 1000  # draws per group before random_topology gives up
 
 
 def cell_slots(b: int, z: int) -> list[range]:
@@ -75,9 +69,6 @@ class Topology:
     @property
     def num_users(self) -> int:
         return self.m * self.b
-
-    def user_coords(self, user: int) -> tuple[int, int]:
-        return (user - 1) // self.b + 1, (user - 1) % self.b + 1
 
     def user_access(self, i: int, j: int) -> tuple[int, ...]:
         """Global cache ids read by user k(i,j)."""
@@ -224,6 +215,7 @@ def validate(topology: Topology) -> TopologyReport:
     c2: list[str] = []
     c3: list[str] = []
     warnings: list[str] = []
+    cell_of = {s: l for l, cell in enumerate(cell_slots(b, z)) for s in cell}
     for i in range(1, m + 1):
         group = topology.group_slots(i)
         for j, slots in enumerate(group, start=1):
@@ -231,7 +223,7 @@ def validate(topology: Topology) -> TopologyReport:
             if len(slots) < len(caches):  # group_slots left out caches of other groups
                 c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
                        for c in caches if (c - 1) // b + 1 != i]
-            cells = {cache_cell(s, b, z) for s in slots}
+            cells = {cell_of[s] for s in slots}
             if len(cells) < len(slots):
                 c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
             elif len(cells) < z:
@@ -270,26 +262,25 @@ def canonical_topology(m: int, b: int, z: int) -> Topology:
     return Topology.from_group_slots(m, b, z, [group] * m)
 
 
-def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) -> Topology:
-    """Seeded uniform choice of one cache per cell per user; groups resampled until C3 holds."""
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
+    """Seeded uniform choice of one cache per cell per user; each group is redrawn until
+    C3 holds, up to ``RANDOM_TRIES`` times."""
     cells = cell_slots(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b
         log10_rate = (math.lgamma(b + 1) - b * math.log(b)) / math.log(10)
-        if max_retries * 10**log10_rate < 1e-9:
+        if RANDOM_TRIES * 10**log10_rate < 1e-9:
             exponent = math.floor(log10_rate)
             raise GenerationError(
                 f"no C3-satisfying draw is within reach for b={b}, z=1: a group draw is "
                 f"accepted with probability b!/b^b = {10 ** (log10_rate - exponent):.3f}e"
-                f"{exponent}, so {max_retries} tries per group succeed with probability "
+                f"{exponent}, so {RANDOM_TRIES} tries per group succeed with probability "
                 f"below 1e-9")
     rng = random.Random(seed)
     slots = []
     tries = 0
     for i in range(1, m + 1):
-        for _ in range(max_retries):
+        for _ in range(RANDOM_TRIES):
             tries += 1
             # one slot per cell, cells ascending, so each user's slots come out ascending
             group = [[rng.choice(cell) for cell in cells] for _ in range(b)]
@@ -299,7 +290,7 @@ def random_topology(m: int, b: int, z: int, seed: int, max_retries: int = 1000) 
                 break
         else:
             raise GenerationError(
-                f"no C3-satisfying draw for group {i} in {max_retries} tries; {len(slots)} of "
+                f"no C3-satisfying draw for group {i} in {RANDOM_TRIES} tries; {len(slots)} of "
                 f"{tries} draws accepted, acceptance rate {len(slots) / tries:.3g}")
     return Topology.from_group_slots(m, b, z, slots)
 

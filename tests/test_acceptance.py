@@ -27,7 +27,7 @@ from macc import (
     simulate,
     verify_mcrd,
 )
-from macc.topology import cache_cell
+from macc.topology import cell_slots
 
 F = Fraction
 
@@ -151,10 +151,11 @@ def _check_config(m, b, z, t, seed, payload_size=16):
         assert report.byte_oracle_ok is True
 
     placement = place(top, params, seed=seed + 1)
+    cell_of = {j: l for l, cell in enumerate(cell_slots(b, z)) for j in cell}
     for i in range(1, m + 1):
         for j1 in range(1, b + 1):
             for j2 in range(j1 + 1, b + 1):
-                if cache_cell(j1, b, z) != cache_cell(j2, b, z):
+                if cell_of[j1] != cell_of[j2]:
                     assert not (
                         set(placement.cache_blocks[i - 1][j1 - 1])
                         & set(placement.cache_blocks[i - 1][j2 - 1])

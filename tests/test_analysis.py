@@ -127,7 +127,8 @@ def test_rival_rate_unknown_scheme():
 
 
 def test_rival_subpacketization():
-    assert rival_subpacketization("ours", 100, 5, 10) == 10**10
+    with pytest.raises(ApplicabilityError, match="unknown scheme 'ours'"):
+        rival_subpacketization("ours", 100, 5, 10)
     assert rival_subpacketization("SR2", 100, 5, 20) == 100
     assert rival_subpacketization("MR", 100, 5, 1) == 100
     assert rival_subpacketization("SPE", 100, 5, 2) == 2300
@@ -223,6 +224,9 @@ def test_check_sr1_rate_published_pair():
     assert chk.ours == F(25, 2)
     assert chk.rival == 32
     assert chk.confirmed
+    # a given pair passes the search's filter: 0 and 3 are not group counts of K = 100
+    for pair in ((0, 10), (3, 10)):
+        assert not comparison_checks(100, 5, tpp=7, sr1_pair=pair)["sr1_rate"].applicable
 
 
 def test_check_sr1_rate_best_pair_search():

@@ -454,3 +454,29 @@ def test_topology_output_bytes_are_pinned(capsys, tmp_path):
                                  "--z", str(z), "--source", str(path))
         digest.update(repr((n, code, out, err)).encode())
     assert digest.hexdigest() == TOPOLOGY_GOLDEN
+
+
+# sha256 over exit code, stdout, stderr and --json bytes of every `compare` and `design`
+# run below, including usage errors and a design over the point budget
+COMPARE_DESIGN_GOLDEN = "5d6139e93bcfba007dbab5df674b129105cc2e6141dcc85ce3bb464fe1b70bbe"
+
+
+def test_compare_and_design_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    runs = [["compare", "--K", str(k), "--z", str(z)] for k in range(1, 31) for z in range(1, k + 1)]
+    runs += [["compare", "--K", "100", "--z", "5", "--grid", "0.16,0.17,0.18,0.19,0.2"],
+             ["compare", "--K", "12", "--z", "2", "--grid", "1/2,1/3"],
+             ["compare", "--K", "8", "--z", "9"],
+             ["compare", "--K", "8", "--z", "2", "--grid", "3/2"],
+             ["compare", "--K", "8", "--z", "2", "--grid", "x"]]
+    runs += [["design", "--m", str(m), "--b", str(b), "--mu", str(mu)]
+             for m, b, mu in ((1, 1, 1), (1, 5, 3), (2, 4, 1), (2, 3, 2), (3, 2, 2), (3, 3, 1),
+                              (2, 1000, 10))]
+    digest = hashlib.sha256()
+    for argv in runs:
+        extra = ["--json", str(path)] if argv[0] == "compare" else []
+        code, out, err = run_cli(capsys, *argv, *extra)
+        written = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        digest.update(repr((argv, code, out, err, written)).encode())
+    assert digest.hexdigest() == COMPARE_DESIGN_GOLDEN

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from macc import (
     point_at,
     verify_mcrd,
 )
-from macc.analysis import json_default
 
 # Block lists of the published small constructions, frozen verbatim.
 KNOWN_CONSTRUCTIONS = {
@@ -83,13 +80,10 @@ def test_mu3_equals_2_design_shape():
 
 def test_verify_rejects_nonconstant_intersections():
     # resolvable but with cross intersections of several sizes
-    bad = Design.from_blocks(
-        [
-            [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]],
-            [[1, 2, 9, 13], [5, 6, 10, 14], [3, 7, 11, 15], [4, 8, 12, 16]],
-        ],
-        mu=1,
-    )
+    bad = Design(2, 4, 1, (
+        ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16)),
+        ((1, 2, 9, 13), (5, 6, 10, 14), (3, 7, 11, 15), (4, 8, 12, 16)),
+    ))
     report = verify_mcrd(bad)
     assert not report.passed
     assert report.measured_mu is None
@@ -98,7 +92,7 @@ def test_verify_rejects_nonconstant_intersections():
 
 
 def test_verify_reports_partition_failure():
-    broken = Design.from_blocks([[[1, 2], [2, 3]], [[1, 3], [2, 4]]], mu=1)
+    broken = Design(2, 2, 1, (((1, 2), (2, 3)), ((1, 3), (2, 4))))
     report = verify_mcrd(broken)
     assert not report.passed
     assert not all(report.classes_partition)
@@ -135,13 +129,7 @@ def test_argument_and_budget_errors():
         with pytest.raises(ValueError):
             construct_mcrd(*bad)
     with pytest.raises(PointBudgetError):
-        construct_mcrd(2, 1000, 10, point_budget=10**6)
-
-
-def test_json_round_trip():
-    d = construct_mcrd(3, 3, 1)
-    again = Design.from_json_dict(json.loads(json.dumps(d, default=json_default)))
-    assert again == d
+        construct_mcrd(2, 1000, 10)
 
 
 @settings(max_examples=60, deadline=None)

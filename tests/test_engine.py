@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -15,7 +16,6 @@ from macc import (
     achievable_rate,
     build_demand_graph,
     canonical_topology,
-    cell_quotas,
     construct_mcrd,
     decode,
     deliver,
@@ -29,6 +29,7 @@ from macc import (
 from macc.cli import write_log
 from macc.designs import DEFAULT_POINT_BUDGET
 from macc.engine import MAX_RECOVERED_FLAGS, MAX_SCHEDULE_ROWS, Schedule, class_blocks
+from macc.topology import cell_slots
 
 
 def rows(schedule):
@@ -57,6 +58,11 @@ def sub_schedule(schedule, rounds, cells):
 _design = functools.lru_cache(maxsize=None)(construct_mcrd)
 
 
+def user_coords(b, user):
+    """(group i, slot j) of global user id ``user`` in groups of b."""
+    return (user - 1) // b + 1, (user - 1) % b + 1
+
+
 def covered_blocks(placement, i, j):
     """The class-i block slots that the caches user k(i,j) reads store."""
     return {block for slot in placement.topology.group_slots(i)[j - 1]
@@ -70,23 +76,16 @@ def cached_subfiles(placement, i, j):
     return {p for block in covered_blocks(placement, i, j) for p in design.block(i, block)}
 
 
-def test_cell_quotas_examples():
-    assert cell_quotas(1, 4, 2) == (1, 1)
-    assert cell_quotas(2, 7, 3) == (2, 2)
-    assert cell_quotas(3, 4, 2) == (2, 2)  # saturated: forces rate 0
-    assert cell_quotas(4, 7, 3) == (2, 3)  # middle regime
-    with pytest.raises(ValueError):
-        cell_quotas(0, 4, 2)
-    with pytest.raises(ValueError):
-        cell_quotas(1, 4, 5)
-
-
 def test_achievable_rate_examples():
     assert achievable_rate(50, 2, 5, 1) == 45
     assert achievable_rate(4, 2, 2, 2) == 0
     assert achievable_rate(7, 2, 3, 2) == 1
     assert achievable_rate(10, 10, 5, 1) == 5
     assert achievable_rate(4, 2, 2, 1) == 2
+    with pytest.raises(ValueError, match="^t must be >= 1$"):
+        achievable_rate(4, 2, 2, 0)
+    with pytest.raises(ValueError, match="^need 1 <= z <= b, got z=5, b=4$"):
+        achievable_rate(4, 2, 5, 1)
 
 
 def test_achievable_rate_equals_quota_form():
@@ -172,12 +171,12 @@ def test_place_cell_disjointness():
     top = canonical_topology(2, 7, 3)
     params = SchemeParams(m=2, b=7, z=3, t=2, n_files=14)
     placement = place(top, params, seed=2)
-    from macc.topology import cache_cell
+    cell_of = {j: l for l, cell in enumerate(cell_slots(7, 3)) for j in cell}
 
     for i in (1, 2):
         for j1 in range(1, 8):
             for j2 in range(j1 + 1, 8):
-                if cache_cell(j1, 7, 3) != cache_cell(j2, 7, 3):
+                if cell_of[j1] != cell_of[j2]:
                     a = set(placement.cache_blocks[i - 1][j1 - 1])
                     b = set(placement.cache_blocks[i - 1][j2 - 1])
                     assert not (a & b)
@@ -400,7 +399,7 @@ def test_decode_completeness(example_a, example_a_matching):
     decoding = decode(placement, txs, range(1, 9))
     full = set(range(1, 17))
     for user in range(1, 9):
-        i, j = top.user_coords(user)
+        i, j = user_coords(top.b, user)
         got = decoded(decoding.recovered[user - 1])
         cached = cached_subfiles(placement, i, j)
         assert not (got & cached)
@@ -414,7 +413,7 @@ def test_decode_rate_zero_regime():
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
     placement = place(top, params)
     for user in range(1, 9):
-        i, j = top.user_coords(user)
+        i, j = user_coords(top.b, user)
         assert cached_subfiles(placement, i, j) == set(range(1, 17))
 
 
@@ -457,7 +456,7 @@ def test_simulate_with_repeated_demands(example_a):
 
 def _brute_decoded_rows(placement, schedule, user, demand):
     """Per broadcast, the subfile of ``demand`` that ``user`` recovers from it, or None."""
-    cached = cached_subfiles(placement, *placement.topology.user_coords(user))
+    cached = cached_subfiles(placement, *user_coords(placement.params.b, user))
     got = []
     for _, _, sums in rows(schedule):
         unknown = [(f, s) for _, f, s in sums if s not in cached]
@@ -476,7 +475,7 @@ def test_simulate_matches_decode(example_a):
     placement = place(top, params)
     decoding = decode(placement, report.transmissions, range(1, 9))
     for user in range(1, 9):
-        i, j = top.user_coords(user)
+        i, j = user_coords(top.b, user)
         got = _brute_decode(placement, report.transmissions, user, demand=user)
         cached = cached_subfiles(placement, i, j)
         assert (got | cached == set(range(1, 17))) == report.users_complete[user - 1]
@@ -525,7 +524,7 @@ def _complete(placement, decoding):
     full = set(range(1, placement.params.subpacketization + 1))
     return [
         decoded(decoding.recovered[u - 1])
-        | cached_subfiles(placement, *placement.topology.user_coords(u))
+        | cached_subfiles(placement, *user_coords(placement.params.b, u))
         == full
         for u in range(1, placement.params.num_users + 1)
     ]
@@ -589,6 +588,18 @@ def test_decode_refuses_contents_without_payloads(example_a):
     schedule = deliver(placement, extract_matchings(top), range(1, 9))
     with pytest.raises(ValueError, match="needs a schedule with payloads"):
         decode(placement, schedule, range(1, 9), contents={})
+
+
+def test_subfile_bytes_matches_keyed_blake2b():
+    # 64-byte keyed BLAKE2b-512 blocks of b"file:subfile:counter", chained and cut to size
+    for seed, size in ((3, 1), (-1, 63), (3, 64), (2**63 - 1, 65), (3, 1024), (5, 2 * 10**6)):
+        key = seed.to_bytes(8, "big", signed=True)
+        want = bytearray()
+        while len(want) < size:
+            want += hashlib.blake2b(b"7:11:%d" % (len(want) // 64), key=key, digest_size=64).digest()
+        assert subfile_bytes(seed, 7, 11, size) == want[:size]
+    with pytest.raises(ValueError, match="^payload size must be >= 1$"):
+        subfile_bytes(0, 7, 11, 0)
 
 
 def test_simulate_requires_enough_files(example_a):
