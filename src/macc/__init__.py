@@ -45,10 +45,9 @@ from .analysis import (
     corner_points,
     envelope,
     our_envelope,
+    rival_corner,
     rival_corner_points,
     rival_envelope,
-    rival_rate,
-    rival_subpacketization,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,11 @@ points; intermediate memory sizes are served by memory sharing, i.e. the
 lower convex envelope of the corners.  All arithmetic is exact (Fraction /
 big int); floats appear only in CSV/log10 output.
 
-Rival schemes are keyed RK, NT, SICPS, SPE, SR1, SR2, MR.  SPE and SICPS
-rates come from outside formulas and are emitted as "external"; their
-subpacketizations are computed here.  SR1's subpacketization is only known
-to lie in [K, K**2] and is reported as that interval.
+Rival schemes are keyed RK, NT, SICPS, SPE, SR1, SR2, MR.  ``rival_corner``
+states each one's corner at M/N = t/K once: where it applies, its rate and
+its subpacketization.  SPE and SICPS rates come from outside formulas and are
+emitted as "external".  SR1's subpacketization is only known to lie in
+[K, K**2] and is reported as that interval.
 """
 
 from __future__ import annotations
@@ -133,36 +134,47 @@ def our_envelope(k_users: int, z: int) -> Curve:
     return envelope(corner_points(k_users, z))
 
 
-def rival_rate(scheme: str, k_users: int, z: int, tparam: int) -> Fraction:
-    """Exact rate of a rival scheme at its own corner point M/N = tparam/K."""
-    k = k_users
-    if scheme == "RK":
-        _require(1 <= tparam <= k // z, "RK needs 1 <= t' <= floor(K/z)")
-        return Fraction((k - tparam * z) ** 2, k)
-    if scheme == "NT":
-        _require(1 <= tparam <= k // z, "NT needs 1 <= t' <= floor(K/z)")
-        return Fraction(k - tparam * z, tparam + 1)
+def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
+    """(rate, subpacketization) of a rival scheme at its own corner M/N = tparam/K.
+
+    The rate is exact, or None for SICPS and SPE, whose rates are external.
+    The subpacketization is an int or Fraction, or for SR1 the interval
+    (K, K**2) it is known to lie in.  Raises ``ApplicabilityError`` where the
+    scheme has no corner at tparam."""
+    k, t = k_users, tparam
+    if scheme in ("RK", "SICPS", "NT"):
+        _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
+        if scheme == "NT":
+            return Fraction(k - t * z, t + 1), k * comb(k - t * z + t, t)
+        sub = _whole(Fraction(k, t) * comb(k - t * z + t - 1, t - 1))
+        return (Fraction((k - t * z) ** 2, k) if scheme == "RK" else None), sub
+    if scheme == "SPE":
+        _require(t == 2, "SPE is fixed at M/N = 2/K")
+        _require(k > 2 * z - 2, "SPE needs K > 2z - 2")
+        return None, _whole(Fraction(k * (k - 2 * z + 2), 4))
     if scheme == "SR1":
-        _require(gcd(tparam, k) == 1, "SR1 needs gcd(t'', K) = 1")
-        _require(1 <= tparam <= k, "SR1 needs 1 <= t'' <= K")
-        return _sr1_sum(k, z, tparam)
+        _require(gcd(t, k) == 1, "SR1 needs gcd(t'', K) = 1")
+        _require(1 <= t <= k, "SR1 needs 1 <= t'' <= K")
+        return _sr1_sum(k, z, t), (k, k * k)
     if scheme == "SR2":
-        _require(tparam >= 1 and k % tparam == 0, "SR2 needs t'' dividing K")
-        rem = k - tparam * z + tparam
+        _require(t >= 1 and k % t == 0, "SR2 needs t'' dividing K")
+        rem = k - t * z + t  # > 0 and t | K make K - t''z = t''(K/t'' - z) >= 0
         _require(rem > 0 and k % rem == 0, "SR2 needs (K - t''z + t'') dividing K")
-        if k - tparam * z < 0:
-            return Fraction(0)
-        return Fraction((k - tparam * z) * rem, 2 * k)
+        return Fraction((k - t * z) * rem, 2 * k), k
     if scheme == "MR":
-        _require(tparam == 1, "MR is fixed at M/N = 1/K")
+        _require(t == 1, "MR is fixed at M/N = 1/K")
         denom = 2 + z // (k - z + 1) + (z - 1) // (k - z + 1)
-        return Fraction(_ceil_div(k * (k - z), denom), k)
-    raise ApplicabilityError(f"no rate formula for scheme {scheme!r}")
+        return Fraction(_ceil_div(k * (k - z), denom), k), k
+    raise ApplicabilityError(f"unknown scheme {scheme!r}")
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ApplicabilityError(msg)
+
+
+def _whole(val: Fraction):
+    return int(val) if val.denominator == 1 else val
 
 
 def _sr1_sum(k: int, z: int, tpp: int) -> Fraction:
@@ -192,53 +204,34 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
     return Fraction(g * (g + 2), 2 * (k_users + 2))
 
 
-def rival_subpacketization(scheme: str, k_users: int, z: int, tparam: int):
-    """Subpacketization at the scheme's corner; int/Fraction, or interval for SR1."""
-    k = k_users
-    if scheme in ("RK", "SICPS"):
-        _require(1 <= tparam <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
-        val = Fraction(k, tparam) * comb(k - tparam * z + tparam - 1, tparam - 1)
-        return int(val) if val.denominator == 1 else val
-    if scheme == "NT":
-        _require(1 <= tparam <= k // z, "NT needs 1 <= t' <= floor(K/z)")
-        return k * comb(k - tparam * z + tparam, tparam)
-    if scheme == "SPE":
-        _require(tparam == 2, "SPE is fixed at M/N = 2/K")
-        _require(k > 2 * z - 2, "SPE needs K > 2z - 2")
-        val = Fraction(k * (k - 2 * z + 2), 4)
-        return int(val) if val.denominator == 1 else val
-    if scheme == "SR1":
-        _require(gcd(tparam, k) == 1, "SR1 needs gcd(t'', K) = 1")
-        return (k, k * k)
-    if scheme == "SR2":
-        rival_rate("SR2", k, z, tparam)
-        return k
-    if scheme == "MR":
-        _require(tparam == 1, "MR is fixed at M/N = 1/K")
-        return k
-    raise ApplicabilityError(f"unknown scheme {scheme!r}")
+def _rival_corners(scheme: str, k: int, z: int, tparams) -> dict:
+    """Memory t''/K -> ``rival_corner`` at each t'' of ``tparams`` where it applies."""
+    corners = {}
+    for t in tparams:
+        try:
+            corners[Fraction(t, k)] = rival_corner(scheme, k, z, t)
+        except ApplicabilityError:
+            pass
+    return corners
 
 
-def _zero_point(k: int, z: int, scheme: str) -> RatePoint:
-    # full local coverage: every scheme reaches rate 0 by M/N = ceil(K/z)/K
-    return RatePoint(Fraction(_ceil_div(k, z), k), Fraction(0), scheme, (("zero", 1),))
-
-
-def rival_corner_points(scheme: str, k_users: int, z: int) -> list[RatePoint]:
-    """Corners t/K, t = 1..floor(K/z), where ``rival_rate`` applies, plus the
-    trivial endpoints."""
-    k = k_users
+def _rival_points(scheme: str, k: int, z: int, corners: dict) -> list[RatePoint]:
+    """The trivial endpoints plus each of ``corners`` at t'' <= floor(K/z)."""
     if scheme not in RATE_SCHEMES:
         raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
     pts = [RatePoint(Fraction(0), Fraction(k), scheme, (("t", 0),))]
-    for t in range(1, k // z + 1):
-        try:
-            rate = rival_rate(scheme, k, z, t)
-        except ApplicabilityError:
-            continue
-        pts.append(RatePoint(Fraction(t, k), rate, scheme, (("t", t),)))
-    pts.append(_zero_point(k, z, scheme))
+    for mem, (rate, _) in sorted(corners.items()):
+        if mem * k <= k // z:
+            pts.append(RatePoint(mem, rate, scheme, (("t", int(mem * k)),)))
+    # full local coverage: every scheme reaches rate 0 by M/N = ceil(K/z)/K
+    pts.append(RatePoint(Fraction(_ceil_div(k, z), k), Fraction(0), scheme, (("zero", 1),)))
     return pts
+
+
+def rival_corner_points(scheme: str, k_users: int, z: int) -> list[RatePoint]:
+    """Corners t/K, t = 1..floor(K/z), where ``rival_corner`` applies, plus the endpoints."""
+    k = k_users
+    return _rival_points(scheme, k, z, _rival_corners(scheme, k, z, range(1, k // z + 1)))
 
 
 def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
@@ -275,7 +268,7 @@ def check_rk_rate(k_users: int, z: int, m: int, b: int, t: int) -> ComparisonChe
         Fraction(b // z, b), Fraction(k // z, k), Fraction(k - b, k * z)
     )
     ours = achievable_rate(b, m, z, t)
-    rk = rival_rate("RK", k, z, m * t)
+    rk = rival_corner("RK", k, z, m * t)[0]
     return ComparisonCheck(
         "rk_rate", True, satisfied, ours, rk, confirmed=ours < rk if satisfied else None
     )
@@ -291,8 +284,8 @@ def check_subpacketization(k_users: int, z: int, m: int, b: int) -> ComparisonCh
         return ComparisonCheck("subpacketization", False)
     satisfied = (b - 1) ** 2 >= k * (z - 1)
     ours = Fraction(b**m)
-    rk = Fraction(rival_subpacketization("RK", k, z, m))
-    nt = Fraction(rival_subpacketization("NT", k, z, m))
+    rk = Fraction(rival_corner("RK", k, z, m)[1])
+    nt = Fraction(rival_corner("NT", k, z, m)[1])
     confirmed = (ours < rk and ours < nt) if satisfied else None
     return ComparisonCheck(
         "subpacketization", True, satisfied, ours, min(rk, nt),
@@ -323,7 +316,7 @@ def check_sr1_rate(k_users: int, z: int, tpp: int, pair=None) -> ComparisonCheck
     bound = sr1_lower_bound(k, z, tpp) + z
     satisfied = shared <= bound
     ours = shared - z
-    sr1 = rival_rate("SR1", k, z, tpp)
+    sr1 = rival_corner("SR1", k, z, tpp)[0]
     return ComparisonCheck(
         "sr1_rate", True, satisfied, ours, sr1,
         confirmed=ours <= sr1 if satisfied else None,
@@ -347,7 +340,7 @@ def check_sr2_rate(k_users: int, z: int, m: int, b: int, t: int) -> ComparisonCh
         return ComparisonCheck("sr2_rate", False)
     satisfied = Fraction(t, b) <= Fraction(m - 2, m * (z - 1))
     ours = achievable_rate(b, m, z, t)
-    sr2 = rival_rate("SR2", k, z, m * t)
+    sr2 = rival_corner("SR2", k, z, m * t)[0]
     return ComparisonCheck(
         "sr2_rate", True, satisfied, ours, sr2,
         confirmed=ours <= sr2 if satisfied else None,
@@ -427,48 +420,33 @@ def _log10_int(n: int) -> float:
 def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     """One row per (memory, scheme): envelope rate plus corner subpacketization.
 
-    Rates for RK/NT/SR1/SR2/MR and ours come from their envelopes
-    (memory-shared between corners); SPE and SICPS rates are external.  The
-    subpacketization column is filled only where the scheme has an exact
-    corner at that memory; a row's kind is "corner" when the envelope rate
-    coincides with that exact corner's rate."""
+    Each scheme's corners are computed once, into a map from memory to (rate,
+    subpacketization); a rival's covers t = 1..floor(K/z) and each integral
+    t = K*M/N of the grid.  The envelopes (SPE and SICPS have none: their rates
+    are external) are built from those maps.  A row takes its subpacketization
+    from the map, and is a "corner" when the envelope meets that corner's rate."""
     k = k_users
-    corners = corner_points(k, z)
-    ours = {p.memory: p for p in corners[1:]}  # the trivial (0, K) has no subpacketization
-    curves = {"ours": envelope(corners)}
-    for scheme in RATE_SCHEMES:
-        curves[scheme] = rival_envelope(scheme, k, z)
+    grid = [Fraction(mem) for mem in grid]
+    ours = corner_points(k, z)
+    corners = {"ours": {}}
+    for p in ours[1:]:  # the trivial (0, K) has no subpacketization
+        params = dict(p.params)
+        corners["ours"][p.memory] = (p.rate, params["b"] ** params["m"])
+    curves = {"ours": envelope(ours)}
+    tparams = sorted(set(range(1, k // z + 1))
+                     | {int(mem * k) for mem in grid if (mem * k).denominator == 1})
+    for scheme in SCHEME_ORDER[1:]:
+        corners[scheme] = _rival_corners(scheme, k, z, tparams)
+        rated = scheme in RATE_SCHEMES
+        curves[scheme] = envelope(_rival_points(scheme, k, z, corners[scheme])) if rated else None
 
     rows: list[TableRow] = []
     for mem in grid:
-        mem = Fraction(mem)
-        tp = mem * k  # rival corner parameter when integral
-        tp_int = int(tp) if tp.denominator == 1 else None
         for scheme in SCHEME_ORDER:
-            rate = None
-            kind = "external"
-            sub = None
-            corner_rate = None
-            if scheme == "ours":
-                rate = curves["ours"].rate_at(mem)
-                corner = ours.get(mem)
-                if corner is not None:
-                    params = dict(corner.params)
-                    corner_rate, sub = corner.rate, params["b"] ** params["m"]
-            elif scheme in RATE_SCHEMES:
-                rate = curves[scheme].rate_at(mem)
-                if tp_int is not None:
-                    try:
-                        corner_rate = rival_rate(scheme, k, z, tp_int)
-                    except ApplicabilityError:
-                        corner_rate = None
-            if scheme != "ours" and tp_int is not None:
-                try:
-                    sub = rival_subpacketization(scheme, k, z, tp_int)
-                except ApplicabilityError:
-                    sub = None
-            if rate is not None:
-                kind = "corner" if corner_rate == rate else "interpolated"
+            corner_rate, sub = corners[scheme].get(mem, (None, None))
+            rate = None if curves[scheme] is None else curves[scheme].rate_at(mem)
+            kind = ("external" if rate is None
+                    else "corner" if corner_rate == rate else "interpolated")
             rows.append(TableRow(memory=mem, scheme=scheme, rate=rate, kind=kind,
                                  subpacketization=sub))
     return rows

@@ -18,6 +18,9 @@ from pathlib import Path
 from . import analysis, designs, engine, topology
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_default)
+# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
+# about 5 s at K = 3000 and 9 s at K = 4000 in-process on a 2-vCPU x86-64 VM
+MAX_COMPARE_USERS = 3000
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -152,6 +155,9 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
 def cmd_compare(args) -> int:
     if not 1 <= args.z <= args.K:
         raise ValueError(f"need 1 <= --z <= --K, got --z {args.z} and --K {args.K}")
+    if args.K > MAX_COMPARE_USERS:
+        raise designs.PointBudgetError(f"--K {args.K} exceeds the compare budget of "
+                                       f"{MAX_COMPARE_USERS} users")
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
     _emit(analysis.rows_to_csv(rows), args.out)

@@ -272,18 +272,18 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     unknown = known.translate(b"\1" + bytes(255))
     block_of = [class_blocks(m, b, g) for g in range(1, m + 1)]
 
-    by_file_group: dict[tuple[int, int], list[int]] = {}
+    readers: dict[int, dict[int, list[int]]] = {}  # file -> reader group -> its users
     for v, d in enumerate(demands):
-        by_file_group.setdefault((d, v // b), []).append(v)
+        readers.setdefault(d, {}).setdefault(v // b, []).append(v)
     # per (summand group i, reader group g, slot): the row offset v*w of the slot-th
-    # user v of group g that wants the cell's group-i file
+    # user v of group g that wants the cell's group-i file, for each g that holds one
     readings = []
     for i in range(m):
         column = [fs[i] for fs in schedule.files]
-        wanted = set(column)
-        for g in range(m):
-            found = [by_file_group.get((d, g), ()) for d in wanted]
-            for slot in range(max(map(len, found), default=0)):
+        wanted = {d: readers.get(d, {}) for d in column}
+        for g in sorted(set().union(*wanted.values())):
+            found = [groups.get(g, ()) for groups in wanted.values()]
+            for slot in range(max(map(len, found))):
                 row_at = {d: (vs[slot] if slot < len(vs) else users) * w
                           for d, vs in zip(wanted, found)}
                 readings.append((i, g, list(map(row_at.__getitem__, column))))

@@ -14,11 +14,11 @@ from macc import (
     corner_points,
     envelope,
     our_envelope,
+    rival_corner,
     rival_corner_points,
     rival_envelope,
-    rival_rate,
-    rival_subpacketization,
 )
+from macc import analysis
 from macc.analysis import log10_of, rows_to_csv, sr1_lower_bound
 
 F = Fraction
@@ -80,68 +80,79 @@ def test_envelope_drops_dominated_and_collinear():
     ]
 
 
+def corner_rate(scheme, k, z, t):
+    return rival_corner(scheme, k, z, t)[0]
+
+
+def corner_sub(scheme, k, z, t):
+    return rival_corner(scheme, k, z, t)[1]
+
+
 def test_rival_rate_rk():
-    assert rival_rate("RK", 100, 5, 16) == 4
-    assert rival_rate("RK", 100, 5, 17) == F(9, 4)
-    assert rival_rate("RK", 100, 5, 20) == 0
+    assert corner_rate("RK", 100, 5, 16) == 4
+    assert corner_rate("RK", 100, 5, 17) == F(9, 4)
+    assert corner_rate("RK", 100, 5, 20) == 0
     with pytest.raises(ApplicabilityError):
-        rival_rate("RK", 100, 5, 21)
+        rival_corner("RK", 100, 5, 21)
 
 
 def test_rival_rate_nt():
-    assert rival_rate("NT", 100, 5, 10) == F(50, 11)
+    assert corner_rate("NT", 100, 5, 10) == F(50, 11)
     with pytest.raises(ApplicabilityError):
-        rival_rate("NT", 100, 5, 0)
+        rival_corner("NT", 100, 5, 0)
 
 
 def test_rival_rate_sr1():
-    assert rival_rate("SR1", 100, 5, 7) == 32
-    assert rival_rate("SR1", 100, 5, 1) == F(95, 2)
+    assert corner_rate("SR1", 100, 5, 7) == 32
+    assert corner_rate("SR1", 100, 5, 1) == F(95, 2)
     with pytest.raises(ApplicabilityError):
-        rival_rate("SR1", 100, 5, 16)  # gcd(16,100) != 1
+        rival_corner("SR1", 100, 5, 16)  # gcd(16,100) != 1
+    with pytest.raises(ApplicabilityError, match="1 <= t''"):
+        rival_corner("SR1", 1, 1, 0)  # gcd(0, 1) = 1, but M/N = 0 is no corner
 
 
 def test_sr1_lower_bound_holds():
     for tpp in [1, 3, 7, 9, 11, 13, 17, 19]:
         g = 100 - tpp * 5
         if g > 1:
-            assert rival_rate("SR1", 100, 5, tpp) >= sr1_lower_bound(100, 5, tpp)
+            assert corner_rate("SR1", 100, 5, tpp) >= sr1_lower_bound(100, 5, tpp)
 
 
 def test_rival_rate_sr2():
-    assert rival_rate("SR2", 120, 5, 15) == F(45, 4)
+    assert corner_rate("SR2", 120, 5, 15) == F(45, 4)
     with pytest.raises(ApplicabilityError) as err:
-        rival_rate("SR2", 100, 5, 16)
+        rival_corner("SR2", 100, 5, 16)
     assert "dividing" in str(err.value)
 
 
 def test_rival_rate_mr():
-    assert rival_rate("MR", 100, 5, 1) == F(95, 2)
+    assert corner_rate("MR", 100, 5, 1) == F(95, 2)
     with pytest.raises(ApplicabilityError):
-        rival_rate("MR", 100, 5, 2)
+        rival_corner("MR", 100, 5, 2)
 
 
 def test_rival_rate_unknown_scheme():
-    with pytest.raises(ApplicabilityError):
-        rival_rate("SPE", 100, 5, 2)
+    assert corner_rate("SPE", 100, 5, 2) is None
+    assert corner_rate("SICPS", 100, 5, 1) is None
+    for scheme in ("ours", "XX"):
+        with pytest.raises(ApplicabilityError, match=f"unknown scheme '{scheme}'"):
+            rival_corner(scheme, 100, 5, 10)
 
 
 def test_rival_subpacketization():
-    with pytest.raises(ApplicabilityError, match="unknown scheme 'ours'"):
-        rival_subpacketization("ours", 100, 5, 10)
-    assert rival_subpacketization("SR2", 100, 5, 20) == 100
-    assert rival_subpacketization("MR", 100, 5, 1) == 100
-    assert rival_subpacketization("SPE", 100, 5, 2) == 2300
-    assert rival_subpacketization("RK", 100, 5, 1) == 100
-    assert rival_subpacketization("SICPS", 100, 5, 1) == 100
-    nt = rival_subpacketization("NT", 100, 5, 10)
+    assert corner_sub("SR2", 100, 5, 20) == 100
+    assert corner_sub("MR", 100, 5, 1) == 100
+    assert corner_sub("SPE", 100, 5, 2) == 2300
+    assert corner_sub("RK", 100, 5, 1) == 100
+    assert corner_sub("SICPS", 100, 5, 1) == 100
+    nt = corner_sub("NT", 100, 5, 10)
     assert nt == 100 * comb(60, 10)
     assert abs(log10_of(nt) - 12.8) < 0.1
-    assert rival_subpacketization("SR1", 100, 5, 7) == (100, 10000)
-    assert rival_subpacketization("SPE", 5, 3, 2) == F(5, 4)
+    assert corner_sub("SR1", 100, 5, 7) == (100, 10000)
+    assert corner_sub("SPE", 5, 3, 2) == F(5, 4)
     for k, z in [(4, 3), (2, 2), (6, 4), (12, 7)]:  # K <= 2z - 2: K(K - 2z + 2)/4 <= 0
         with pytest.raises(ApplicabilityError):
-            rival_subpacketization("SPE", k, z, 2)
+            rival_corner("SPE", k, z, 2)
 
 
 # The paper's applicability condition of each rival's corner t/K, 1 <= t <= floor(K/z).
@@ -163,7 +174,7 @@ def test_rival_corner_points_match_the_papers_conditions():
                 assert (pts[-1].memory, pts[-1].rate) == (F(-(-k // z), k), 0)
                 want = [t for t in range(1, k // z + 1) if applies(k, z, t)]
                 assert [p.memory * k for p in pts[1:-1]] == want, (scheme, k, z)
-                assert [p.rate for p in pts[1:-1]] == [rival_rate(scheme, k, z, t) for t in want]
+                assert [p.rate for p in pts[1:-1]] == [corner_rate(scheme, k, z, t) for t in want]
     for scheme in ("SPE", "SICPS", "XX"):
         with pytest.raises(ApplicabilityError, match="no rate corners"):
             rival_corner_points(scheme, 12, 2)
@@ -199,8 +210,64 @@ def test_comparison_table_our_rows_match_brute_force():
                 assert row.kind == ("corner" if rate == row.rate else "interpolated"), (k, z, row)
 
 
+def _paper_rival_corner(scheme, k, z, t):
+    """(rate or None, subpacketization) of a rival at t/K by the paper's formulas,
+    or None where the rival has no corner there."""
+    g = k - t * z
+    if scheme == "SPE":
+        return (None, F(k * (k - 2 * z + 2), 4)) if t == 2 and k > 2 * z - 2 else None
+    if scheme == "SR1":
+        if not (1 <= t <= k and gcd(t, k) == 1):
+            return None
+        terms = [F(2, 1 + -(-t * z // r)) for r in range(g // 2 + 1, g + 1)]
+        if terms and g % 2:  # the middle term r = (g + 1)/2 counts half
+            terms[0] /= 2
+        return sum(terms, F(0)), (k, k * k)
+    applies = RIVAL_CORNER_CONDITIONS["RK" if scheme == "SICPS" else scheme]
+    if not (1 <= t <= k // z and applies(k, z, t)):
+        return None
+    return {
+        "RK": lambda: (F(g * g, k), F(k, t) * comb(g + t - 1, t - 1)),
+        "SICPS": lambda: (None, F(k, t) * comb(g + t - 1, t - 1)),
+        "NT": lambda: (F(g, t + 1), k * comb(g + t, t)),
+        "SR2": lambda: (F(g * (g + t), 2 * k), k),
+        "MR": lambda: (F(-(-k * g // (2 + z // (g + 1) + (z - 1) // (g + 1))), k), k),
+    }[scheme]()
+
+
+def test_comparison_table_rival_rows_match_the_papers_formulas():
+    for k in range(1, 41):
+        for z in range(1, k + 1):
+            grid = [F(t, k) for t in range(k + 1)] + [F(1, 2 * k), F(1, 7), F(2, 9), F(1, 2)]
+            for row in comparison_table(k, z, grid):
+                if row.scheme == "ours":
+                    continue
+                t = row.memory * k
+                corner = _paper_rival_corner(row.scheme, k, z, int(t)) if t.denominator == 1 else None
+                rate, sub = corner or (None, None)
+                assert row.subpacketization == sub, (k, z, row)
+                if row.scheme in ("SICPS", "SPE"):
+                    assert (row.rate, row.kind) == (None, "external"), (k, z, row)
+                else:
+                    assert row.kind == ("corner" if rate == row.rate else "interpolated"), (k, z, row)
+
+
+def test_comparison_table_sums_each_sr1_corner_once(monkeypatch):
+    calls = []
+    sr1_sum = analysis._sr1_sum
+    monkeypatch.setattr(analysis, "_sr1_sum", lambda k, z, t: calls.append(t) or sr1_sum(k, z, t))
+    shapes = ((100, 5, [F(t, 100) for t in range(21)]), (30, 4, [F(t, 30) for t in range(31)]),
+              (36, 5, [F(1, 2), F(5, 36), F(7, 36), F(1, 7)]))
+    for k, z, grid in shapes:
+        calls.clear()
+        comparison_table(k, z, grid)
+        grid_t = {int(x * k) for x in grid if (x * k).denominator == 1}
+        want = [t for t in range(1, k + 1) if gcd(t, k) == 1 and (t <= k // z or t in grid_t)]
+        assert sorted(calls) == want, (k, z)
+
+
 def test_rk_subpacketization_fraction_when_tp_misses_k():
-    val = rival_subpacketization("RK", 100, 5, 7)
+    val = corner_sub("RK", 100, 5, 7)
     assert val == F(100, 7) * comb(100 - 35 + 6, 6)
 
 

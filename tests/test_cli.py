@@ -7,7 +7,8 @@ import time
 import pytest
 
 from macc import canonical_topology, subfile_bytes
-from macc.cli import main
+from macc.analysis import CSV_HEADER
+from macc.cli import MAX_COMPARE_USERS, main
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +363,18 @@ def test_topology_refuses_coverage_above_budget(capsys):
     assert code == 0 and json.loads(out)["validation"]["passed"]
 
 
+def test_compare_refuses_users_above_budget(capsys):
+    start = time.perf_counter()
+    k = MAX_COMPARE_USERS + 1
+    code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --K {k} exceeds the compare budget of {MAX_COMPARE_USERS} users\n"
+    k = MAX_COMPARE_USERS
+    code, out, _ = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
+    assert code == 0 and out.startswith(CSV_HEADER)
+
+
 # sha256 over exit code, stdout, stderr, --log and --report bytes of every run below
 SIMULATE_GOLDEN = "01532469f16d4beaf8887d32b173e942cacf1cc0242a087ddabad4ab68f935e5"
 
@@ -458,7 +471,7 @@ def test_topology_output_bytes_are_pinned(capsys, tmp_path):
 
 # sha256 over exit code, stdout, stderr and --json bytes of every `compare` and `design`
 # run below, including usage errors and a design over the point budget
-COMPARE_DESIGN_GOLDEN = "5d6139e93bcfba007dbab5df674b129105cc2e6141dcc85ce3bb464fe1b70bbe"
+COMPARE_DESIGN_GOLDEN = "010e33aacc749e920c31c5bcb3f8633172294615882edfef9e73531a0ee89099"
 
 
 def test_compare_and_design_output_bytes_are_pinned(capsys, tmp_path):

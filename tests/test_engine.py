@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -415,6 +416,15 @@ def test_decode_rate_zero_regime():
     for user in range(1, 9):
         i, j = user_coords(top.b, user)
         assert cached_subfiles(placement, i, j) == set(range(1, 17))
+
+
+def test_decode_visits_only_groups_that_read_a_wanted_file():
+    # one user per group and rate 0: decode once visited every pair of groups
+    m = 20000
+    start = time.perf_counter()
+    report = simulate(canonical_topology(m, 1, 1), SchemeParams(m=m, b=1, z=1, t=1, n_files=m))
+    assert time.perf_counter() - start < 10
+    assert report.transmission_count == 0 and report.all_complete()
 
 
 def test_simulate_example_a(example_a):

@@ -9,6 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # sha256 of scripts/worked_examples.py's stdout
 WORKED_EXAMPLES_GOLDEN = "f4289cebf1c06073835cde3f59e842fc51af19d4044881b87627af257a90f279"
+# sha256 of scripts/comparison_data.py's stdout (its output directory written as OUT) and
+# of the CSV and JSON it writes, for the default run and for --K 12 --z 7
+COMPARISON_DATA_GOLDEN = "db05e2cb40260e30b332e0c5a897de454fa434f568cf4c734cbbb9cce4e1be9c"
 
 
 def _run(*argv):
@@ -26,10 +29,12 @@ def test_worked_examples_script():
 
 
 def test_comparison_data_script(tmp_path):
-    proc = _run("scripts/comparison_data.py", "--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "comparison_K100_z5.csv").is_file()
-    # K <= 2z - 2, where SPE has no corner
-    proc = _run("scripts/comparison_data.py", "--K", "12", "--z", "7", "--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "comparison_K12_z7.csv").is_file()
+    digest = hashlib.sha256()
+    # K <= 2z - 2 in the second run, where SPE has no corner
+    for argv, stem in (([], "comparison_K100_z5"), (["--K", "12", "--z", "7"], "comparison_K12_z7")):
+        proc = _run("scripts/comparison_data.py", *argv, "--outdir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        digest.update(proc.stdout.replace(str(tmp_path), "OUT").encode())
+        for suffix in (".csv", ".json"):
+            digest.update((tmp_path / (stem + suffix)).read_bytes())
+    assert digest.hexdigest() == COMPARISON_DATA_GOLDEN
