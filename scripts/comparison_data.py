@@ -36,7 +36,7 @@ def main() -> None:
     curve = analysis.our_envelope(args.K, args.z)
     print(f"K={args.K} z={args.z}")
     print("envelope corners (M/N, rate):")
-    for mem, rate in curve.vertices():
+    for mem, rate in curve.points:
         print(f"  ({mem}, {rate})")
 
     # crossover region against RK and SR1, five points around M/N = 1/z - 0.04

@@ -38,15 +38,13 @@ from .analysis import (
     ApplicabilityError,
     ComparisonCheck,
     Curve,
-    RatePoint,
     TableRow,
-    comparison_checks,
     comparison_table,
-    corner_points,
     envelope,
+    our_corners,
     our_envelope,
     rival_corner,
-    rival_corner_points,
+    rival_corners,
     rival_envelope,
 )
 

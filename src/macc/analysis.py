@@ -1,9 +1,11 @@
 """Rate/memory trade-off analysis and comparisons against rival schemes.
 
-Every scheme is reduced to a set of exactly-achievable (M/N, rate) corner
-points; intermediate memory sizes are served by memory sharing, i.e. the
-lower convex envelope of the corners.  All arithmetic is exact (Fraction /
-big int); floats appear only in CSV/log10 output.
+Every scheme is reduced to one corner map, from each exactly-achievable memory
+M/N to its (rate, subpacketization): :func:`our_corners` and
+:func:`rival_corners`.  Intermediate memory sizes are served by memory sharing,
+i.e. the lower convex envelope of the (M/N, rate) pairs, which one rule builds
+from any scheme's map.  All arithmetic is exact (Fraction / big int); floats
+appear only in CSV/log10 output.
 
 Rival schemes are keyed RK, NT, SICPS, SPE, SR1, SR2, MR.  ``rival_corner``
 states each one's corner at M/N = t/K once: where it applies, its rate and
@@ -14,9 +16,11 @@ emitted as "external".  SR1's subpacketization is only known to lie in
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -42,96 +46,68 @@ def divisors(n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """An exactly-achievable (memory fraction, rate) pair with provenance."""
-
-    memory: Fraction
-    rate: Fraction
-    scheme: str
-    params: tuple = ()
-
-    def __post_init__(self):
-        if not 0 <= self.memory <= 1:
-            raise ValueError("memory fraction must lie in [0, 1]")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
-
-
-@dataclass(frozen=True)
 class Curve:
-    """Lower convex envelope of corner points; evaluation by interpolation."""
+    """Lower convex envelope of (memory, rate) corners; evaluation by interpolation."""
 
-    points: tuple[RatePoint, ...]
+    points: tuple[tuple[Fraction, Fraction], ...]
 
     def rate_at(self, memory) -> Fraction:
         x = Fraction(memory)
         pts = self.points
-        if x < pts[0].memory:
-            raise ValueError(f"memory {x} below curve domain start {pts[0].memory}")
-        if x >= pts[-1].memory:
-            return pts[-1].rate
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid].memory <= x:
-                lo = mid
-            else:
-                hi = mid
-        a, c = pts[lo], pts[hi]
-        return a.rate + (c.rate - a.rate) * (x - a.memory) / (c.memory - a.memory)
-
-    def vertices(self) -> list[tuple[Fraction, Fraction]]:
-        return [(p.memory, p.rate) for p in self.points]
+        if x < pts[0][0]:
+            raise ValueError(f"memory {x} below curve domain start {pts[0][0]}")
+        if x >= pts[-1][0]:
+            return pts[-1][1]
+        hi = bisect.bisect_right(pts, x, key=operator.itemgetter(0))
+        (m0, r0), (m1, r1) = pts[hi - 1], pts[hi]
+        return r0 + (r1 - r0) * (x - m0) / (m1 - m0)
 
 
 def envelope(points) -> Curve:
-    """Lower convex hull in the memory/rate plane; collinear points dropped."""
-    best: dict[Fraction, RatePoint] = {}
-    for p in sorted(points, key=lambda p: (p.memory, p.rate)):
-        if p.memory not in best:
-            best[p.memory] = p
-    pts = list(best.values())
+    """Lower convex hull of (memory, rate) pairs; per memory the lowest rate is kept
+    and collinear points are dropped."""
+    pts = sorted((Fraction(mem), Fraction(rate)) for mem, rate in points)
     if not pts:
         raise ValueError("need at least one point")
-    hull: list[RatePoint] = []
-    for p in pts:
+    if not 0 <= pts[0][0] <= pts[-1][0] <= 1:
+        raise ValueError("memory fraction must lie in [0, 1]")
+    if min(rate for _, rate in pts) < 0:
+        raise ValueError("rate must be >= 0")
+    hull: list[tuple[Fraction, Fraction]] = []
+    for x, y in pts:
+        if hull and hull[-1][0] == x:  # a higher rate at the same memory
+            continue
         while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (b.rate - a.rate) * (p.memory - b.memory) >= (p.rate - b.rate) * (
-                b.memory - a.memory
-            ):
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (y1 - y0) * (x - x1) >= (y - y1) * (x1 - x0):
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append((x, y))
     return Curve(points=tuple(hull))
 
 
-def corner_points(k_users: int, z: int) -> list[RatePoint]:
-    """All corners our scheme achieves for K users: every group shape (m, b)
-    with m*b = K and b >= z, every integer t up to the zero-rate threshold.
-    Duplicate memories keep the lowest rate.  Includes the trivial (0, K)."""
+def our_corners(k_users: int, z: int) -> dict:
+    """Memory t/b -> (rate, b**m) of our corners for K users: every group shape m*b = K
+    with b >= z, every integer t up to the zero-rate threshold.  At one memory the
+    lowest rate wins, and among equal rates the smallest b; that tie-break is a FOUND
+    line of CHANGES.md (ROADMAP item 1): the smallest b**m should win."""
     if z < 1:
         raise ValueError("z must be >= 1")
-    pts = [RatePoint(Fraction(0), Fraction(k_users), "ours", (("t", 0),))]
-    best: dict[Fraction, RatePoint] = {}
+    corners: dict[Fraction, tuple[Fraction, int]] = {}
     for b in divisors(k_users):
         if b < z:
             continue
         m = k_users // b
         for t in range(1, cell_sizes(b, z)[-1] + 1):  # the last cell's size: rate 0 there
-            mem = Fraction(t, b)
-            p = RatePoint(mem, achievable_rate(b, m, z, t), "ours",
-                          (("m", m), ("b", b), ("t", t)))
-            cur = best.get(mem)
-            if cur is None or p.rate < cur.rate:
-                best[mem] = p
-    pts.extend(sorted(best.values(), key=lambda p: p.memory))
-    return pts
+            mem, rate = Fraction(t, b), achievable_rate(b, m, z, t)
+            if mem not in corners or rate < corners[mem][0]:
+                corners[mem] = (rate, b**m)
+    return dict(sorted(corners.items()))
 
 
 def our_envelope(k_users: int, z: int) -> Curve:
-    return envelope(corner_points(k_users, z))
+    return _curve("ours", k_users, z, our_corners(k_users, z))
 
 
 def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
@@ -204,38 +180,37 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
     return Fraction(g * (g + 2), 2 * (k_users + 2))
 
 
-def _rival_corners(scheme: str, k: int, z: int, tparams) -> dict:
-    """Memory t''/K -> ``rival_corner`` at each t'' of ``tparams`` where it applies."""
+def rival_corners(scheme: str, k_users: int, z: int, tparams=None) -> dict:
+    """Memory t''/K -> ``rival_corner`` at each t'' of ``tparams`` (default
+    1..floor(K/z)) where it applies."""
+    if tparams is None:
+        tparams = range(1, k_users // z + 1)
     corners = {}
     for t in tparams:
         try:
-            corners[Fraction(t, k)] = rival_corner(scheme, k, z, t)
+            corners[Fraction(t, k_users)] = rival_corner(scheme, k_users, z, t)
         except ApplicabilityError:
             pass
     return corners
 
 
-def _rival_points(scheme: str, k: int, z: int, corners: dict) -> list[RatePoint]:
-    """The trivial endpoints plus each of ``corners`` at t'' <= floor(K/z)."""
-    if scheme not in RATE_SCHEMES:
-        raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
-    pts = [RatePoint(Fraction(0), Fraction(k), scheme, (("t", 0),))]
-    for mem, (rate, _) in sorted(corners.items()):
-        if mem * k <= k // z:
-            pts.append(RatePoint(mem, rate, scheme, (("t", int(mem * k)),)))
-    # full local coverage: every scheme reaches rate 0 by M/N = ceil(K/z)/K
-    pts.append(RatePoint(Fraction(_ceil_div(k, z), k), Fraction(0), scheme, (("zero", 1),)))
-    return pts
-
-
-def rival_corner_points(scheme: str, k_users: int, z: int) -> list[RatePoint]:
-    """Corners t/K, t = 1..floor(K/z), where ``rival_corner`` applies, plus the endpoints."""
-    k = k_users
-    return _rival_points(scheme, k, z, _rival_corners(scheme, k, z, range(1, k // z + 1)))
+def _curve(scheme: str, k: int, z: int, corners: dict) -> Curve | None:
+    """The envelope of one scheme's corner map from (0, K): ours adds all its corners, a
+    rival its corners at t'' <= floor(K/z) and rate 0 at ceil(K/z)/K, where full local
+    coverage leaves nothing to send.  SICPS and SPE rates are external: None."""
+    if scheme not in ("ours", *RATE_SCHEMES):
+        return None
+    pts = [(Fraction(0), Fraction(k))] + [(mem, rate) for mem, (rate, _) in corners.items()]
+    if scheme != "ours":
+        pts = [p for p in pts if p[0] * k <= k // z]
+        pts.append((Fraction(_ceil_div(k, z), k), Fraction(0)))
+    return envelope(pts)
 
 
 def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
-    return envelope(rival_corner_points(scheme, k_users, z))
+    if scheme not in RATE_SCHEMES:
+        raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
+    return _curve(scheme, k_users, z, rival_corners(scheme, k_users, z))
 
 
 @dataclass(frozen=True)
@@ -360,22 +335,6 @@ def check_mr_rate(k_users: int, z: int, m: int, b: int) -> ComparisonCheck:
     return ComparisonCheck("mr_rate", True, True, ours, mr, confirmed=ours < mr)
 
 
-def comparison_checks(k_users: int, z: int, m: int | None = None, b: int | None = None,
-                      t: int | None = None, tpp: int | None = None,
-                      sr1_pair=None) -> dict[str, ComparisonCheck]:
-    """Evaluate every comparison claim that the given parameters can feed."""
-    out: dict[str, ComparisonCheck] = {}
-    if m is not None and b is not None:
-        if t is not None:
-            out["rk_rate"] = check_rk_rate(k_users, z, m, b, t)
-            out["sr2_rate"] = check_sr2_rate(k_users, z, m, b, t)
-        out["subpacketization"] = check_subpacketization(k_users, z, m, b)
-        out["mr_rate"] = check_mr_rate(k_users, z, m, b)
-    if tpp is not None:
-        out["sr1_rate"] = check_sr1_rate(k_users, z, tpp, pair=sr1_pair)
-    return out
-
-
 @dataclass(frozen=True)
 class TableRow:
     memory: Fraction
@@ -420,25 +379,17 @@ def _log10_int(n: int) -> float:
 def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     """One row per (memory, scheme): envelope rate plus corner subpacketization.
 
-    Each scheme's corners are computed once, into a map from memory to (rate,
-    subpacketization); a rival's covers t = 1..floor(K/z) and each integral
-    t = K*M/N of the grid.  The envelopes (SPE and SICPS have none: their rates
-    are external) are built from those maps.  A row takes its subpacketization
-    from the map, and is a "corner" when the envelope meets that corner's rate."""
+    Each scheme's corner map is computed once; a rival's covers t = 1..floor(K/z)
+    and each integral t = K*M/N of the grid.  :func:`_curve` builds each envelope
+    from its map.  A row takes its subpacketization from the map, and is a
+    "corner" when the envelope meets that corner's rate."""
     k = k_users
     grid = [Fraction(mem) for mem in grid]
-    ours = corner_points(k, z)
-    corners = {"ours": {}}
-    for p in ours[1:]:  # the trivial (0, K) has no subpacketization
-        params = dict(p.params)
-        corners["ours"][p.memory] = (p.rate, params["b"] ** params["m"])
-    curves = {"ours": envelope(ours)}
     tparams = sorted(set(range(1, k // z + 1))
                      | {int(mem * k) for mem in grid if (mem * k).denominator == 1})
-    for scheme in SCHEME_ORDER[1:]:
-        corners[scheme] = _rival_corners(scheme, k, z, tparams)
-        rated = scheme in RATE_SCHEMES
-        curves[scheme] = envelope(_rival_points(scheme, k, z, corners[scheme])) if rated else None
+    corners = {"ours": our_corners(k, z)} | {
+        scheme: rival_corners(scheme, k, z, tparams) for scheme in SCHEME_ORDER[1:]}
+    curves = {scheme: _curve(scheme, k, z, corners[scheme]) for scheme in SCHEME_ORDER}
 
     rows: list[TableRow] = []
     for mem in grid:

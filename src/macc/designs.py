@@ -19,6 +19,10 @@ import itertools
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
+# design work in verify_mcrd's set-element visits (20-70 ns): mu*b^(2m-1) to intersect,
+# 50 per block point and 400 per block to build, check and write; the slowest accepted,
+# (m, b) = (2, 432), takes 5.7 s in-process on a 2-vCPU x86-64 VM
+MAX_DESIGN_COST = 10**8
 
 
 class PointBudgetError(Exception):
@@ -74,6 +78,10 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     n = mu * b**m
     if n > DEFAULT_POINT_BUDGET:
         raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
+    cost = mu * b ** (2 * m - 1) + 50 * m * b * (mu * b ** (m - 1) + 8)
+    if cost > MAX_DESIGN_COST:
+        raise PointBudgetError(f"design work of {cost} element visits exceeds budget "
+                               f"{MAX_DESIGN_COST}")
 
     classes = [[[] for _ in range(b)] for _ in range(m)]
     for col in range(n):

@@ -39,6 +39,8 @@ DEFAULT_PAYLOAD_SIZE = 64
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
 MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
 MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
+# bytes of r*F payloads and the m*r*F contents they XOR, each with ~100 B of overhead
+MAX_PAYLOAD_BYTES = 5 * 10**7
 
 
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
@@ -363,8 +365,14 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     carry XOR payloads, and every recovery is re-checked at byte level
     against the ground-truth generator.
     """
-    if payload_size is not None and payload_size < 1:
-        raise ValueError("payload size must be >= 1")
+    if payload_size is not None:
+        if payload_size < 1:
+            raise ValueError("payload size must be >= 1")
+        rows = params.missing_count * params.subpacketization
+        held = (params.m + 1) * rows * (payload_size + 100)
+        if held > MAX_PAYLOAD_BYTES:
+            raise PointBudgetError(f"payloads and contents of (m+1)*r*F*(size+100) = {held} "
+                                   f"bytes exceed {MAX_PAYLOAD_BYTES}")
     if demands is None:
         if params.n_files < params.num_users:
             raise ValueError("default distinct demands need N >= K")

@@ -16,7 +16,6 @@ from macc import (
     achievable_rate,
     build_demand_graph,
     cell_sizes,
-    comparison_checks,
     construct_mcrd,
     count_topologies,
     extract_matchings,
@@ -27,6 +26,7 @@ from macc import (
     simulate,
     verify_mcrd,
 )
+from macc.analysis import check_sr1_rate, check_sr2_rate
 from macc.topology import cell_slots
 
 F = Fraction
@@ -80,7 +80,7 @@ def test_criterion_3_design_fixtures():
 
 def test_criterion_4_corner_points():
     curve = our_envelope(100, 5)
-    assert curve.vertices() == [
+    assert list(curve.points) == [
         (F(0), F(100)),
         (F(1, 50), F(45)),
         (F(1, 25), F(20)),
@@ -105,11 +105,11 @@ def test_criterion_5_comparison_table_values():
 
 
 def test_criterion_6_comparison_examples():
-    sr2 = comparison_checks(120, 5, m=5, b=24, t=3)["sr2_rate"]
+    sr2 = check_sr2_rate(120, 5, 5, 24, 3)
     assert sr2.applicable and sr2.satisfied and sr2.confirmed
     assert sr2.ours == 9 and sr2.rival == F(45, 4)
 
-    sr1 = comparison_checks(100, 5, tpp=7, sr1_pair=(4, 10))["sr1_rate"]
+    sr1 = check_sr1_rate(100, 5, 7, pair=(4, 10))
     assert sr1.applicable and sr1.satisfied and sr1.confirmed
     assert sr1.ours == F(25, 2) and sr1.rival == 32
     # the full envelope does even better at that memory

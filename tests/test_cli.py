@@ -352,6 +352,27 @@ def test_simulate_refuses_coverage_above_budget(capsys):
                    "exceed 10000000\n")
 
 
+def test_simulate_refuses_payloads_above_budget(capsys):
+    # 4 * (size + 100) bytes of payloads and contents: the limit admits 12499900 bytes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--m", "1", "--b", "2", "--z", "1", "--t", "1",
+                             "--payload", "12499901")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == ("error: payloads and contents of (m+1)*r*F*(size+100) = 50000004 bytes "
+                   "exceed 50000000\n")
+
+
+@pytest.mark.parametrize("m, b, cost", [("2", "433", 100278037), ("222223", "1", 100000351)])
+def test_design_refuses_work_above_budget(capsys, m, b, cost):
+    # one past the largest accepted designs at m = 2, (2, 432), and at b = 1, (222222, 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "design", "--m", m, "--b", b)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == f"error: design work of {cost} element visits exceeds budget 100000000\n"
+
+
 def test_topology_refuses_coverage_above_budget(capsys):
     # simulate's coverage budget bounds topology too, before any graph is built
     start = time.perf_counter()
