@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 All randomness flows from --seed; identical flags and seed give
-byte-identical output.
+byte-identical output.  Every output goes out through one writer, :func:`_emit`, in
+writes of about 8 KB joined from a stream of text chunks, never built whole in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import operator
@@ -23,15 +25,19 @@ _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_defa
 MAX_COMPARE_USERS = 3000
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | None) -> None:
+    """Write the text chunks to the file ``out``, or to stdout, in writes of about 8 KB:
+    each joins up to twice the chunks of the write before, as many as made 8 KB there.
+    Larger writes raised the peak RSS of 1 KB payload logs; one per chunk slowed JSON."""
+    chunks, step = filter(None, chunks), 1
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while piece := "".join(itertools.islice(chunks, step)):
+            fh.write(piece)
+            step = max(1, min(2 * step, step * 2**13 // len(piece)))
 
 
-def _json_doc(doc: dict) -> str:
-    return _ENCODER.encode(doc) + "\n"
+def _json_doc(doc: dict):
+    return itertools.chain(_ENCODER.iterencode(doc), "\n")
 
 
 def cmd_design(args) -> int:
@@ -71,26 +77,20 @@ def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
     spells it: coords, n, payload_hex (with a payload), then the summands.
 
     Each cell's coords, files and users are filled into its line template once; a
-    round then formats each cell's n, payload and subfiles, in chunks of about 8 KB.
+    round then formats each cell's n, payload and subfiles, one line per chunk.
     """
     line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %%d, %%s"summands": ['
             + ", ".join(['{"file": %d, "subfile": %%d, "user": %d}'] * m) + "]}\n")
     templates = [line % (*coords, *itertools.chain.from_iterable(zip(files, users)))
                  for coords, users, files in zip(schedule.cells, schedule.users, schedule.files)]
-    payloads = schedule.payloads
-    with open(path, "w", encoding="utf-8") as fh:
-        if not schedule.rounds:
-            return
-        hex_width = 0 if payloads is None else 2 * len(payloads[0][0]) + 19
-        # lines per write of about 8 KB, the text layer's own chunk: larger writes
-        # measurably raised the peak RSS of runs with 1 KB payloads
-        step = max(1, 2**13 // (len(templates[0]) + 8 * m + hex_width))
+
+    def lines():
         for n, summands in enumerate(schedule.rounds, start=1):
-            paid = itertools.repeat("") if payloads is None else map(
-                '"payload_hex": "{}", '.format, map(bytes.hex, payloads[n - 1]))
-            lines = map(operator.mod, templates, zip(itertools.repeat(n), paid, *summands))
-            while chunk := "".join(itertools.islice(lines, step)):
-                fh.write(chunk)
+            paid = itertools.repeat("") if schedule.payloads is None else map(
+                '"payload_hex": "{}", '.format, map(bytes.hex, schedule.payloads[n - 1]))
+            yield from map(operator.mod, templates, zip(itertools.repeat(n), paid, *summands))
+
+    _emit(lines(), path)
 
 
 def cmd_simulate(args) -> int:
@@ -118,12 +118,10 @@ def cmd_simulate(args) -> int:
     if args.log:
         write_log(args.log, report.transmissions, args.m)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.writelines(_ENCODER.iterencode(report.to_json_dict()))
-            fh.write("\n")
+        _emit(_json_doc(report.to_json_dict()), args.report)
 
     gains = report.beneficiary_counts
-    sys.stdout.write(
+    _emit([
         f"transmissions={report.transmission_count}\n"
         f"rate={report.rate.numerator}/{report.rate.denominator}\n"
         f"subpacketization={report.subpacketization}\n"
@@ -131,7 +129,7 @@ def cmd_simulate(args) -> int:
         f"coding_gain_min={min(gains) if gains else 0}\n"
         f"coding_gain_max={max(gains) if gains else 0}\n"
         f"byte_oracle={'skipped' if report.byte_oracle_ok is None else ('ok' if report.byte_oracle_ok else 'FAIL')}\n"
-    )
+    ], None)
     ok = report.all_complete() and report.byte_oracle_ok is not False
     return 0 if ok else 1
 
@@ -160,9 +158,9 @@ def cmd_compare(args) -> int:
                                        f"{MAX_COMPARE_USERS} users")
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
-    _emit(analysis.rows_to_csv(rows), args.out)
+    _emit([analysis.rows_to_csv(rows)], args.out)
     if args.json:
-        Path(args.json).write_text(analysis.rows_to_json(rows) + "\n", encoding="utf-8")
+        _emit([analysis.rows_to_json(rows), "\n"], args.json)
     return 0
 
 

@@ -29,6 +29,13 @@ class PointBudgetError(Exception):
     """Requested design or delivery schedule is larger than its budget."""
 
 
+def point_count(m: int, b: int, mu: int = 1) -> int:
+    """mu * b**m; once b**m >= 2**64, past every budget, refused before it is computed."""
+    if m * (b.bit_length() - 1) >= 64:
+        raise PointBudgetError(f"b^m = {b}^{m} points exceeds budget {DEFAULT_POINT_BUDGET}")
+    return mu * b**m
+
+
 @dataclass(frozen=True)
 class Design:
     """m parallel classes of b blocks over {1, ..., mu * b**m}.
@@ -56,7 +63,7 @@ class Design:
 
     @property
     def num_points(self) -> int:
-        return self.mu * self.b**self.m
+        return point_count(self.m, self.b, self.mu)
 
     def block(self, i: int, j: int) -> tuple[int, ...]:
         """Block j of parallel class i (both 1-based)."""
@@ -75,7 +82,7 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     """
     if m < 1 or b < 1 or mu < 1:
         raise ValueError("m, b, mu must be positive")
-    n = mu * b**m
+    n = point_count(m, b, mu)
     if n > DEFAULT_POINT_BUDGET:
         raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
     cost = mu * b ** (2 * m - 1) + 50 * m * b * (mu * b ** (m - 1) + 8)

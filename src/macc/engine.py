@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .designs import DEFAULT_POINT_BUDGET, PointBudgetError
+from .designs import DEFAULT_POINT_BUDGET, PointBudgetError, point_count
 from .topology import (
     MatchingAssignment,
     Topology,
@@ -39,6 +39,8 @@ DEFAULT_PAYLOAD_SIZE = 64
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
 MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
 MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
+# users K = m * b, likewise; at b = 1 the slowest accepted simulate takes 6.3 s and 157 MB
+MAX_USERS = 150000
 # bytes of r*F payloads and the m*r*F contents they XOR, each with ~100 B of overhead
 MAX_PAYLOAD_BYTES = 5 * 10**7
 
@@ -58,10 +60,12 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
 
 
 def check_coverage_budget(m: int, b: int) -> None:
-    """Refuse a graph whose m*b^2 coverage and placement table entries exceed the budget."""
+    """Refuse m*b^2 coverage and placement table entries, or m*b users, above budget."""
     if m * b**2 > MAX_COVERAGE_ENTRIES:
         raise PointBudgetError(f"coverage tables of m*b^2 = {m * b**2} entries "
                                f"exceed {MAX_COVERAGE_ENTRIES}")
+    if m * b > MAX_USERS:
+        raise PointBudgetError(f"K = m*b = {m * b} users exceed {MAX_USERS}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class SchemeParams:
 
     @property
     def subpacketization(self) -> int:
-        return self.b**self.m
+        return point_count(self.m, self.b)
 
     @property
     def missing_count(self) -> int:

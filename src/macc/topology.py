@@ -66,10 +66,6 @@ class Topology:
             if any(not 1 <= c <= k for c in caches):
                 raise ValueError("cache id out of range")
 
-    @property
-    def num_users(self) -> int:
-        return self.m * self.b
-
     def user_access(self, i: int, j: int) -> tuple[int, ...]:
         """Global cache ids read by user k(i,j)."""
         return self.access[(i - 1) * self.b + j - 1]

@@ -6,9 +6,20 @@ import time
 
 import pytest
 
-from macc import canonical_topology, subfile_bytes
+from macc import (
+    SchemeParams,
+    canonical_topology,
+    construct_mcrd,
+    random_topology,
+    simulate,
+    subfile_bytes,
+    validate,
+    verify_mcrd,
+)
+from macc import cli
 from macc.analysis import CSV_HEADER
-from macc.cli import MAX_COMPARE_USERS, main
+from macc.cli import _ENCODER, MAX_COMPARE_USERS, main
+from macc.engine import MAX_USERS
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +405,112 @@ def test_compare_refuses_users_above_budget(capsys):
     k = MAX_COMPARE_USERS
     code, out, _ = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
     assert code == 0 and out.startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--m", "100000", "--b", "2"], "b^m = 2^100000 points exceeds budget 1000000"),
+    (["design", "--m", "3000000", "--b", "3"], "b^m = 3^3000000 points exceeds budget 1000000"),
+    (["simulate", "--m", "20000", "--b", "2", "--z", "1", "--t", "1"],
+     "b^m = 2^20000 points exceeds budget 1000000"),
+])
+def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
+    # b**m is neither computed (3**3000000 takes about 0.6 s) nor formatted (past 4300
+    # digits that raises) once it reaches 2**64
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", str(MAX_USERS + 1), "--b", "1", "--z", "1", "--t", "1"],
+    ["topology", "--m", str(MAX_USERS + 1), "--b", "1", "--z", "1"],
+])
+def test_user_budget_bounds_b_equal_one(capsys, argv):
+    # at b = 1 the point, row and coverage budgets never bind
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == f"error: K = m*b = {MAX_USERS + 1} users exceed {MAX_USERS}\n"
+
+
+class _Writes:
+    """A text stream, and its context manager, that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _recorded(monkeypatch, argv):
+    """Run ``argv`` with stdout and every file `cli` opens replaced by `_Writes`."""
+    stdout, files = _Writes(), {}
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs:
+                        files.setdefault(path, _Writes()), raising=False)
+    assert main(argv) == 0
+    return stdout.writes, {path: stream.writes for path, stream in files.items()}
+
+
+def _log_line(n, coords, summands, payload):
+    doc = {"coords": list(coords), "n": n, "summands": [
+        {"file": f, "subfile": s, "user": u} for u, f, s in summands]}
+    if payload is not None:
+        doc["payload_hex"] = payload.hex()
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
+    def check(writes, want):
+        assert all(len(text) <= 2**14 for text in writes)
+        assert "".join(writes) == want
+
+    writes, files = _recorded(monkeypatch, ["design", "--m", "2", "--b", "100"])
+    design = construct_mcrd(2, 100, 1)
+    assert not files and len(writes) > 1
+    check(writes, _ENCODER.encode({"design": design, "verification": verify_mcrd(design)}) + "\n")
+
+    writes, _ = _recorded(monkeypatch, ["topology", "--m", "3", "--b", "400", "--z", "40",
+                                        "--source", "random"])
+    top = random_topology(3, 400, 40, seed=0)
+    check(writes, _ENCODER.encode({"topology": top, "validation": validate(top)}) + "\n")
+
+    writes, files = _recorded(monkeypatch, ["simulate", "--m", "2", "--b", "6", "--z", "2",
+                                            "--t", "1", "--payload", "1024",
+                                            "--log", "tx.jsonl", "--report", "report.json"])
+    report = simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),
+                      payload_size=1024, seed=0)
+    schedule = report.transmissions
+    payloads = itertools.chain.from_iterable(schedule.payloads)
+    lines = [_log_line(n, coords, zip(users, files_, subfiles), next(payloads))
+             for n, summands in enumerate(schedule.rounds, start=1)
+             for coords, users, files_, subfiles in zip(
+                 schedule.cells, schedule.users, schedule.files, zip(*summands))]
+    assert len(lines) == 144 and len(files["tx.jsonl"]) > 1
+    check(files["tx.jsonl"], "".join(lines))
+    check(files["report.json"], _ENCODER.encode(report.to_json_dict()) + "\n")
+    assert writes == ["transmissions=144\nrate=4/1\nsubpacketization=36\ndecoded=12/12\n"
+                      "coding_gain_min=2\ncoding_gain_max=2\nbyte_oracle=ok\n"]
+
+
+def test_emit_skips_empty_chunks(monkeypatch, tmp_path):
+    stdout = _Writes()
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    chunks = ["", "a", "", "", "b", "c" * 9000, "", "", "", "", "d"]
+    cli._emit(iter(chunks), None)
+    assert "".join(stdout.writes) == "".join(chunks)
+    cli._emit(chunks, str(tmp_path / "out.txt"))
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "".join(chunks)
 
 
 # sha256 over exit code, stdout, stderr, --log and --report bytes of every run below

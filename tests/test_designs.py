@@ -130,6 +130,13 @@ def test_argument_and_budget_errors():
             construct_mcrd(*bad)
     with pytest.raises(PointBudgetError):
         construct_mcrd(2, 1000, 10)
+    # b**m >= 2**64 is refused before the power is computed, at any m
+    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points exceeds budget 1000000$"):
+        construct_mcrd(64, 2, 1)
+    with pytest.raises(PointBudgetError, match=f"^b\\^m = {2**32}\\^2 points"):
+        construct_mcrd(2, 2**32, 1)
+    with pytest.raises(PointBudgetError, match=f"^{2**63} points exceeds budget"):
+        construct_mcrd(63, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)

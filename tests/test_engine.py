@@ -29,7 +29,13 @@ from macc import (
 )
 from macc.cli import write_log
 from macc.designs import DEFAULT_POINT_BUDGET
-from macc.engine import MAX_RECOVERED_FLAGS, MAX_SCHEDULE_ROWS, Schedule, class_blocks
+from macc.engine import (
+    MAX_RECOVERED_FLAGS,
+    MAX_SCHEDULE_ROWS,
+    MAX_USERS,
+    Schedule,
+    class_blocks,
+)
 from macc.topology import cell_slots
 
 
@@ -326,6 +332,15 @@ def test_scheme_params_bound_the_schedule_rows():
     # rate 1 over 10**7 cells fits the rows, but not the points
     with pytest.raises(PointBudgetError, match="^10000000 points exceeds budget 1000000$"):
         SchemeParams(m=7, b=10, z=1, t=9, n_files=1)
+    # from b**m = 2**64 on, the points are refused before the power is computed
+    with pytest.raises(PointBudgetError, match=f"^schedule of r=1 rounds x b\\^m={2**63} cells "):
+        SchemeParams(m=63, b=2, z=1, t=1, n_files=1)
+    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points exceeds budget 1000000$"):
+        SchemeParams(m=64, b=2, z=1, t=1, n_files=1)
+    # at b = 1 only the user budget binds
+    SchemeParams(m=MAX_USERS, b=1, z=1, t=1, n_files=1)
+    with pytest.raises(PointBudgetError, match=f"^K = m\\*b = {MAX_USERS + 1} users exceed"):
+        SchemeParams(m=MAX_USERS + 1, b=1, z=1, t=1, n_files=1)
 
 
 def test_schedule_payloads_sit_beside_their_rounds(example_a, example_a_matching):

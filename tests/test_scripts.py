@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run to completion."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +39,23 @@ def test_comparison_data_script(tmp_path):
         for suffix in (".csv", ".json"):
             digest.update((tmp_path / (stem + suffix)).read_bytes())
     assert digest.hexdigest() == COMPARISON_DATA_GOLDEN
+
+
+def test_cli_digests_sweep_and_temporary_paths(tmp_path):
+    script = ROOT / "scripts" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", script)
+    cli_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digests)
+    runs = cli_digests.sweep()
+    assert len(runs) >= 2000
+    # one run that writes two files, and one whose error names its output path
+    picked = [["simulate", "--m", "2", "--b", "3", "--z", "2", "--t", "1", "--payload", "8",
+               "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
+              ["design", "--m", "2", "--b", "2", "--out", "TMP/missing/out"]]
+    short, long = tmp_path / "a", tmp_path / "a-longer-directory"
+    short.mkdir()
+    long.mkdir()
+    for argv in picked:
+        assert argv in runs
+        assert cli_digests.digest(argv, short) == cli_digests.digest(argv, long)
+    assert not any(short.iterdir()) and not any(long.iterdir())
