@@ -31,7 +31,7 @@ def run(name, top, params, show=4):
     report = simulate(top, params, payload_size=64, seed=0)
     schedule = report.transmissions
     # the first broadcasts of round 1: one subfile per group at each cell's coords
-    for coords, files, subfiles in islice(zip(schedule.cells, schedule.files,
+    for coords, files, subfiles in islice(zip(zip(*schedule.cells), zip(*schedule.files),
                                               zip(*schedule.rounds[0])), show):
         terms = " + ".join(f"W^{f}({s})" for f, s in zip(files, subfiles))
         print(f"  Y^1_{coords} = {terms}")

@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import operator
+import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_defa
 # users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
 # about 5 s at K = 3000 and 9 s at K = 4000 in-process on a 2-vCPU x86-64 VM
 MAX_COMPARE_USERS = 3000
+# digits that int-to-str conversion allows by default, and so the most that the CSV
+# prints of a --grid entry's numerator or denominator
+MAX_GRID_DIGITS = sys.int_info.default_max_str_digits
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -47,13 +51,22 @@ def cmd_design(args) -> int:
     return 0 if report.passed else 1
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``; nesting too deep to parse is a ValueError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _load_topology(args) -> topology.Topology:
-    src = args.topology if hasattr(args, "topology") else args.source
+    src = args.source
     if src == "canonical":
         return topology.canonical_topology(args.m, args.b, args.z)
     if src == "random":
         return topology.random_topology(args.m, args.b, args.z, seed=args.seed)
-    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    doc = _read_json(src)
     if isinstance(doc, dict) and "topology" in doc:  # the `macc topology --out` document
         doc = doc["topology"]
     if not isinstance(doc, dict) or not {"m", "b", "z", "access"} <= set(doc):
@@ -77,18 +90,18 @@ def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
     spells it: coords, n, payload_hex (with a payload), then the summands.
 
     Each cell's coords, files and users are filled into its line template once; a
-    round then formats each cell's n, payload and subfiles, one line per chunk.
+    round then formats each cell's n, payload hex and subfiles, one line per chunk.
     """
-    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %%d, %%s"summands": ['
+    paid = "" if schedule.payloads is None else '"payload_hex": "%%s", '
+    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %%d, ' + paid + '"summands": ['
             + ", ".join(['{"file": %d, "subfile": %%d, "user": %d}'] * m) + "]}\n")
-    templates = [line % (*coords, *itertools.chain.from_iterable(zip(files, users)))
-                 for coords, users, files in zip(schedule.cells, schedule.users, schedule.files)]
+    templates = list(map(line.__mod__, zip(*schedule.cells, *itertools.chain.from_iterable(
+        zip(schedule.files, schedule.users)))))
 
     def lines():
         for n, summands in enumerate(schedule.rounds, start=1):
-            paid = itertools.repeat("") if schedule.payloads is None else map(
-                '"payload_hex": "{}", '.format, map(bytes.hex, schedule.payloads[n - 1]))
-            yield from map(operator.mod, templates, zip(itertools.repeat(n), paid, *summands))
+            hexes = [map(bytes.hex, schedule.payloads[n - 1])] if paid else []
+            yield from map(operator.mod, templates, zip(itertools.repeat(n), *hexes, *summands))
 
     _emit(lines(), path)
 
@@ -102,7 +115,7 @@ def cmd_simulate(args) -> int:
 
     demands = None
     if args.demands:
-        demands = json.loads(Path(args.demands).read_text(encoding="utf-8"))
+        demands = _read_json(args.demands)
         if not isinstance(demands, list) or not all(type(d) is int for d in demands):
             raise ValueError(f"{args.demands}: demands must be a JSON list of integer file indices")
 
@@ -140,8 +153,17 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
     text = text.strip()
     if not text:
         return []
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        # an entry of d characters before its exponent e has at most d + |e| digits; nine
+        # digits of e, the first not 0, already exceed the limit
+        mantissa, _, exponent = part.lower().partition("e")
+        exponent = exponent.lstrip("+-").lstrip("0") or "0"
+        if exponent.isdecimal() and len(mantissa) + int(exponent[:9]) > MAX_GRID_DIGITS:
+            raise ValueError(f"--grid: {reprlib.repr(part)} has more digits than the CSV "
+                             f"prints ({MAX_GRID_DIGITS})")
     try:
-        grid = [Fraction(part.strip()) for part in text.split(",")]
+        grid = [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--grid: {text!r} is not a comma-separated list of fractions") from None
     for mem in grid:
@@ -194,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--t", type=int, required=True, help="memory units (M = tN/b)")
     p.add_argument("--files", type=int, help="library size N (default: one per user)")
-    p.add_argument("--topology", default="canonical",
+    p.add_argument("--topology", dest="source", metavar="TOPOLOGY", default="canonical",
                    help="canonical | random | path to topology JSON")
     p.add_argument("--demands", help="JSON file with one file index per user")
     p.add_argument("--payload", type=int, nargs="?", const=engine.DEFAULT_PAYLOAD_SIZE,

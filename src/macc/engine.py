@@ -112,19 +112,19 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """The delivery table as columns, in (n, coords) order.  Cell k is ``cells[k]``
-    (coords), ``users[k]`` and ``files[k]`` in every round; ``rounds[n-1][i-1][k]`` is
-    group i's subfile there in round n, and ``payloads[n-1][k]``, when attached, is
-    that broadcast's XOR payload."""
+    """The delivery table as per-group columns, in (n, coords) order.  At cell k,
+    group i's block, user and file are ``cells[i-1][k]``, ``users[i-1][k]`` and
+    ``files[i-1][k]`` in every round; ``rounds[n-1][i-1][k]`` is its subfile in round
+    n, and ``payloads[n-1][k]``, when attached, is that broadcast's XOR payload."""
 
-    cells: list[tuple[int, ...]]
-    users: list[tuple[int, ...]]
-    files: list[tuple[int, ...]]
+    cells: list[list[int]]
+    users: list[list[int]]
+    files: list[list[int]]
     rounds: list[list[list[int]]]
     payloads: list[list[bytes]] | None = None
 
     def __len__(self) -> int:
-        return len(self.rounds) * len(self.cells)
+        return len(self.rounds) * len(self.cells[0])
 
 
 @dataclass(frozen=True)
@@ -222,19 +222,20 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     m, b = params.m, params.b
     r = params.missing_count
     if r == 0:
-        return Schedule([], [], [], [])
+        return Schedule(*([[] for _ in range(m)] for _ in range(3)), [])
 
-    inv = [matchings.inverse(i) for i in range(1, m + 1)]
     missing = build_demand_graph(placement, matchings)
     # cell k has coordinate number k, so it is subfile k + 1; the addressed users and
-    # their files are the same in every round
-    columns = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
-    cells = list(zip(*columns))
-    users = [tuple(i * b + inv[i][c - 1] for i, c in enumerate(coords)) for coords in cells]
-    files = [tuple(demands[u - 1] for u in us) for us in users]
+    # their files are the same in every round, each a lookup of a small shared int
+    cells = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
+    # user_of[i-1][c]: the user of group i matched to its cache slot c
+    user_of = [[0] + [i * b + u for u in matchings.inverse(i + 1)] for i in range(m)]
+    users = [list(map(table.__getitem__, column)) for table, column in zip(user_of, cells)]
+    file_of = [0, *demands]
+    files = [list(map(file_of.__getitem__, column)) for column in users]
     # subfile[k] is k + 1: the r*b^m entries of the rounds then share one int object
     # per subfile instead of each holding its own
-    subfile = list(range(1, len(cells) + 1))
+    subfile = list(range(1, len(cells[0]) + 1))
     rounds = []
     for n in range(1, r + 1):
         summands = []
@@ -243,7 +244,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
             stride = b ** (m - i)
             shift = [0] + [(gap[n - 1] - c) * stride
                            for c, gap in enumerate(missing[i - 1], start=1)]
-            summands.append([subfile[k + shift[c]] for k, c in enumerate(columns[i - 1])])
+            summands.append([subfile[k + shift[c]] for k, c in enumerate(cells[i - 1])])
         rounds.append(summands)
     return Schedule(cells, users, files, rounds)
 
@@ -268,7 +269,7 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     params = placement.params
     demands = _check_demands(demands, params)
     m, b, f = params.m, params.b, params.subpacketization
-    users, cells, w = len(demands), len(schedule.cells), b + 1
+    users, cells, w = len(demands), len(schedule.cells[0]), b + 1
     # known[v*w + block] == 1 iff user v covers that block of its group's class; the
     # last row is a reader that knows everything, so it never decodes
     known = bytearray(b"\1") * ((users + 1) * w)
@@ -284,8 +285,7 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     # per (summand group i, reader group g, slot): the row offset v*w of the slot-th
     # user v of group g that wants the cell's group-i file, for each g that holds one
     readings = []
-    for i in range(m):
-        column = [fs[i] for fs in schedule.files]
+    for i, column in enumerate(schedule.files):
         wanted = {d: readers.get(d, {}) for d in column}
         for g in sorted(set().union(*wanted.values())):
             found = [groups.get(g, ()) for groups in wanted.values()]
@@ -318,8 +318,8 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
         if contents is not None and decoded_rows:
             for k in itertools.compress(range(cells), decoded_rows.to_bytes(cells, "big")):
                 got = int.from_bytes(schedule.payloads[n][k], "big")
-                for file, column in zip(schedule.files[k], summands):
-                    got ^= contents[file, column[k]]
+                for files, column in zip(schedule.files, summands):
+                    got ^= contents[files[k], column[k]]
                 if got:
                     byte_ok = False
     return Decoding(recovered, tuple(beneficiary_counts), byte_ok)
@@ -393,7 +393,7 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
         payloads = []
         for summands in schedule.rounds:
             column = []
-            for files, subfiles in zip(schedule.files, zip(*summands)):
+            for files, subfiles in zip(zip(*schedule.files), zip(*summands)):
                 acc = 0
                 for key in zip(files, subfiles):
                     if key not in contents:

@@ -280,6 +280,40 @@ def test_compare_rejects_bad_arguments(capsys, argv, message):
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("grid", ["1e-5000", "1e-3000000"])
+def test_compare_refuses_grid_entries_the_csv_cannot_print(capsys, grid):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare", "--K", "8", "--z", "2", "--grid", grid)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == f"error: --grid: '{grid}' has more digits than the CSV prints (4300)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["topology", "--m", "2", "--b", "4", "--z", "2", "--source", "FILE"],
+    ["simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1", "--topology", "FILE"],
+    ["simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1", "--demands", "FILE"],
+])
+def test_deeply_nested_json_input_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply to parse\n"
+
+
+def test_simulate_topology_flag_fills_the_source(capsys, monkeypatch):
+    args = cli.build_parser().parse_args(["simulate", "--m", "2", "--b", "4", "--z", "2",
+                                          "--t", "1", "--topology", "random"])
+    assert args.source == "random" and not hasattr(args, "topology")
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    out = capsys.readouterr().out
+    assert " [--topology TOPOLOGY] " in out
+    assert "\n  --topology TOPOLOGY   canonical | random | path to topology JSON\n" in out
+
+
 def test_simulate_rejects_seed_outside_int64(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
                            "--payload", "4", "--seed", "99999999999999999999")
@@ -495,7 +529,7 @@ def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
     lines = [_log_line(n, coords, zip(users, files_, subfiles), next(payloads))
              for n, summands in enumerate(schedule.rounds, start=1)
              for coords, users, files_, subfiles in zip(
-                 schedule.cells, schedule.users, schedule.files, zip(*summands))]
+                 zip(*schedule.cells), zip(*schedule.users), zip(*schedule.files), zip(*summands))]
     assert len(lines) == 144 and len(files["tx.jsonl"]) > 1
     check(files["tx.jsonl"], "".join(lines))
     check(files["report.json"], _ENCODER.encode(report.to_json_dict()) + "\n")

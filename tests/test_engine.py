@@ -45,7 +45,7 @@ def rows(schedule):
     return [(n, coords, tuple(zip(users, files, subfiles)))
             for n, summands in enumerate(schedule.rounds, start=1)
             for coords, users, files, subfiles in zip(
-                schedule.cells, schedule.users, schedule.files, zip(*summands))]
+                zip(*schedule.cells), zip(*schedule.users), zip(*schedule.files), zip(*summands))]
 
 
 def decoded(flags):
@@ -58,7 +58,8 @@ def sub_schedule(schedule, rounds, cells):
     def pick(column):
         return [column[k] for k in cells]
     payloads = None if schedule.payloads is None else [pick(schedule.payloads[n]) for n in rounds]
-    return Schedule(pick(schedule.cells), pick(schedule.users), pick(schedule.files),
+    return Schedule(*([pick(column) for column in field]
+                      for field in (schedule.cells, schedule.users, schedule.files)),
                     [[pick(column) for column in schedule.rounds[n]] for n in rounds], payloads)
 
 
@@ -354,11 +355,35 @@ def test_schedule_payloads_sit_beside_their_rounds(example_a, example_a_matching
         deliver(place(top, params), extract_matchings(top), range(1, 9))
     assert [len(column) for column in schedule.payloads] == [16, 16]
     for n, summands in enumerate(schedule.rounds):
-        for k, (files, subfiles) in enumerate(zip(schedule.files, zip(*summands))):
+        for k, (files, subfiles) in enumerate(zip(zip(*schedule.files), zip(*summands))):
             want = 0
             for f, s in zip(files, subfiles):
                 want ^= int.from_bytes(subfile_bytes(5, f, s, 16), "big")
             assert schedule.payloads[n][k] == want.to_bytes(16, "big")
+
+
+@pytest.mark.parametrize("m, b, z, t", [(1, 5, 2, 1), (2, 4, 2, 1), (3, 3, 1, 1), (2, 4, 2, 2)])
+def test_schedule_fields_are_per_group_columns_of_ints(m, b, z, t):
+    top = canonical_topology(m, b, z)
+    params = SchemeParams(m=m, b=b, z=z, t=t, n_files=2)
+    matchings = extract_matchings(top)
+    demands = [u % 2 + 1 for u in range(m * b)]
+    schedule = deliver(place(top, params), matchings, demands)
+    fields_ = (schedule.cells, schedule.users, schedule.files)
+    assert all(type(field) is list and len(field) == m for field in fields_)
+    if params.missing_count == 0:
+        assert schedule.rounds == [] and len(schedule) == 0
+        assert all(column == [] for field in fields_ for column in field)
+        return
+    assert len(schedule) == params.missing_count * b**m
+    for i in range(1, m + 1):
+        assert schedule.cells[i - 1] == class_blocks(m, b, i)[1:]
+        # group i's user at cell k is the one of group i matched to the cache of its block
+        assert [((u - 1) // b + 1, matchings.to_cache[i - 1][(u - 1) % b])
+                for u in schedule.users[i - 1]] == [(i, c) for c in schedule.cells[i - 1]]
+        assert schedule.files[i - 1] == [demands[u - 1] for u in schedule.users[i - 1]]
+        for column in (schedule.cells[i - 1], schedule.users[i - 1], schedule.files[i - 1]):
+            assert type(column) is list and all(type(x) is int for x in column)
 
 
 def test_simulate_peak_memory_stays_below_materialised_rows():
@@ -402,7 +427,7 @@ def test_decode_single_transmission(example_a, example_a_matching):
     assert decoded(first.recovered[1]) == set()
     # on the (3,3) broadcast user 2 covers neither summand (subfiles 3 and 9
     # sit in class-1 blocks 1 and 3; user 2 covers blocks 2 and 4)
-    only_33 = sub_schedule(schedule, [0], [schedule.cells.index((3, 3))])
+    only_33 = sub_schedule(schedule, [0], [list(zip(*schedule.cells)).index((3, 3))])
     ((_, _, sums_33),) = rows(only_33)
     assert {s for _, _, s in sums_33} == {3, 9}
     assert decoded(decode(placement, only_33, demands).recovered[1]) == set()
@@ -581,7 +606,7 @@ def test_decode_catches_swapped_summand(example_a):
     report = simulate(top, params)
     placement = place(top, params)
     schedule = report.transmissions
-    user, first = schedule.users[5][0], schedule.rounds[0][0][5]
+    user, first = schedule.users[0][5], schedule.rounds[0][0][5]
     # another subfile of the same file, one its addressee still has to decode
     other = next(s for _, _, sums in rows(schedule) for u, _, s in sums
                  if u == user and s != first)
@@ -674,6 +699,10 @@ def test_canonical_grid_invariants(data):
     assert report.all_complete()
     schedule = report.transmissions
     assert all(len(summands) == m for summands in schedule.rounds)
-    assert all(len(users) == len(files) == m for users, files in zip(schedule.users, schedule.files))
+    assert len(schedule.cells) == len(schedule.users) == len(schedule.files) == m
+    # a schedule with no rounds has m empty columns per field
+    cells = b**m if schedule.rounds else 0
+    assert all(len(column) == cells for field in (schedule.cells, schedule.users, schedule.files)
+               for column in field)
     assert all(c == m for c in report.beneficiary_counts)
     assert report.byte_oracle_ok is True

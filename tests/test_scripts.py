@@ -48,8 +48,12 @@ def test_cli_digests_sweep_and_temporary_paths(tmp_path):
     spec.loader.exec_module(cli_digests)
     runs = cli_digests.sweep()
     assert len(runs) >= 2000
-    # one run that writes two files, and one whose error names its output path
+    # one run that writes two files, one that reads shared demands the script writes, and
+    # one whose error names its output path
     picked = [["simulate", "--m", "2", "--b", "3", "--z", "2", "--t", "1", "--payload", "8",
+               "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
+              ["simulate", "--m", "2", "--b", "3", "--z", "2", "--t", "1", "--files", "2",
+               "--demands", "TMP/demands.json", "--payload", "8",
                "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
               ["design", "--m", "2", "--b", "2", "--out", "TMP/missing/out"]]
     short, long = tmp_path / "a", tmp_path / "a-longer-directory"
