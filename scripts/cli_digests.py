@@ -16,7 +16,8 @@ The sweep: `simulate` for m <= 3, b <= 6, z in 0..b+1 and t in 0..b, canonical, 
 of N = ceil(K/3) (the script writes that --demands file itself, and the digest leaves
 it out); `topology` for the same m, b and z as the first sweep, canonical to stdout and
 random to --out; `design` for m <= 3, b <= 5 and mu <= 2; `compare --json` for
-K <= 30 and z in 0..K+1; and one run of each subcommand whose output file cannot be
+K <= 30 and z in 0..K+1, and for K in {60, 100, 210, 360, 840} and z in {1, 2, 3, 5,
+7}, where SR1's sums are long; and one run of each subcommand whose output file cannot be
 opened.
 """
 
@@ -58,7 +59,8 @@ def sweep() -> list[list[str]]:
     runs += [["design", "--m", str(m), "--b", str(b), "--mu", str(mu)]
              for m, b, mu in itertools.product(range(1, 4), range(1, 6), (1, 2))]
     runs += [["compare", "--K", str(k), "--z", str(z), "--json", f"{TMP}/rows.json"]
-             for k in range(1, 31) for z in range(k + 2)]
+             for k, z in [(k, z) for k in range(1, 31) for z in range(k + 2)]
+             + [*itertools.product((60, 100, 210, 360, 840), (1, 2, 3, 5, 7))]]
     missing = f"{TMP}/missing/out"
     runs += [["design", "--m", "2", "--b", "2", "--out", missing],
              ["topology", "--m", "2", "--b", "2", "--z", "1", "--out", missing],

@@ -29,9 +29,9 @@ def main() -> None:
     grid = [Fraction(t, args.K) for t in range(0, -(-args.K // args.z) + 1)]
     rows = analysis.comparison_table(args.K, args.z, grid)
     csv_path = outdir / f"comparison_K{args.K}_z{args.z}.csv"
-    csv_path.write_text(analysis.rows_to_csv(rows), encoding="utf-8")
+    csv_path.write_text("".join(analysis.rows_to_csv(rows)), encoding="utf-8")
     json_path = outdir / f"comparison_K{args.K}_z{args.z}.json"
-    json_path.write_text(analysis.rows_to_json(rows) + "\n", encoding="utf-8")
+    json_path.write_text("".join(analysis.rows_to_json(rows)) + "\n", encoding="utf-8")
 
     curve = analysis.our_envelope(args.K, args.z)
     print(f"K={args.K} z={args.z}")

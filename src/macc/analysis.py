@@ -154,20 +154,17 @@ def _whole(val: Fraction):
 
 
 def _sr1_sum(k: int, z: int, tpp: int) -> Fraction:
-    """SR1 rate: exact half-range sum with ceilings; zero once memory covers all."""
-    g = k - tpp * z
-    if g <= 0:
-        return Fraction(0)
-    if g % 2 == 0:
-        return sum(
-            (Fraction(2, 1 + _ceil_div(tpp * z, r)) for r in range((g + 2) // 2, g + 1)),
-            Fraction(0),
-        )
-    head = Fraction(1, 1 + _ceil_div(2 * tpp * z, g + 1))
-    return head + sum(
-        (Fraction(2, 1 + _ceil_div(tpp * z, r)) for r in range((g + 3) // 2, g + 1)),
-        Fraction(0),
-    )
+    """SR1 rate: the sum of 2/(1 + ceil(t''z/r)) over g/2 < r <= g, g = K - t''z, with
+    half weight at r = (g+1)/2; zero once memory covers all (g <= 0).  Each run of r
+    that shares one ceiling v is added at once: O(sqrt(t''z)) runs."""
+    tz, g = tpp * z, k - tpp * z
+    total, r = Fraction(0), g // 2 + 1
+    while r <= g:
+        v = _ceil_div(tz, r)
+        end = min(g, (tz - 1) // (v - 1)) if v > 1 else g  # the last r with this ceiling
+        total += Fraction(2 * (end - r + 1) - (2 * r == g + 1), 1 + v)
+        r = end + 1
+    return total
 
 
 def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
@@ -406,16 +403,17 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
 CSV_HEADER = "mn_num,mn_den,scheme,rate,log10_subpacketization"
 
 
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
+def rows_to_csv(rows) -> list[str]:
+    """The CSV as chunks: the header line, then one line per row."""
+    lines = [CSV_HEADER + "\n"]
     for r in rows:
         rate = "" if r.rate is None else f"{float(r.rate):.6f}"
         log_s = r.log10_subpacketization()
         lines.append(
             f"{r.memory.numerator},{r.memory.denominator},{r.scheme},{rate},"
-            + ("" if log_s is None else f"{log_s:.6f}")
+            + ("" if log_s is None else f"{log_s:.6f}") + "\n"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def json_default(obj):
@@ -428,5 +426,10 @@ def json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def rows_to_json(rows) -> str:
-    return json.dumps([r.to_json_dict() for r in rows], sort_keys=True, default=json_default)
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, default=json_default)
+
+
+def rows_to_json(rows) -> list[str]:
+    """The rows' JSON array as chunks: "[", each row after its ", " separator, "]"."""
+    items = [_ROW_ENCODER.encode(r.to_json_dict()) for r in rows]
+    return ["[", *items[:1], *(", " + item for item in items[1:]), "]"]

@@ -22,8 +22,10 @@ from . import analysis, designs, engine, topology
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_default)
 # users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
-# about 5 s at K = 3000 and 9 s at K = 4000 in-process on a 2-vCPU x86-64 VM
-MAX_COMPARE_USERS = 3000
+# about 4.3 s at K = 3500 and 5.4 s at K = 4000 in-process on a 2-vCPU x86-64 VM.  NT's
+# subpacketization K*C(K, t) < K*2**K then has about 1060 digits, within the
+# `default_max_str_digits` that `analysis._log10_int`'s str() may print
+MAX_COMPARE_USERS = 3500
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
 MAX_GRID_DIGITS = sys.int_info.default_max_str_digits
@@ -180,9 +182,9 @@ def cmd_compare(args) -> int:
                                        f"{MAX_COMPARE_USERS} users")
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
-    _emit([analysis.rows_to_csv(rows)], args.out)
+    _emit(analysis.rows_to_csv(rows), args.out)
     if args.json:
-        _emit([analysis.rows_to_json(rows), "\n"], args.json)
+        _emit([*analysis.rows_to_json(rows), "\n"], args.json)
     return 0
 
 

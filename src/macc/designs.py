@@ -120,15 +120,9 @@ def verify_mcrd(design: Design) -> DesignReport:
     uniform, and the measured intersection is constant and equals the
     declared mu.  This is the ground-truth oracle: O(b**m * m * blocksize).
     """
-    points = set(range(1, design.num_points + 1))
-    classes_partition = []
-    for cls in design.blocks:
-        seen: set[int] = set()
-        total = 0
-        for blk in cls:
-            seen.update(blk)
-            total += len(blk)
-        classes_partition.append(seen == points and total == len(points))
+    n = design.num_points
+    classes_partition = [sorted(itertools.chain.from_iterable(cls)) == [*range(1, n + 1)]
+                         for cls in design.blocks]
 
     sizes = {len(blk) for cls in design.blocks for blk in cls}
     block_size_ok = len(sizes) == 1

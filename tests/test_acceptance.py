@@ -5,11 +5,13 @@ lines; every tolerance is pinned in the assertions themselves.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from macc import (
     SchemeParams,
@@ -30,6 +32,7 @@ from macc.analysis import check_sr1_rate, check_sr2_rate
 from macc.topology import cell_slots
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _ok(criterion, text):
@@ -214,10 +217,13 @@ def test_criterion_8_brute_force_oracles():
 
 
 def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "macc.cli", *argv],
         capture_output=True,
         check=False,
+        env=env,
     )
     return proc.returncode, proc.stdout
 

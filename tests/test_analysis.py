@@ -143,6 +143,30 @@ def test_sr1_lower_bound_holds():
             assert corner_rate("SR1", 100, 5, tpp) >= sr1_lower_bound(100, 5, tpp)
 
 
+def _sr1_sum_term_by_term(k, z, tpp):
+    """SR1's rate one term at a time, forked on the parity of g = K - t''z: the oracle
+    of the grouped ``_sr1_sum``."""
+    g = k - tpp * z
+    if g <= 0:
+        return F(0)
+    if g % 2 == 0:
+        return sum((F(2, 1 + -(-tpp * z // r)) for r in range((g + 2) // 2, g + 1)), F(0))
+    head = F(1, 1 + -(-2 * tpp * z // (g + 1)))
+    return head + sum((F(2, 1 + -(-tpp * z // r)) for r in range((g + 3) // 2, g + 1)), F(0))
+
+
+def test_sr1_sum_matches_the_term_by_term_sum():
+    # every coprime t'' (g <= 0 and both parities of g), every t'' up to K/z, and long sums
+    cases = [(k, z, t) for k in range(1, 61) for z in range(1, k + 1)
+             for t in range(1, k + 1) if gcd(t, k) == 1]
+    cases += [(k, z, t) for k in range(1, 121) for z in range(1, k + 1)
+              for t in range(1, k // z + 1)]
+    cases += [(k, z, t) for k in (840, 3000) for z in (1, 5)
+              for t in (1, 2, 3, 7, 11, 13, 97, 101, k // (3 * z), k // (2 * z), k // z - 1, k // z)]
+    for k, z, t in cases:
+        assert analysis._sr1_sum(k, z, t) == _sr1_sum_term_by_term(k, z, t), (k, z, t)
+
+
 def test_rival_rate_sr2():
     assert corner_rate("SR2", 120, 5, 15) == F(45, 4)
     with pytest.raises(ApplicabilityError) as err:
@@ -402,13 +426,12 @@ def test_comparison_table_zero_memory():
 def test_comparison_table_empty_grid_and_csv():
     rows = comparison_table(100, 5, [])
     assert rows == []
-    assert rows_to_csv(rows) == "mn_num,mn_den,scheme,rate,log10_subpacketization\n"
+    assert rows_to_csv(rows) == ["mn_num,mn_den,scheme,rate,log10_subpacketization\n"]
 
 
 def test_csv_shape():
     rows = comparison_table(8, 2, [F(1, 4)])
-    text = rows_to_csv(rows)
-    lines = text.strip().split("\n")
+    lines = [line.removesuffix("\n") for line in rows_to_csv(rows)]
     assert lines[0] == "mn_num,mn_den,scheme,rate,log10_subpacketization"
     assert len(lines) == 1 + 8
     ours = next(l for l in lines if ",ours," in l)

@@ -3,12 +3,14 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from macc import (
     SchemeParams,
     canonical_topology,
+    comparison_table,
     construct_mcrd,
     random_topology,
     simulate,
@@ -17,7 +19,7 @@ from macc import (
     verify_mcrd,
 )
 from macc import cli
-from macc.analysis import CSV_HEADER
+from macc.analysis import CSV_HEADER, json_default, rows_to_csv
 from macc.cli import _ENCODER, MAX_COMPARE_USERS, main
 from macc.engine import MAX_USERS
 
@@ -535,6 +537,14 @@ def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
     check(files["report.json"], _ENCODER.encode(report.to_json_dict()) + "\n")
     assert writes == ["transmissions=144\nrate=4/1\nsubpacketization=36\ndecoded=12/12\n"
                       "coding_gain_min=2\ncoding_gain_max=2\nbyte_oracle=ok\n"]
+
+    writes, files = _recorded(monkeypatch, ["compare", "--K", "840", "--z", "5",
+                                            "--out", "rows.csv", "--json", "rows.json"])
+    rows = comparison_table(840, 5, [Fraction(t, 840) for t in range(169)])
+    assert not writes and len(files["rows.csv"]) > 1 and len(files["rows.json"]) > 1
+    check(files["rows.csv"], "".join(rows_to_csv(rows)))
+    check(files["rows.json"], json.dumps([r.to_json_dict() for r in rows], sort_keys=True,
+                                         default=json_default) + "\n")
 
 
 def test_emit_skips_empty_chunks(monkeypatch, tmp_path):
