@@ -17,6 +17,7 @@ emitted as "external".  SR1's subpacketization is only known to lie in
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -110,6 +111,12 @@ def our_envelope(k_users: int, z: int) -> Curve:
     return _curve("ours", k_users, z, our_corners(k_users, z))
 
 
+# RK, NT and SICPS share one binomial per t'.  A comparison table asks for at most K of
+# them per scheme, and the CLI caps K at MAX_COMPARE_USERS (3500), so 4096 entries keep
+# one table's binomials from the first of those schemes' passes to the last
+_binomial = functools.lru_cache(maxsize=4096)(comb)
+
+
 def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
     """(rate, subpacketization) of a rival scheme at its own corner M/N = tparam/K.
 
@@ -120,9 +127,10 @@ def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
     k, t = k_users, tparam
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
-        if scheme == "NT":
-            return Fraction(k - t * z, t + 1), k * comb(k - t * z + t, t)
-        sub = _whole(Fraction(k, t) * comb(k - t * z + t - 1, t - 1))
+        binomial = _binomial(k - t * z + t - 1, t - 1)
+        if scheme == "NT":  # C(K - t'z + t', t') = C(K - t'z + t' - 1, t' - 1) (K - t'z + t')/t'
+            return Fraction(k - t * z, t + 1), k * (binomial * (k - t * z + t) // t)
+        sub = _whole(Fraction(k, t) * binomial)
         return (Fraction((k - t * z) ** 2, k) if scheme == "RK" else None), sub
     if scheme == "SPE":
         _require(t == 2, "SPE is fixed at M/N = 2/K")

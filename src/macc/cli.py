@@ -22,7 +22,7 @@ from . import analysis, designs, engine, topology
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_default)
 # users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
-# about 4.3 s at K = 3500 and 5.4 s at K = 4000 in-process on a 2-vCPU x86-64 VM.  NT's
+# about 2 s at K = 3500 and 2.5-2.8 s at K = 4000 in-process on a 2-vCPU x86-64 VM.  NT's
 # subpacketization K*C(K, t) < K*2**K then has about 1060 digits, within the
 # `default_max_str_digits` that `analysis._log10_int`'s str() may print
 MAX_COMPARE_USERS = 3500

@@ -10,8 +10,8 @@ on correctness paths.
 
 Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
 s is mixed-radix coordinate number s - 1 of its blocks.  :func:`class_blocks`
-states that labelling, and :func:`deliver` and :func:`decode` both read it
-there; the engine takes no design object.
+states that labelling: :func:`deliver` reads it there, and :func:`decode` lays
+out its per-user subfile table by it; the engine takes no design object.
 File indices run 1..N, subfile indices 1..b**m, users and caches are
 addressed as in :mod:`macc.topology`.
 """
@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import add
+from operator import add, getitem
 from typing import NamedTuple
 
 from .designs import DEFAULT_POINT_BUDGET, PointBudgetError, point_count
@@ -38,7 +38,10 @@ from .topology import (
 DEFAULT_PAYLOAD_SIZE = 64
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
 MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
-MAX_RECOVERED_FLAGS = 10**8  # K * (F + 1) per-user recovered-subfile flags, likewise
+# K * (F + 1) bytes of decode's per-user subfile table, likewise; it is written in full:
+# simulate --m 2 --b 368 --z 1 --t 367 takes 0.4-0.5 s and 140 MB ru_maxrss, (6,8,1,1)
+# 5.4-6.5 s and 206 MB
+MAX_RECOVERED_FLAGS = 10**8
 # users K = m * b, likewise; at b = 1 the slowest accepted simulate takes 6.3 s and 157 MB
 MAX_USERS = 150000
 # bytes of r*F payloads and the m*r*F contents they XOR, each with ~100 B of overhead
@@ -249,6 +252,12 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     return Schedule(cells, users, files, rounds)
 
 
+# decode's table states 0 (not covered), 1 (covered) and 2 (decoded) read as flags
+_COVERED = bytes((0, 1, 0)) + bytes(253)
+_UNCOVERED = bytes((1, 0, 1)) + bytes(253)
+_DECODED = bytes((0, 0, 1)) + bytes(253)
+
+
 class Decoding(NamedTuple):
     recovered: tuple[bytearray, ...]  # recovered[u-1][s] == 1 iff user u decodes subfile s
     beneficiary_counts: tuple[int, ...]  # users served, per transmission
@@ -259,7 +268,10 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     """Decode every user's demanded file from the schedule, a round and a group at a time.
 
     A user recovers a summand addressed to its file when the subfiles of
-    all other summands sit in blocks it covers.  ``contents`` maps
+    all other summands sit in blocks it covers.  Each user's coverage is
+    expanded once into a row of F+1 bytes indexed by subfile, so a summand
+    column is read with one lookup per entry; the same row records what the
+    user decodes, which never counts as coverage.  ``contents`` maps
     (file, subfile) to that subfile's ground-truth bytes as a big-endian
     int; when given, every row some user decodes must carry the XOR of all
     its summands' contents, which is each recovery yielding the ground truth.
@@ -269,49 +281,51 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     params = placement.params
     demands = _check_demands(demands, params)
     m, b, f = params.m, params.b, params.subpacketization
-    users, cells, w = len(demands), len(schedule.cells[0]), b + 1
-    # known[v*w + block] == 1 iff user v covers that block of its group's class; the
-    # last row is a reader that knows everything, so it never decodes
-    known = bytearray(b"\1") * ((users + 1) * w)
+    users, cells = len(demands), len(schedule.cells[0])
+    # table[v][s]: 1 iff user v covers the block of subfile s in its group's class, else
+    # 0, and 2 once v decodes s; the rows tile v's b+1 coverage row with the stride of
+    # class_blocks.  The last row is a reader that covers everything, so it never decodes
+    table = []
     for v, blocks in enumerate(itertools.chain.from_iterable(placement.missing)):
+        g = v // b
+        stride = b ** (m - 1 - g)
+        period = bytearray(b"\1") * (b * stride)
         for block in blocks:
-            known[v * w + block] = 0
-    unknown = known.translate(b"\1" + bytes(255))
-    block_of = [class_blocks(m, b, g) for g in range(1, m + 1)]
+            period[(block - 1) * stride:block * stride] = bytes(stride)
+        table.append(bytearray(1) + period * b ** g)
+    table.append(b"\1" * (f + 1))
 
     readers: dict[int, dict[int, list[int]]] = {}  # file -> reader group -> its users
     for v, d in enumerate(demands):
         readers.setdefault(d, {}).setdefault(v // b, []).append(v)
-    # per (summand group i, reader group g, slot): the row offset v*w of the slot-th
-    # user v of group g that wants the cell's group-i file, for each g that holds one
+    # per (summand group i, reader group g, slot): the table row of the slot-th user of
+    # group g that wants the cell's group-i file, for each g that holds one
     readings = []
     for i, column in enumerate(schedule.files):
         wanted = {d: readers.get(d, {}) for d in column}
         for g in sorted(set().union(*wanted.values())):
             found = [groups.get(g, ()) for groups in wanted.values()]
             for slot in range(max(map(len, found))):
-                row_at = {d: (vs[slot] if slot < len(vs) else users) * w
+                row_at = {d: table[vs[slot] if slot < len(vs) else users]
                           for d, vs in zip(wanted, found)}
-                readings.append((i, g, list(map(row_at.__getitem__, column))))
+                readings.append((i, list(map(row_at.__getitem__, column))))
 
-    recovered = tuple(bytearray(f + 1) for _ in demands)
     beneficiary_counts: list[int] = []
     byte_ok: bool | None = None if contents is None else True
     for n, summands in enumerate(schedule.rounds):
         counts = [0] * cells
         decoded_rows = 0
-        for i, g, offsets in readings:
-            # the reader must cover every summand's class-g block but summand i's
+        for i, rows in readings:
+            # the reader must cover every summand's subfile but summand i's
             hits = -1
             for j, column in enumerate(summands):
-                table = unknown if j == i else known
-                hits &= int.from_bytes(bytes(map(table.__getitem__, map(
-                    add, offsets, map(block_of[g].__getitem__, column)))), "big")
+                hits &= int.from_bytes(bytes(map(getitem, rows, column)).translate(
+                    _UNCOVERED if j == i else _COVERED), "big")
             if not hits:
                 continue
             hit = hits.to_bytes(cells, "big")
-            for offset, s in itertools.compress(zip(offsets, summands[i]), hit):
-                recovered[offset // w][s] = 1
+            for row, s in itertools.compress(zip(rows, summands[i]), hit):
+                row[s] = 2
             counts = list(map(add, counts, hit))
             decoded_rows |= hits
         beneficiary_counts += counts
@@ -322,6 +336,9 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
                     got ^= contents[files[k], column[k]]
                 if got:
                     byte_ok = False
+    recovered = tuple(table[:users])
+    for row in recovered:
+        row[:] = row.translate(_DECODED)
     return Decoding(recovered, tuple(beneficiary_counts), byte_ok)
 
 

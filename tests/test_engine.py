@@ -549,6 +549,17 @@ def test_decode_matches_brute_force_with_shared_files():
         sum(s is not None for s in row) for row in zip(*per_user))
 
 
+def _assert_decode_matches_brute_force(placement, schedule, demands):
+    decoding = decode(placement, schedule, demands)
+    rows = [_brute_decoded_rows(placement, schedule, u, demands[u - 1])
+            for u in range(1, len(demands) + 1)]
+    # flags only: the decoder's own states (such as "decoded") must not leak out
+    assert all(set(got) <= {0, 1} for got in decoding.recovered)
+    assert [decoded(got) for got in decoding.recovered] == [set(got) - {None} for got in rows]
+    assert decoding.beneficiary_counts == tuple(
+        sum(s is not None for s in row) for row in zip(*rows))
+
+
 def test_decode_matches_brute_force_sweep():
     # every shape with m <= 3, b <= 5; canonical and seeded random placements; distinct
     # files, files shared by 3 users, and one file for everyone
@@ -561,13 +572,33 @@ def test_decode_matches_brute_force_sweep():
                     list(range(1, users + 1)), [u // 3 + 1 for u in range(users)], [1] * users)):
                 placement = place(top, params, seed=seed)
                 schedule = deliver(placement, extract_matchings(top), demands)
-                decoding = decode(placement, schedule, demands)
-                rows = [_brute_decoded_rows(placement, schedule, u, demands[u - 1])
-                        for u in range(1, users + 1)]
-                assert [decoded(got) for got in decoding.recovered] == \
-                    [set(got) - {None} for got in rows]
-                assert decoding.beneficiary_counts == tuple(
-                    sum(s is not None for s in row) for row in zip(*rows))
+                _assert_decode_matches_brute_force(placement, schedule, demands)
+    # block ids above 255 do not fit in a byte
+    params = SchemeParams(m=1, b=300, z=1, t=298, n_files=300)
+    top = canonical_topology(1, 300, 1)
+    for demands in (list(range(1, 301)), [u // 3 + 1 for u in range(300)]):
+        placement = place(top, params, seed=5)
+        schedule = deliver(placement, extract_matchings(top), demands)
+        _assert_decode_matches_brute_force(placement, schedule, demands)
+
+
+def test_decode_ignores_what_a_reader_already_decoded(example_a):
+    # a subfile the reader decoded earlier but does not cache is no side knowledge: a
+    # broadcast that needs it cancelled serves the reader nothing
+    top, params = example_a
+    placement = place(top, params)
+    demands = list(range(1, 9))
+    schedule = sub_schedule(deliver(placement, extract_matchings(top), demands), [0, 1], [5])
+    reader = schedule.users[0][0]
+    first, second = schedule.rounds[0][0][0], schedule.rounds[1][0][0]
+    cached = cached_subfiles(placement, *user_coords(params.b, reader))
+    assert _brute_decode(placement, schedule, reader, reader) == {first, second}
+    other = min(set(range(1, 17)) - cached - {first, second})
+    # the appended broadcast XORs a subfile the reader still needs with, as the other
+    # group's summand (of another file), the subfile id the reader decoded first
+    extra = replace(schedule, rounds=[*schedule.rounds, [[other], [first]]])
+    assert _brute_decoded_rows(placement, extra, reader, reader)[-1] is None
+    _assert_decode_matches_brute_force(placement, extra, demands)
 
 
 def _complete(placement, decoding):
