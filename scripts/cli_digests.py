@@ -17,8 +17,10 @@ of N = ceil(K/3) (the script writes that --demands file itself, and the digest l
 it out); `topology` for the same m, b and z as the first sweep, canonical to stdout and
 random to --out; `design` for m <= 3, b <= 5 and mu <= 2; `compare --json` for
 K <= 30 and z in 0..K+1, and for K in {60, 100, 210, 360, 840} and z in {1, 2, 3, 5,
-7}, where SR1's sums are long; and one run of each subcommand whose output file cannot be
-opened.
+7}, where SR1's sums are long; runs whose JSON holds lists of scalars longer than one
+slice of the document encoder (`simulate` at (3, 20, 4, 1) with --log and --report, whose
+report lists 128 000 beneficiary counts, `design` at (2, 100) and `topology` at (3, 400,
+40), random); and one run of each subcommand whose output file cannot be opened.
 """
 
 import contextlib
@@ -61,6 +63,10 @@ def sweep() -> list[list[str]]:
     runs += [["compare", "--K", str(k), "--z", str(z), "--json", f"{TMP}/rows.json"]
              for k, z in [(k, z) for k in range(1, 31) for z in range(k + 2)]
              + [*itertools.product((60, 100, 210, 360, 840), (1, 2, 3, 5, 7))]]
+    runs += [["simulate", "--m", "3", "--b", "20", "--z", "4", "--t", "1", *SIMULATE_VARIANTS[2],
+              "--log", f"{TMP}/tx.jsonl", "--report", f"{TMP}/report.json"],
+             ["design", "--m", "2", "--b", "100"],
+             ["topology", "--m", "3", "--b", "400", "--z", "40", "--source", "random"]]
     missing = f"{TMP}/missing/out"
     runs += [["design", "--m", "2", "--b", "2", "--out", missing],
              ["topology", "--m", "2", "--b", "2", "--z", "1", "--out", missing],

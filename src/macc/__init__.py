@@ -4,9 +4,7 @@ from .designs import (
     Design,
     DesignReport,
     PointBudgetError,
-    block_cover_check,
     construct_mcrd,
-    point_at,
     verify_mcrd,
 )
 from .topology import (

@@ -3,16 +3,20 @@
 Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 All randomness flows from --seed; identical flags and seed give
 byte-identical output.  Every output goes out through one writer, :func:`_emit`, in
-writes of about 8 KB joined from a stream of text chunks, never built whole in memory.
+writes of at most 8 KB joined from a stream of text chunks, never built whole in memory.
+Two producers feed it the large outputs: :func:`_json_doc` walks a design, topology or
+report document and hands each run of scalars to the C JSON encoder a slice at a time,
+and :func:`write_log` splices each transmission line from pieces of text built once per
+cell and once per subfile.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
-import operator
 import reprlib
 import sys
 from fractions import Fraction
@@ -20,7 +24,10 @@ from pathlib import Path
 
 from . import analysis, designs, engine, topology
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=analysis.json_default)
+# items per slice of a scalar list that one C-encoder call writes: 1-5 KB of ints,
+# so that `_emit` joins whole slices into its 8 KB writes
+_SLICE = 256
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 # users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
 # about 2 s at K = 3500 and 2.5-2.8 s at K = 4000 in-process on a 2-vCPU x86-64 VM.  NT's
 # subpacketization K*C(K, t) < K*2**K then has about 1060 digits, within the
@@ -32,18 +39,72 @@ MAX_GRID_DIGITS = sys.int_info.default_max_str_digits
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write the text chunks to the file ``out``, or to stdout, in writes of about 8 KB:
-    each joins up to twice the chunks of the write before, as many as made 8 KB there.
-    Larger writes raised the peak RSS of 1 KB payload logs; one per chunk slowed JSON."""
-    chunks, step = filter(None, chunks), 1
+    """Write the text chunks to the file ``out``, or to stdout, joined into writes of at
+    most 8 KB; a chunk longer than that goes out in a write of its own.  Larger writes
+    raised the peak RSS of 1 KB payload logs; one write per chunk slowed JSON."""
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while piece := "".join(itertools.islice(chunks, step)):
-            fh.write(piece)
-            step = max(1, min(2 * step, step * 2**13 // len(piece)))
+        batch, size = [], 0
+        for chunk in chunks:
+            if size and size + len(chunk) > 2**13:
+                fh.write("".join(batch))
+                batch, size = [], 0
+            batch.append(chunk)
+            size += len(chunk)
+        if size:
+            fh.write("".join(batch))
 
 
 def _json_doc(doc: dict):
-    return itertools.chain(_ENCODER.iterencode(doc), "\n")
+    """``doc`` as chunks of the text ``json.JSONEncoder(sort_keys=True, indent=2,
+    default=analysis.json_default)`` writes, then a newline; dict keys must be str.
+
+    With ``indent`` set the stdlib encodes in pure Python, token by token.  This walk
+    writes dicts in key order and lists item by item, but a slice of a list that holds
+    only str, int, float, bool and None goes to one C-encoder call whose item separator
+    carries the slice's newline and indent."""
+    return itertools.chain(_walk(doc, 0), "\n")
+
+
+@functools.cache
+def _run_encoder(level: int) -> json.JSONEncoder:
+    """The C-path encoder of a scalar list whose items sit at indent ``level``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": "))
+
+
+def _walk(obj, level: int):
+    """The chunks of ``obj`` at indent ``level``, as :func:`_json_doc` writes them."""
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _walk(value, level + 1)
+            sep = "," + inner
+        yield outer + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        sep, encode = "[" + inner, _run_encoder(level + 1).encode
+        for start in range(0, len(obj), _SLICE):
+            part = obj[start:start + _SLICE]
+            if set(map(type, part)) <= _SCALARS:
+                yield sep + encode(part)[1:-1]
+                sep = "," + inner
+                continue
+            for item in part:
+                yield sep
+                yield from _walk(item, level + 1)
+                sep = "," + inner
+        yield outer + "]"
+    elif isinstance(obj, (str, int, float)) or obj is None:  # bool is an int
+        yield json.dumps(obj)
+    else:
+        yield from _walk(analysis.json_default(obj), level)
 
 
 def cmd_design(args) -> int:
@@ -91,21 +152,57 @@ def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
     """Write one JSON line per m-group transmission, as ``json.dumps(doc, sort_keys=True)``
     spells it: coords, n, payload_hex (with a payload), then the summands.
 
-    Each cell's coords, files and users are filled into its line template once; a
-    round then formats each cell's n, payload hex and subfiles, one line per chunk.
+    Each cell's fixed text is cut once into pieces around what changes by round: its
+    coords head before n, the lead before group 1's subfile, the join between groups i
+    and i+1's subfiles and the close after group m's; equal pieces are one string.  The
+    pieces sit in one list, a line's worth per cell, and each round writes its n and its
+    subfiles into their slots, subfile strings taken from one table indexed by subfile
+    id.  Chunks of about 8 KB of lines are joined from the list; with payloads, each
+    chunk fills in its own hexes, so one chunk's hexes are held at a time.
     """
-    paid = "" if schedule.payloads is None else '"payload_hex": "%%s", '
-    line = ('{"coords": [' + ", ".join(["%d"] * m) + '], "n": %%d, ' + paid + '"summands": ['
-            + ", ".join(['{"file": %d, "subfile": %%d, "user": %d}'] * m) + "]}\n")
-    templates = list(map(line.__mod__, zip(*schedule.cells, *itertools.chain.from_iterable(
-        zip(schedule.files, schedule.users)))))
+    def chunks():
+        if not len(schedule):
+            return
+        paid = schedule.payloads is not None
+        shared = {}
 
-    def lines():
+        def pieces(form, *columns):
+            return [shared.setdefault(text, text) for text in map(form.__mod__, zip(*columns))]
+
+        lead = ('", "summands": [' if paid else ', "summands": [') + '{"file": %d, "subfile": '
+        fixed = [pieces(lead, schedule.files[0])]
+        fixed += [pieces(', "user": %d}, {"file": %d, "subfile": ', users, files)
+                  for users, files in zip(schedule.users, schedule.files[1:])]
+        fixed.append(pieces(', "user": %d}]}\n', schedule.users[m - 1]))
+        top = max(map(max, itertools.chain.from_iterable(schedule.rounds)))
+        subfiles = list(map(str, range(top + 1)))
+
+        # slots per line: head, n, [hex,] fixed[0], subfile 1, fixed[1], ..., subfile m, fixed[m]
+        width, cells = 2 * m + 3 + paid, len(schedule.cells[0])
+        lines = [None] * (width * cells)
+        lines[::width] = map(('{"coords": [' + ", ".join(["%d"] * m) + '], "n": ').__mod__,
+                             zip(*schedule.cells))
+        for k, column in enumerate(fixed):
+            lines[2 + paid + 2 * k::width] = column
+
+        def text(start, stop, hexes):
+            part = lines[start:stop]
+            if paid:
+                part[2::width] = map(bytes.hex, hexes[start // width:stop // width])
+            return "".join(part)
+
+        step = 0
         for n, summands in enumerate(schedule.rounds, start=1):
-            hexes = [map(bytes.hex, schedule.payloads[n - 1])] if paid else []
-            yield from map(operator.mod, templates, zip(itertools.repeat(n), *hexes, *summands))
+            lines[1::width] = itertools.repeat(f'{n}, "payload_hex": "' if paid else str(n), cells)
+            for k, column in enumerate(summands):
+                lines[3 + paid + 2 * k::width] = map(subfiles.__getitem__, column)
+            hexes = schedule.payloads[n - 1] if paid else None
+            # slots per chunk: as many lines as the first line fits into 8 KB
+            step = step or width * max(1, 2**13 // len(text(0, width, hexes)))
+            for start in range(0, len(lines), step):
+                yield text(start, start + step, hexes)
 
-    _emit(lines(), path)
+    _emit(chunks(), path)
 
 
 def cmd_simulate(args) -> int:

@@ -20,8 +20,11 @@ from macc import (
 )
 from macc import cli
 from macc.analysis import CSV_HEADER, json_default, rows_to_csv
-from macc.cli import _ENCODER, MAX_COMPARE_USERS, main
-from macc.engine import MAX_USERS
+from macc.cli import MAX_COMPARE_USERS, main, write_log
+from macc.engine import MAX_USERS, Schedule
+
+# the stdlib's own indented encoding, which `cli._json_doc` must reproduce byte for byte
+ORACLE = json.JSONEncoder(sort_keys=True, indent=2, default=json_default)
 
 
 def run_cli(capsys, *argv):
@@ -514,27 +517,22 @@ def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
     writes, files = _recorded(monkeypatch, ["design", "--m", "2", "--b", "100"])
     design = construct_mcrd(2, 100, 1)
     assert not files and len(writes) > 1
-    check(writes, _ENCODER.encode({"design": design, "verification": verify_mcrd(design)}) + "\n")
+    check(writes, ORACLE.encode({"design": design, "verification": verify_mcrd(design)}) + "\n")
 
     writes, _ = _recorded(monkeypatch, ["topology", "--m", "3", "--b", "400", "--z", "40",
                                         "--source", "random"])
     top = random_topology(3, 400, 40, seed=0)
-    check(writes, _ENCODER.encode({"topology": top, "validation": validate(top)}) + "\n")
+    check(writes, ORACLE.encode({"topology": top, "validation": validate(top)}) + "\n")
 
     writes, files = _recorded(monkeypatch, ["simulate", "--m", "2", "--b", "6", "--z", "2",
                                             "--t", "1", "--payload", "1024",
                                             "--log", "tx.jsonl", "--report", "report.json"])
     report = simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),
                       payload_size=1024, seed=0)
-    schedule = report.transmissions
-    payloads = itertools.chain.from_iterable(schedule.payloads)
-    lines = [_log_line(n, coords, zip(users, files_, subfiles), next(payloads))
-             for n, summands in enumerate(schedule.rounds, start=1)
-             for coords, users, files_, subfiles in zip(
-                 zip(*schedule.cells), zip(*schedule.users), zip(*schedule.files), zip(*summands))]
+    lines = _log_lines(report.transmissions)
     assert len(lines) == 144 and len(files["tx.jsonl"]) > 1
     check(files["tx.jsonl"], "".join(lines))
-    check(files["report.json"], _ENCODER.encode(report.to_json_dict()) + "\n")
+    check(files["report.json"], ORACLE.encode(report.to_json_dict()) + "\n")
     assert writes == ["transmissions=144\nrate=4/1\nsubpacketization=36\ndecoded=12/12\n"
                       "coding_gain_min=2\ncoding_gain_max=2\nbyte_oracle=ok\n"]
 
@@ -547,12 +545,116 @@ def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
                                          default=json_default) + "\n")
 
 
+def _doc_text(doc):
+    return "".join(cli._json_doc(doc))
+
+
+def _scalar_runs():
+    """Lists of scalars at the lengths around the encoder's slice, plain and nested."""
+    cut = cli._SLICE
+    for size in (0, 1, cut - 1, cut, cut + 1, 3 * cut + 7):
+        yield list(range(size))
+        yield {"runs": [tuple(range(size)), [f"é{i}\"\n" for i in range(size)]], "n": size}
+        yield [[i * 0.5, None, i % 2 == 0] for i in range(size)]
+        yield [i if i % 5 else [i, {"k": i}] for i in range(size)]  # scalar and nested items
+
+
+def _real_docs():
+    design = construct_mcrd(2, 20, 1)
+    yield {"design": design, "verification": verify_mcrd(design)}
+    top = random_topology(3, 40, 4, seed=3)
+    yield {"topology": top, "validation": validate(top)}
+    report = simulate(canonical_topology(2, 20, 4), SchemeParams(m=2, b=20, z=4, t=1, n_files=40))
+    assert len(report.beneficiary_counts) > cli._SLICE
+    yield report.to_json_dict()
+
+
+EDGE_DOCS = [
+    {}, [], (), {"a": []}, {"a": {}}, [[], {}, ()], {"a": [[[]], {"b": {}}]}, (1, (2, ())),
+    "", 'quote " backslash \\ newline \n tab \t bell \x07 é ☃ \U0001f600', {"é": "☃"},
+    [True, False, None], [True], [None, None], [0.1, -0.0, 1e300, 1e-7, float("inf"),
+                                              float("-inf"), float("nan")],
+    [1, "x", 2.5, None, True, -3], 7, -1.5, None, True,
+    {"rate": Fraction(7, 3), "leaf": [Fraction(1, 2), Fraction(-4)]},
+    {"report": validate(canonical_topology(2, 4, 2)), "z": [validate(canonical_topology(1, 2, 1))]},
+]
+
+
+def test_json_doc_matches_the_stdlib_indented_encoder():
+    for doc in itertools.chain(EDGE_DOCS, _scalar_runs(), _real_docs()):
+        assert _doc_text(doc) == ORACLE.encode(doc) + "\n", doc
+
+
+def test_json_doc_check_catches_a_wrong_separator(monkeypatch):
+    # the scalar runs written with the one-line separator instead of newline and indent
+    monkeypatch.setattr(cli, "_run_encoder", lambda level: json.JSONEncoder(separators=(", ", ": ")))
+    assert _doc_text([]) == ORACLE.encode([]) + "\n"
+    assert _doc_text([1, 2]) != ORACLE.encode([1, 2]) + "\n"
+    design = construct_mcrd(2, 3, 1)
+    doc = {"design": design, "verification": verify_mcrd(design)}
+    assert _doc_text(doc) != ORACLE.encode(doc) + "\n"
+
+
+def _log_lines(schedule):
+    payloads = itertools.chain.from_iterable(schedule.payloads or [])
+    return [_log_line(n, coords, zip(users, files, subfiles),
+                      None if schedule.payloads is None else next(payloads))
+            for n, summands in enumerate(schedule.rounds, start=1)
+            for coords, users, files, subfiles in zip(
+                zip(*schedule.cells), zip(*schedule.users), zip(*schedule.files), zip(*summands))]
+
+
+def _written_log(monkeypatch, schedule, m):
+    files = {}
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs:
+                        files.setdefault(path, _Writes()), raising=False)
+    write_log("tx.jsonl", schedule, m)
+    writes = files["tx.jsonl"].writes
+    assert all(len(text) <= 2**14 for text in writes)
+    return writes
+
+
+@pytest.mark.parametrize("payload", [None, 1024])
+@pytest.mark.parametrize("m, b, z, t", [(1, 7, 2, 1), (2, 6, 2, 1), (3, 4, 2, 1), (4, 3, 1, 1),
+                                        (2, 3, 1, 3)])  # the last at rate 0: an empty log
+def test_write_log_lines_match_sorted_key_json(monkeypatch, m, b, z, t, payload):
+    report = simulate(canonical_topology(m, b, z), SchemeParams(m=m, b=b, z=z, t=t, n_files=m * b),
+                      payload_size=payload)
+    schedule = report.transmissions
+    writes = _written_log(monkeypatch, schedule, m)
+    want = _log_lines(schedule)
+    assert len(want) == report.transmission_count
+    assert "".join(writes) == "".join(want)
+
+
+def test_write_log_reaches_subfile_ids_above_the_cell_count(monkeypatch):
+    # one cell of a (2, 6) schedule, whose subfile ids run to 36
+    report = simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),
+                      payload_size=8)
+    full = report.transmissions
+    keep = [k for k, coords in enumerate(zip(*full.cells)) if coords == (6, 6)]
+    pick = [[column[k] for k in keep] for column in (*full.cells, *full.users, *full.files)]
+    schedule = Schedule(cells=pick[:2], users=pick[2:4], files=pick[4:],
+                        rounds=[[[column[k] for k in keep] for column in summands]
+                                for summands in full.rounds],
+                        payloads=[[row[k] for k in keep] for row in full.payloads])
+    assert max(itertools.chain.from_iterable(itertools.chain.from_iterable(schedule.rounds))) > 1
+    assert "".join(_written_log(monkeypatch, schedule, 2)) == "".join(_log_lines(schedule))
+
+
 def test_emit_skips_empty_chunks(monkeypatch, tmp_path):
     stdout = _Writes()
     monkeypatch.setattr(cli.sys, "stdout", stdout)
     chunks = ["", "a", "", "", "b", "c" * 9000, "", "", "", "", "d"]
     cli._emit(iter(chunks), None)
-    assert "".join(stdout.writes) == "".join(chunks)
+    # at most 8 KB per write, a longer chunk alone, and no empty write
+    assert stdout.writes == ["ab", "c" * 9000, "d"]
+    stdout.writes.clear()
+    cli._emit(["x" * 5000, "y" * 3192, "z" * 2, ""], None)
+    assert stdout.writes == ["x" * 5000 + "y" * 3192, "zz"]
+    stdout.writes.clear()
+    cli._emit(["", ""], None)
+    assert stdout.writes == []
     cli._emit(chunks, str(tmp_path / "out.txt"))
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "".join(chunks)
 

@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from design_oracles import block_cover_check, point_at
 from macc import (
     Design,
     PointBudgetError,
-    block_cover_check,
     construct_mcrd,
-    point_at,
     verify_mcrd,
 )
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from design_oracles import point_at
 from macc import (
     PointBudgetError,
     SchemeParams,
@@ -22,7 +23,6 @@ from macc import (
     deliver,
     extract_matchings,
     place,
-    point_at,
     random_topology,
     simulate,
     subfile_bytes,
