@@ -20,7 +20,9 @@ K <= 30 and z in 0..K+1, and for K in {60, 100, 210, 360, 840} and z in {1, 2, 3
 7}, where SR1's sums are long; runs whose JSON holds lists of scalars longer than one
 slice of the document encoder (`simulate` at (3, 20, 4, 1) with --log and --report, whose
 report lists 128 000 beneficiary counts, `design` at (2, 100) and `topology` at (3, 400,
-40), random); and one run of each subcommand whose output file cannot be opened.
+40), random); `design` at the benchmark's other shapes (3, 16), (4, 8), (3, 14) and
+(5, 5), and at (3, 10) with mu = 2; and one run of each subcommand whose output file
+cannot be opened.
 """
 
 import contextlib
@@ -67,6 +69,8 @@ def sweep() -> list[list[str]]:
               "--log", f"{TMP}/tx.jsonl", "--report", f"{TMP}/report.json"],
              ["design", "--m", "2", "--b", "100"],
              ["topology", "--m", "3", "--b", "400", "--z", "40", "--source", "random"]]
+    runs += [["design", "--m", str(m), "--b", str(b), "--mu", str(mu)]
+             for m, b, mu in ((3, 16, 1), (4, 8, 1), (3, 14, 1), (5, 5, 1), (3, 10, 2))]
     missing = f"{TMP}/missing/out"
     runs += [["design", "--m", "2", "--b", "2", "--out", missing],
              ["topology", "--m", "2", "--b", "2", "--z", "1", "--out", missing],

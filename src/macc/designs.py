@@ -19,10 +19,10 @@ import itertools
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
-# design work in verify_mcrd's set-element visits (20-70 ns): mu*b^(2m-1) to intersect,
-# 50 per block point and 400 per block to build, check and write; the slowest accepted,
-# (m, b) = (2, 432), takes 5.7 s in-process on a 2-vCPU x86-64 VM
-MAX_DESIGN_COST = 10**8
+# block entries that `design` builds, checks and writes, m*(mu*b^m + 40*b), at about 0.5 us
+# and 18 B each (a block weighs 40); the slowest accepted, (m, b, mu) = (19, 2, 1) or
+# (11, 3, 5), take about 6.5 s and 200 MB in a fresh process on a 2-vCPU x86-64 VM
+MAX_DESIGN_COST = 10**7
 
 
 class PointBudgetError(Exception):
@@ -56,20 +56,14 @@ class Design:
         if len(self.blocks) != self.m or any(len(cls) != self.b for cls in self.blocks):
             raise ValueError("blocks must be an m x b family")
         n = self.num_points
-        for cls in self.blocks:
-            for blk in cls:
-                if any(p < 1 or p > n for p in blk):
-                    raise ValueError(f"point out of range 1..{n}")
+        blocks = [*itertools.chain.from_iterable(self.blocks)]
+        if (min(itertools.chain.from_iterable(blocks), default=1) < 1
+                or max(itertools.chain.from_iterable(blocks), default=n) > n):
+            raise ValueError(f"point out of range 1..{n}")
 
     @property
     def num_points(self) -> int:
         return point_count(self.m, self.b, self.mu)
-
-    def block(self, i: int, j: int) -> tuple[int, ...]:
-        """Block j of parallel class i (both 1-based)."""
-        if not (1 <= i <= self.m and 1 <= j <= self.b):
-            raise ValueError(f"block index ({i},{j}) out of range")
-        return self.blocks[i - 1][j - 1]
 
 
 def construct_mcrd(m: int, b: int, mu: int) -> Design:
@@ -85,18 +79,18 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     n = point_count(m, b, mu)
     if n > DEFAULT_POINT_BUDGET:
         raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
-    cost = mu * b ** (2 * m - 1) + 50 * m * b * (mu * b ** (m - 1) + 8)
+    cost = m * (n + 40 * b)
     if cost > MAX_DESIGN_COST:
-        raise PointBudgetError(f"design work of {cost} element visits exceeds budget "
-                               f"{MAX_DESIGN_COST}")
+        raise PointBudgetError(f"design blocks of m*(mu*b^m + 40*b) = {cost} entries "
+                               f"exceed {MAX_DESIGN_COST}")
 
-    classes = [[[] for _ in range(b)] for _ in range(m)]
-    for col in range(n):
-        vec = col // mu
-        for i in range(m - 1, -1, -1):
-            classes[i][vec % b].append(col + 1)
-            vec //= b
-    blocks = tuple(tuple(tuple(blk) for blk in cls) for cls in classes)
+    # block (i, l+1) is the b**(i-1) runs of mu*b**(m-i) columns that start at
+    # l*run, (l+b)*run, ...; slicing one list shares each point's int between classes
+    points = [*range(1, n + 1)]
+    blocks = tuple(tuple(tuple(itertools.chain.from_iterable(points[s:s + run]
+                                                             for s in range(l * run, n, b * run)))
+                         for l in range(b))
+                   for run in (mu * b ** (m - i) for i in range(1, m + 1)))
     return Design(m=m, b=b, mu=mu, blocks=blocks)
 
 
@@ -115,34 +109,40 @@ class DesignReport:
 def verify_mcrd(design: Design) -> DesignReport:
     """Exhaustively check the MCRD properties of ``design``.
 
-    Every cross-class block tuple (all b**m of them) is intersected; the
-    design passes iff each class partitions the point set, block sizes are
-    uniform, and the measured intersection is constant and equals the
-    declared mu.  This is the ground-truth oracle: O(b**m * m * blocksize).
+    Each point counts once toward every cross-class block tuple in the product of the
+    blocks that hold it, one pass over the blocks, so a tuple's count is exactly the
+    size of its blocks' intersection and a tuple no point reaches meets in 0 points; a
+    point repeated inside one block counts once.  The design passes iff each class
+    partitions the point set, block sizes are uniform, and all b**m intersections have
+    the declared size mu.  This is the ground-truth oracle: it reads only the blocks, in
+    O(m * points + the sum of the intersection sizes).
     """
-    n = design.num_points
-    classes_partition = [sorted(itertools.chain.from_iterable(cls)) == [*range(1, n + 1)]
-                         for cls in design.blocks]
-
+    m, b, n = design.m, design.b, design.num_points
     sizes = {len(blk) for cls in design.blocks for blk in cls}
     block_size_ok = len(sizes) == 1
     block_size = sizes.pop() if block_size_ok else None
 
-    block_sets = [[frozenset(blk) for blk in cls] for cls in design.blocks]
-    observed: set[int] = set()
-    for combo in itertools.product(*block_sets):
-        observed.add(len(frozenset.intersection(*combo)))
+    # a point counts toward the tuple (j_1, ..., j_m) of 0-based block indices at its
+    # coordinate number, the sum of the shares j_i * b**(m-i); held[i][p-1] is the tuple
+    # of p's shares in class i, one per time a block of class i lists p
+    held = [[()] * n for _ in range(m)]
+    for i, (owner, cls) in enumerate(zip(held, design.blocks)):
+        for j, blk in enumerate(cls):
+            share = (j * b ** (m - 1 - i),)
+            for p in blk:
+                owner[p - 1] += share
+    # points lie in 1..n, so a class partitions them iff it lists each exactly once
+    classes_partition = [set(map(len, owner)) == {1} for owner in held]
+    partition = all(classes_partition)
+    codes = (map(sum, map(itertools.chain.from_iterable, zip(*held))) if partition else
+             (sum(c) for point in zip(*held) for c in itertools.product(*map(set, point))))
+    counts = [0] * b**m
+    for code in codes:
+        counts[code] += 1
 
-    measured_mu = observed.pop() if len(observed) == 1 else None
-    if measured_mu is not None:
-        observed = {measured_mu}
-    passed = all(classes_partition) and block_size_ok and measured_mu == design.mu
-    return DesignReport(
-        classes_partition=tuple(classes_partition),
-        block_size_ok=block_size_ok,
-        block_size=block_size,
-        intersection_sizes=tuple(sorted(observed)),
-        measured_mu=measured_mu,
-        passed=passed,
-    )
-
+    observed = tuple(sorted(set(counts)))
+    measured_mu = observed[0] if len(observed) == 1 else None
+    return DesignReport(classes_partition=tuple(classes_partition),
+                        block_size_ok=block_size_ok, block_size=block_size,
+                        intersection_sizes=observed, measured_mu=measured_mu,
+                        passed=partition and block_size_ok and measured_mu == design.mu)

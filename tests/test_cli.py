@@ -413,14 +413,24 @@ def test_simulate_refuses_payloads_above_budget(capsys):
                    "exceed 50000000\n")
 
 
-@pytest.mark.parametrize("m, b, cost", [("2", "433", 100278037), ("222223", "1", 100000351)])
-def test_design_refuses_work_above_budget(capsys, m, b, cost):
-    # one past the largest accepted designs at m = 2, (2, 432), and at b = 1, (222222, 1)
+@pytest.mark.parametrize("m, b, mu, cost", [("243903", "1", "1", 10000023),
+                                           ("1", "243903", "1", 10000023),
+                                           ("16", "2", "10", 10487040)])
+def test_design_refuses_work_above_budget(capsys, m, b, mu, cost):
+    # one past the largest accepted designs at b = 1, (243902, 1), at m = 1, (1, 243902),
+    # and at (16, 2) in mu, (16, 2, 9); refused before any block is built
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "design", "--m", m, "--b", b)
+    code, out, err = run_cli(capsys, "design", "--m", m, "--b", b, "--mu", mu)
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == f"error: design work of {cost} element visits exceeds budget 100000000\n"
+    assert err == f"error: design blocks of m*(mu*b^m + 40*b) = {cost} entries exceed 10000000\n"
+
+
+@pytest.mark.parametrize("m, b", [("4", "14"), ("5", "8")])
+def test_design_accepts_shapes_that_only_the_intersection_count_refused(capsys, m, b):
+    # refused while the check intersected every block tuple, mu*b^(2m-1) element visits
+    code, out, _ = run_cli(capsys, "design", "--m", m, "--b", b, "--mu", "1")
+    assert code == 0 and json.loads(out)["verification"]["passed"]
 
 
 def test_topology_refuses_coverage_above_budget(capsys):

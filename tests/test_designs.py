@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from design_oracles import block_cover_check, point_at
+from design_oracles import block_cover_check, point_at, product_report
 from macc import (
     Design,
     PointBudgetError,
@@ -103,7 +106,7 @@ def test_point_at_examples():
     # independent of the constructor: intersect the published blocks directly
     assert set(point_at(d, (2, 3))) == set([5, 6, 7, 8]) & set([3, 7, 11, 15])
     d1 = construct_mcrd(1, 3, 1)
-    assert point_at(d1, (2,)) == d1.block(1, 2)
+    assert point_at(d1, (2,)) == d1.blocks[0][1]
 
 
 def test_point_at_rejects_bad_coords():
@@ -156,3 +159,48 @@ def test_constructed_designs_always_verify(m, b, mu):
         for i in range(1, m + 1)
         for j in range(1, b + 1)
     )
+
+
+def _corruptions(design: Design, rng: random.Random):
+    """Seeded corruptions of ``design``, each a Design with the same m, b and mu."""
+    m, b = design.m, design.b
+    blocks = [[list(blk) for blk in cls] for cls in design.blocks]
+
+    def edited(i, j, blk):
+        new = [list(cls) for cls in blocks]
+        new[i][j] = blk
+        return Design(m, b, design.mu, tuple(tuple(map(tuple, cls)) for cls in new))
+
+    i, j = rng.randrange(m), rng.randrange(b)
+    blk = blocks[i][j]
+    point = rng.choice(blk)
+    yield edited(i, j, [q for q in blk if q != point])  # a point dropped from its block
+    yield edited(i, j, blk + [point])  # a point repeated inside its block
+    if b > 1:
+        other = (j + rng.randrange(1, b)) % b
+        yield edited(i, other, sorted(blocks[i][other] + [point]))  # in a second block
+        yield edited(i, other, blk)  # a block duplicated within its class
+    if m > 1 and b > 1:
+        # class i swaps the points of tuples (1, ..., 1) and (2, ..., 2) between its
+        # blocks 1 and 2: the classes still partition, and tuple (1, ..., 1) meets in 0
+        ones, twos = point_at(design, [1] * m), point_at(design, [2] * m)
+        swapped = [list(cls) for cls in blocks]
+        swapped[i][0] = sorted({*blocks[i][0]} - {*ones} | {*twos})
+        swapped[i][1] = sorted({*blocks[i][1]} - {*twos} | {*ones})
+        yield Design(m, b, design.mu, tuple(tuple(map(tuple, cls)) for cls in swapped))
+
+
+def test_verify_matches_the_product_of_intersections():
+    # every small construction and seeded corruptions of it, each reported exactly as
+    # intersecting all b**m cross-class block tuples reports it
+    rng = random.Random(0)
+    zero_seen = 0
+    for m, b, mu in itertools.product(range(1, 4), range(1, 6), (1, 2)):
+        design = construct_mcrd(m, b, mu)
+        assert verify_mcrd(design) == product_report(design)
+        for bad in _corruptions(design, rng):
+            report = verify_mcrd(bad)
+            assert report == product_report(bad)
+            assert not report.passed
+            zero_seen += 0 in report.intersection_sizes and all(report.classes_partition)
+    assert zero_seen == 16  # the swaps, at m in {2, 3}, b in {2, ..., 5} and mu in {1, 2}

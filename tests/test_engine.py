@@ -81,7 +81,7 @@ def cached_subfiles(placement, i, j):
     """Subfile indices user k(i,j) reads from its caches (any file), read off the
     blocks of the design the engine's subfile numbering comes from."""
     design = _design(placement.params.m, placement.params.b, 1)
-    return {p for block in covered_blocks(placement, i, j) for p in design.block(i, block)}
+    return {p for block in covered_blocks(placement, i, j) for p in design.blocks[i - 1][block - 1]}
 
 
 def test_achievable_rate_examples():
