@@ -148,7 +148,7 @@ def cmd_topology(args) -> int:
     return 0 if report.passed else 1
 
 
-def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
+def write_log(path: str, schedule: engine.Schedule) -> None:
     """Write one JSON line per m-group transmission, as ``json.dumps(doc, sort_keys=True)``
     spells it: coords, n, payload_hex (with a payload), then the summands.
 
@@ -163,6 +163,7 @@ def write_log(path: str, schedule: engine.Schedule, m: int) -> None:
     def chunks():
         if not len(schedule):
             return
+        m = len(schedule.cells)
         paid = schedule.payloads is not None
         shared = {}
 
@@ -228,7 +229,7 @@ def cmd_simulate(args) -> int:
     )
 
     if args.log:
-        write_log(args.log, report.transmissions, args.m)
+        write_log(args.log, report.transmissions)
     if args.report:
         _emit(_json_doc(report.to_json_dict()), args.report)
 
@@ -343,9 +344,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, designs.PointBudgetError,
-            topology.MatchingError, topology.GenerationError, analysis.ApplicabilityError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, designs.PointBudgetError, topology.MatchingError,
+            topology.GenerationError, analysis.ApplicabilityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

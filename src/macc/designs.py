@@ -57,6 +57,8 @@ class Design:
             raise ValueError("blocks must be an m x b family")
         n = self.num_points
         blocks = [*itertools.chain.from_iterable(self.blocks)]
+        for kind in set(map(type, itertools.chain.from_iterable(blocks))) - {int}:
+            raise ValueError(f"points must be of type int, got {kind.__name__}")
         if (min(itertools.chain.from_iterable(blocks), default=1) < 1
                 or max(itertools.chain.from_iterable(blocks), default=n) > n):
             raise ValueError(f"point out of range 1..{n}")

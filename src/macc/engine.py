@@ -3,10 +3,10 @@
 Pipeline: a validated topology from :mod:`macc.topology` yields a placement
 (each cache stores min(t, |cell|) blocks of its cell), a missing-block table
 (which blocks each matched user still misses), and a delivery schedule of XOR
-transmissions.  Every transmission combines one needed subfile per group, so
-each serves m users at once.  The rate, :func:`achievable_rate`, is the number
-of blocks per group that no user covers.  Rates are exact rationals; no floats
-on correctness paths.
+transmissions.  Every transmission XORs one needed subfile per group, so each
+serves m users at once, and any user who wants a summand's file may decode it.
+The rate, :func:`achievable_rate`, is the number of blocks per group that no
+user covers.  Rates are exact rationals; no floats on correctness paths.
 
 Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
 s is mixed-radix coordinate number s - 1 of its blocks.  :func:`class_blocks`
@@ -37,7 +37,7 @@ from .topology import (
 
 DEFAULT_PAYLOAD_SIZE = 64
 MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
-MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 per-user coverage and placement table entries, likewise
+MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 entries of place's and validate's group tables, likewise
 # K * (F + 1) bytes of decode's per-user subfile table, likewise; it is written in full:
 # simulate --m 2 --b 368 --z 1 --t 367 takes 0.4-0.5 s and 140 MB ru_maxrss, (6,8,1,1)
 # 5.4-6.5 s and 206 MB
@@ -63,7 +63,7 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
 
 
 def check_coverage_budget(m: int, b: int) -> None:
-    """Refuse m*b^2 coverage and placement table entries, or m*b users, above budget."""
+    """Refuse m*b^2 entries of place's and validate's group tables, or m*b users, above budget."""
     if m * b**2 > MAX_COVERAGE_ENTRIES:
         raise PointBudgetError(f"coverage tables of m*b^2 = {m * b**2} entries "
                                f"exceed {MAX_COVERAGE_ENTRIES}")
@@ -161,7 +161,7 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
         raise ValueError(f"topology invalid: {report.summary()}")
 
     rng = None if seed is None else random.Random(seed)
-    cells = cell_slots(params.b, params.z)
+    cells = list(map(list, cell_slots(params.b, params.z)))  # every row shares each slot's int
     cache_rows, missing_rows = [], []
     for i in range(1, params.m + 1):
         row, gaps = [], []  # gaps[j-1]: the blocks of c(i,j)'s cell that it does not store
@@ -252,9 +252,8 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     return Schedule(cells, users, files, rounds)
 
 
-# decode's table states 0 (not covered), 1 (covered) and 2 (decoded) read as flags
-_COVERED = bytes((0, 1, 0)) + bytes(253)
-_UNCOVERED = bytes((1, 0, 1)) + bytes(253)
+# decode's table states 0 (not covered), 1 (covered) and 2 (decoded): bit 0 is "covered",
+# and read as flags only 2 is set
 _DECODED = bytes((0, 0, 1)) + bytes(253)
 
 
@@ -267,21 +266,21 @@ class Decoding(NamedTuple):
 def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> Decoding:
     """Decode every user's demanded file from the schedule, a round and a group at a time.
 
-    A user recovers a summand addressed to its file when the subfiles of
-    all other summands sit in blocks it covers.  Each user's coverage is
-    expanded once into a row of F+1 bytes indexed by subfile, so a summand
-    column is read with one lookup per entry; the same row records what the
-    user decodes, which never counts as coverage.  ``contents`` maps
-    (file, subfile) to that subfile's ground-truth bytes as a big-endian
-    int; when given, every row some user decodes must carry the XOR of all
-    its summands' contents, which is each recovery yielding the ground truth.
+    Every user who wants a summand's file reads it, whatever its group, and
+    recovers it when the subfiles of all other summands sit in blocks it
+    covers.  Each user's coverage is expanded once into a row of F+1 bytes
+    indexed by subfile, so a summand column is read with one lookup per entry;
+    the same row records what the user decodes, which never counts as
+    coverage.  ``contents`` maps (file, subfile) to that subfile's ground-truth
+    bytes as a big-endian int; when given, every row some user decodes must
+    carry the XOR of all its summands' contents, so each recovery is exact.
     """
     if contents is not None and schedule.payloads is None:
         raise ValueError("checking contents needs a schedule with payloads")
     params = placement.params
     demands = _check_demands(demands, params)
     m, b, f = params.m, params.b, params.subpacketization
-    users, cells = len(demands), len(schedule.cells[0])
+    cells = len(schedule.cells[0])
     # table[v][s]: 1 iff user v covers the block of subfile s in its group's class, else
     # 0, and 2 once v decodes s; the rows tile v's b+1 coverage row with the stride of
     # class_blocks.  The last row is a reader that covers everything, so it never decodes
@@ -295,32 +294,31 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
         table.append(bytearray(1) + period * b ** g)
     table.append(b"\1" * (f + 1))
 
-    readers: dict[int, dict[int, list[int]]] = {}  # file -> reader group -> its users
-    for v, d in enumerate(demands):
-        readers.setdefault(d, {}).setdefault(v // b, []).append(v)
-    # per (summand group i, reader group g, slot): the table row of the slot-th user of
-    # group g that wants the cell's group-i file, for each g that holds one
+    readers: dict[int, list[bytearray]] = {}  # file -> the table rows of the users who want it
+    for row, d in zip(table, demands):
+        readers.setdefault(d, []).append(row)
+    # per (summand group i, reader slot): each cell's row of the slot-th user who wants the
+    # cell's group-i file, or the last row, which never decodes, when fewer users want it
     readings = []
     for i, column in enumerate(schedule.files):
-        wanted = {d: readers.get(d, {}) for d in column}
-        for g in sorted(set().union(*wanted.values())):
-            found = [groups.get(g, ()) for groups in wanted.values()]
-            for slot in range(max(map(len, found))):
-                row_at = {d: table[vs[slot] if slot < len(vs) else users]
-                          for d, vs in zip(wanted, found)}
-                readings.append((i, list(map(row_at.__getitem__, column))))
+        found = {d: readers.get(d, ()) for d in set(column)}
+        for slot in range(max(map(len, found.values()), default=0)):
+            row_at = {d: rows[slot] if slot < len(rows) else table[-1]
+                      for d, rows in found.items()}
+            readings.append((i, list(map(row_at.__getitem__, column))))
 
     beneficiary_counts: list[int] = []
     byte_ok: bool | None = None if contents is None else True
+    ones = int.from_bytes(b"\1" * cells, "big")
     for n, summands in enumerate(schedule.rounds):
         counts = [0] * cells
         decoded_rows = 0
         for i, rows in readings:
             # the reader must cover every summand's subfile but summand i's
-            hits = -1
+            hits = ones
             for j, column in enumerate(summands):
-                hits &= int.from_bytes(bytes(map(getitem, rows, column)).translate(
-                    _UNCOVERED if j == i else _COVERED), "big")
+                got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
+                hits &= got ^ ones if j == i else got
             if not hits:
                 continue
             hit = hits.to_bytes(cells, "big")
@@ -336,7 +334,7 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
                     got ^= contents[files[k], column[k]]
                 if got:
                     byte_ok = False
-    recovered = tuple(table[:users])
+    recovered = tuple(table[:-1])
     for row in recovered:
         row[:] = row.translate(_DECODED)
     return Decoding(recovered, tuple(beneficiary_counts), byte_ok)
@@ -424,8 +422,8 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
 
     m, b = params.m, params.b
     f = params.subpacketization
-    users_complete = [got.count(1) == len(gaps) * b ** (m - 1) for gaps, got in
-                      zip(itertools.chain.from_iterable(placement.missing), decoding.recovered)]
+    missed = params.missing_count * b ** (m - 1)  # each user's r blocks of b^(m-1) subfiles
+    users_complete = [got.count(1) == missed for got in decoding.recovered]
 
     return SimulationReport(
         m=m,

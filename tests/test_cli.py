@@ -614,11 +614,11 @@ def _log_lines(schedule):
                 zip(*schedule.cells), zip(*schedule.users), zip(*schedule.files), zip(*summands))]
 
 
-def _written_log(monkeypatch, schedule, m):
+def _written_log(monkeypatch, schedule):
     files = {}
     monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs:
                         files.setdefault(path, _Writes()), raising=False)
-    write_log("tx.jsonl", schedule, m)
+    write_log("tx.jsonl", schedule)
     writes = files["tx.jsonl"].writes
     assert all(len(text) <= 2**14 for text in writes)
     return writes
@@ -631,7 +631,7 @@ def test_write_log_lines_match_sorted_key_json(monkeypatch, m, b, z, t, payload)
     report = simulate(canonical_topology(m, b, z), SchemeParams(m=m, b=b, z=z, t=t, n_files=m * b),
                       payload_size=payload)
     schedule = report.transmissions
-    writes = _written_log(monkeypatch, schedule, m)
+    writes = _written_log(monkeypatch, schedule)
     want = _log_lines(schedule)
     assert len(want) == report.transmission_count
     assert "".join(writes) == "".join(want)
@@ -649,7 +649,7 @@ def test_write_log_reaches_subfile_ids_above_the_cell_count(monkeypatch):
                                 for summands in full.rounds],
                         payloads=[[row[k] for k in keep] for row in full.payloads])
     assert max(itertools.chain.from_iterable(itertools.chain.from_iterable(schedule.rounds))) > 1
-    assert "".join(_written_log(monkeypatch, schedule, 2)) == "".join(_log_lines(schedule))
+    assert "".join(_written_log(monkeypatch, schedule)) == "".join(_log_lines(schedule))
 
 
 def test_emit_skips_empty_chunks(monkeypatch, tmp_path):

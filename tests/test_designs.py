@@ -139,6 +139,11 @@ def test_argument_and_budget_errors():
         construct_mcrd(2, 2**32, 1)
     with pytest.raises(PointBudgetError, match=f"^{2**63} points exceeds budget"):
         construct_mcrd(63, 2, 1)
+    # a point is an int: 2.0 and True compare equal to ints but are refused by type
+    for point in (2.0, True):
+        kind = type(point).__name__
+        with pytest.raises(ValueError, match=f"^points must be of type int, got {kind}$"):
+            Design(1, 2, 1, (((1,), (point,)),))
 
 
 @settings(max_examples=60, deadline=None)

@@ -458,7 +458,7 @@ def test_decode_rate_zero_regime():
         assert cached_subfiles(placement, i, j) == set(range(1, 17))
 
 
-def test_decode_visits_only_groups_that_read_a_wanted_file():
+def test_decode_work_is_linear_at_rate_zero():
     # one user per group and rate 0: decode once visited every pair of groups
     m = 20000
     start = time.perf_counter()
@@ -562,14 +562,17 @@ def _assert_decode_matches_brute_force(placement, schedule, demands):
 
 def test_decode_matches_brute_force_sweep():
     # every shape with m <= 3, b <= 5; canonical and seeded random placements; distinct
-    # files, files shared by 3 users, and one file for everyone
+    # files, files shared by 3 users, one file for everyone, and file 1 for every even
+    # user with a file of its own for every odd one, whose readings span groups and pad
+    # every reader slot past the first
     for m, b in itertools.product(range(1, 4), range(1, 6)):
         users = m * b
         for z, t in itertools.product(range(1, b + 1), repeat=2):
             params = SchemeParams(m=m, b=b, z=z, t=t, n_files=users)
             tops = ((canonical_topology(m, b, z), None), (random_topology(m, b, z, seed=t), z + t))
             for (top, seed), demands in itertools.product(tops, (
-                    list(range(1, users + 1)), [u // 3 + 1 for u in range(users)], [1] * users)):
+                    list(range(1, users + 1)), [u // 3 + 1 for u in range(users)], [1] * users,
+                    [u if u % 2 else 1 for u in range(1, users + 1)])):
                 placement = place(top, params, seed=seed)
                 schedule = deliver(placement, extract_matchings(top), demands)
                 _assert_decode_matches_brute_force(placement, schedule, demands)
@@ -694,7 +697,7 @@ def test_transmission_json(example_a, example_a_matching, tmp_path):
     top, params = example_a
     placement = place(top, params)
     schedule = deliver(placement, example_a_matching, range(1, 9))
-    write_log(tmp_path / "tx.jsonl", sub_schedule(schedule, [0], [0]), 2)
+    write_log(tmp_path / "tx.jsonl", sub_schedule(schedule, [0], [0]))
     doc = json.loads((tmp_path / "tx.jsonl").read_text())
     assert doc == {
         "n": 1,
