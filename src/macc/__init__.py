@@ -26,6 +26,7 @@ from .engine import (
     SimulationReport,
     achievable_rate,
     build_demand_graph,
+    check_payloads,
     decode,
     deliver,
     place,

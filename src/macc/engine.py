@@ -1,12 +1,13 @@
 """Placement, XOR broadcast delivery, and decode verification.
 
 Pipeline: a validated topology from :mod:`macc.topology` yields a placement
-(each cache stores min(t, |cell|) blocks of its cell), a missing-block table
-(which blocks each matched user still misses), and a delivery schedule of XOR
-transmissions.  Every transmission XORs one needed subfile per group, so each
-serves m users at once, and any user who wants a summand's file may decode it.
-The rate, :func:`achievable_rate`, is the number of blocks per group that no
-user covers.  Rates are exact rationals; no floats on correctness paths.
+(each cache stores min(t, |cell|) blocks of its cell), the blocks each matched
+user misses, and a schedule of XOR broadcasts, each of one needed subfile per
+group, so it serves m users at once; any user who wants a summand's file may
+decode it.  :func:`decode` proves symbolically who recovers which subfile, and
+:func:`check_payloads` that every payload is the XOR of its summands' bytes.
+The rate, :func:`achievable_rate`, is the blocks per group that no user covers,
+an exact rational; no floats on correctness paths.
 
 Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
 s is mixed-radix coordinate number s - 1 of its blocks.  :func:`class_blocks`
@@ -18,12 +19,13 @@ addressed as in :mod:`macc.topology`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import add, getitem
+from operator import add, getitem, xor
 from typing import NamedTuple
 
 from .designs import DEFAULT_POINT_BUDGET, PointBudgetError, point_count
@@ -260,10 +262,9 @@ _DECODED = bytes((0, 0, 1)) + bytes(253)
 class Decoding(NamedTuple):
     recovered: tuple[bytearray, ...]  # recovered[u-1][s] == 1 iff user u decodes subfile s
     beneficiary_counts: tuple[int, ...]  # users served, per transmission
-    byte_ok: bool | None  # None when no contents were given
 
 
-def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> Decoding:
+def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
     """Decode every user's demanded file from the schedule, a round and a group at a time.
 
     Every user who wants a summand's file reads it, whatever its group, and
@@ -271,12 +272,9 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
     covers.  Each user's coverage is expanded once into a row of F+1 bytes
     indexed by subfile, so a summand column is read with one lookup per entry;
     the same row records what the user decodes, which never counts as
-    coverage.  ``contents`` maps (file, subfile) to that subfile's ground-truth
-    bytes as a big-endian int; when given, every row some user decodes must
-    carry the XOR of all its summands' contents, so each recovery is exact.
+    coverage.  The proof is symbolic; :func:`check_payloads` checks the bytes.
+    A round not of m columns of ids in 1..F, one per cell, is a ValueError.
     """
-    if contents is not None and schedule.payloads is None:
-        raise ValueError("checking contents needs a schedule with payloads")
     params = placement.params
     demands = _check_demands(demands, params)
     m, b, f = params.m, params.b, params.subpacketization
@@ -308,36 +306,47 @@ def decode(placement: Placement, schedule: Schedule, demands, contents=None) -> 
             readings.append((i, list(map(row_at.__getitem__, column))))
 
     beneficiary_counts: list[int] = []
-    byte_ok: bool | None = None if contents is None else True
     ones = int.from_bytes(b"\1" * cells, "big")
-    for n, summands in enumerate(schedule.rounds):
+    for n, summands in enumerate(schedule.rounds, start=1):
         counts = [0] * cells
-        decoded_rows = 0
-        for i, rows in readings:
-            # the reader must cover every summand's subfile but summand i's
-            hits = ones
-            for j, column in enumerate(summands):
-                got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
-                hits &= got ^ ones if j == i else got
-            if not hits:
-                continue
-            hit = hits.to_bytes(cells, "big")
-            for row, s in itertools.compress(zip(rows, summands[i]), hit):
-                row[s] = 2
-            counts = list(map(add, counts, hit))
-            decoded_rows |= hits
+        try:
+            # a column too many, too few or too short, or an id below 1 (it would wrap or mark
+            # the unused slot 0), is refused here; an id above F fails its lookup below
+            if len(summands) != m or any(len(c) != cells or min(c, default=1) < 1 for c in summands):
+                raise IndexError
+            for i, rows in readings:
+                # the reader must cover every summand's subfile but summand i's
+                hits = ones
+                for j, column in enumerate(summands):
+                    got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
+                    hits &= got ^ ones if j == i else got
+                if not hits:
+                    continue
+                hit = hits.to_bytes(cells, "big")
+                for row, s in itertools.compress(zip(rows, summands[i]), hit):
+                    row[s] = 2
+                counts = list(map(add, counts, hit))
+        except IndexError:
+            raise ValueError(f"round {n} needs {m} columns of {cells} ids in 1..{f}") from None
         beneficiary_counts += counts
-        if contents is not None and decoded_rows:
-            for k in itertools.compress(range(cells), decoded_rows.to_bytes(cells, "big")):
-                got = int.from_bytes(schedule.payloads[n][k], "big")
-                for files, column in zip(schedule.files, summands):
-                    got ^= contents[files[k], column[k]]
-                if got:
-                    byte_ok = False
     recovered = tuple(table[:-1])
     for row in recovered:
         row[:] = row.translate(_DECODED)
-    return Decoding(recovered, tuple(beneficiary_counts), byte_ok)
+    return Decoding(recovered, tuple(beneficiary_counts))
+
+
+def check_payloads(schedule: Schedule, contents) -> bool:
+    """True iff every broadcast's payload is the XOR of its summands' ``contents``, which
+    maps (file, subfile) to its ground-truth bytes as a big-endian int."""
+    if schedule.payloads is None:
+        raise ValueError("checking contents needs a schedule with payloads")
+    if list(map(len, schedule.payloads)) != [len(schedule.cells[0])] * len(schedule.rounds):
+        raise ValueError("payload columns do not match the schedule's rounds and cells")
+    return not any(functools.reduce(xor, map(contents.__getitem__, zip(files, subfiles)),
+                                    int.from_bytes(payload, "big"))
+                   for column, summands in zip(schedule.payloads, schedule.rounds)
+                   for payload, files, subfiles in zip(column, zip(*schedule.files), zip(*summands),
+                                                       strict=True))
 
 
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:
@@ -381,8 +390,8 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
 
     ``demands`` defaults to user u demanding file u (needs N >= K).  With
     ``payload_size`` set, subfiles get seeded byte contents, transmissions
-    carry XOR payloads, and every recovery is re-checked at byte level
-    against the ground-truth generator.
+    carry XOR payloads, and :func:`check_payloads` checks every broadcast's
+    payload against the ground-truth generator.
     """
     if payload_size is not None:
         if payload_size < 1:
@@ -402,9 +411,8 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     matchings = extract_matchings(topology)
     schedule = deliver(placement, matchings, demands)
 
-    contents: dict[tuple[int, int], int] | None = None
+    contents: dict[tuple[int, int], int] = {}
     if payload_size is not None:
-        contents = {}
         payloads = []
         for summands in schedule.rounds:
             column = []
@@ -418,10 +426,9 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
             payloads.append(column)
         schedule = replace(schedule, payloads=payloads)
 
-    decoding = decode(placement, schedule, demands, contents)
+    decoding = decode(placement, schedule, demands)
 
-    m, b = params.m, params.b
-    f = params.subpacketization
+    m, b, f = params.m, params.b, params.subpacketization
     missed = params.missing_count * b ** (m - 1)  # each user's r blocks of b^(m-1) subfiles
     users_complete = [got.count(1) == missed for got in decoding.recovered]
 
@@ -437,6 +444,6 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
         expected_rate=achievable_rate(b, m, params.z, params.t),
         users_complete=tuple(users_complete),
         beneficiary_counts=decoding.beneficiary_counts,
-        byte_oracle_ok=decoding.byte_ok,
+        byte_oracle_ok=None if payload_size is None else check_payloads(schedule, contents),
         transmissions=schedule,
     )

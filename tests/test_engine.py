@@ -18,6 +18,7 @@ from macc import (
     achievable_rate,
     build_demand_graph,
     canonical_topology,
+    check_payloads,
     construct_mcrd,
     decode,
     deliver,
@@ -33,6 +34,7 @@ from macc.engine import (
     MAX_RECOVERED_FLAGS,
     MAX_SCHEDULE_ROWS,
     MAX_USERS,
+    Decoding,
     Schedule,
     class_blocks,
 )
@@ -446,7 +448,8 @@ def test_decode_completeness(example_a, example_a_matching):
         assert not (got & cached)
         assert got | cached == full
     assert decoding.beneficiary_counts == (2,) * 32
-    assert decoding.byte_ok is None
+    # decode proves coverage and nothing else: the payload bytes are check_payloads'
+    assert Decoding._fields == ("recovered", "beneficiary_counts")
 
 
 def test_decode_rate_zero_regime():
@@ -655,23 +658,57 @@ def test_decode_catches_flipped_payload_byte(example_a):
     report = simulate(top, params, payload_size=16, seed=4)
     placement = place(top, params)
     contents = _contents(report.transmissions, seed=4, size=16)
-    assert decode(placement, report.transmissions, range(1, 9), contents).byte_ok is True
+    assert check_payloads(report.transmissions, contents) is True
+    # round 1's cell 9, and the last broadcast of the last round
+    for n, k in ((0, 9), (-1, -1)):
+        payloads = [list(column) for column in report.transmissions.payloads]
+        payload = bytearray(payloads[n][k])
+        payload[3] ^= 0x01
+        payloads[n][k] = bytes(payload)
+        flipped = replace(report.transmissions, payloads=payloads)
+        assert all(_complete(placement, decode(placement, flipped, range(1, 9))))
+        assert check_payloads(flipped, contents) is False  # only the byte oracle sees it
+
+
+def test_check_payloads_refuses_missing_or_misaligned_payloads(example_a):
+    top, params = example_a
+    report = simulate(top, params, payload_size=16, seed=4)
+    contents = _contents(report.transmissions, seed=4, size=16)
+    with pytest.raises(ValueError, match="needs a schedule with payloads"):
+        check_payloads(replace(report.transmissions, payloads=None), contents)
     payloads = [list(column) for column in report.transmissions.payloads]
-    payload = bytearray(payloads[0][9])
-    payload[3] ^= 0x01
-    payloads[0][9] = bytes(payload)
-    decoding = decode(placement, replace(report.transmissions, payloads=payloads),
-                      range(1, 9), contents)
-    assert decoding.byte_ok is False
-    assert all(_complete(placement, decoding))  # only the byte oracle sees it
+    del payloads[-1][-1]
+    with pytest.raises(ValueError, match="payload columns do not match"):
+        check_payloads(replace(report.transmissions, payloads=payloads), contents)
+    with pytest.raises(ValueError, match="payload columns do not match"):
+        check_payloads(replace(report.transmissions, payloads=payloads[:-1]), contents)
+    # a summand column one cell short leaves the last payload of its round unmatched
+    rounds = [list(summands) for summands in report.transmissions.rounds]
+    rounds[-1][1] = rounds[-1][1][:-1]
+    with pytest.raises(ValueError):
+        check_payloads(replace(report.transmissions, rounds=rounds), contents)
 
 
-def test_decode_refuses_contents_without_payloads(example_a):
+def test_decode_refuses_a_round_it_cannot_read(example_a, example_a_matching):
+    # unchecked, id 0 would set the unused flag 0, id -1 would wrap to subfile F, id F + 1
+    # and a missing column would end in an IndexError, and a short column would misalign
+    # every read after it
     top, params = example_a
     placement = place(top, params)
-    schedule = deliver(placement, extract_matchings(top), range(1, 9))
-    with pytest.raises(ValueError, match="needs a schedule with payloads"):
-        decode(placement, schedule, range(1, 9), contents={})
+    schedule = deliver(placement, example_a_matching, range(1, 9))
+    first, second = schedule.rounds[-1]
+    changed = []
+    for s in (0, -1, 17):
+        column = list(first)
+        column[3] = s
+        changed.append([column, second])
+    for summands in (*changed, [first], [first, second[1:]]):
+        bad = replace(schedule, rounds=[*schedule.rounds[:-1], summands])
+        with pytest.raises(ValueError, match=r"^round 2 needs 2 columns of 16 ids in 1\.\.16$"):
+            decode(placement, bad, range(1, 9))
+    # cells dropped from every column leave a schedule decode reads
+    fewer = sub_schedule(schedule, range(2), range(1, 16))
+    assert len(decode(placement, fewer, range(1, 9)).beneficiary_counts) == 30
 
 
 def test_subfile_bytes_matches_keyed_blake2b():

@@ -5,7 +5,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from macc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 # sha256 of scripts/worked_examples.py's stdout
@@ -63,3 +66,21 @@ def test_cli_digests_sweep_and_temporary_paths(tmp_path):
         assert argv in runs
         assert cli_digests.digest(argv, short) == cli_digests.digest(argv, long)
     assert not any(short.iterdir()) and not any(long.iterdir())
+
+
+def test_budget_edges_refused_runs_exit_2_fast(tmp_path, capsys):
+    # only the refused edges, in-process; the accepted ones take seconds to minutes
+    script = ROOT / "scripts" / "budget_edges.py"
+    spec = importlib.util.spec_from_file_location("budget_edges", script)
+    budget_edges = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(budget_edges)
+    refused = [(argv, message) for _, _, argv, message in budget_edges.EDGES if argv]
+    assert len(refused) >= 12
+    for argv, message in refused:
+        start = time.perf_counter()
+        code = cli.main(argv.replace(budget_edges.TMP, str(tmp_path)).split())
+        took = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and message in err, (argv, err)
+        assert took < 0.1, (argv, took)
+    assert not any(tmp_path.iterdir())
