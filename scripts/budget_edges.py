@@ -9,7 +9,7 @@ exits 2 and names its limit:
 
     PYTHONPATH=src python3 scripts/budget_edges.py
 
-The accepted runs take up to about half a minute and 1 GB each, one after another.
+The accepted runs take up to about 10 s and 750 MB each, one after another.
 """
 
 import json
@@ -21,27 +21,32 @@ TMP = "TMP"
 LOGS = f"--log {TMP}/tx.jsonl --report {TMP}/report.json"
 
 # (limit, largest accepted argv, smallest refused argv or None, the refusal's message);
-# the refused argv steps the accepted one just past the limit, and past no other one
-# (at b = 3163, t = 2 keeps the rows r*F under theirs)
+# the refused argv steps the accepted one just past the limit, and past no other one.
+# simulate's cost model (engine.check_cost) has one pair per term that can bind first,
+# each accepted run with the flags that cost the most at its shape
 EDGES = [
-    ("MAX_SCHEDULE_ROWS", "simulate --m 4 --b 30 --z 1 --t 18",
-     "simulate --m 4 --b 30 --z 1 --t 17", "transmissions exceeds 10000000"),
-    ("DEFAULT_POINT_BUDGET", "simulate --m 6 --b 10 --z 1 --t 1",
-     "simulate --m 7 --b 10 --z 1 --t 9", "10000000 points exceeds budget 1000000"),
-    ("DEFAULT_POINT_BUDGET", "simulate --m 19 --b 2 --z 1 --t 1",
-     "simulate --m 20 --b 2 --z 1 --t 1", "1048576 points exceeds budget 1000000"),
-    ("scale", "simulate --m 6 --b 8 --z 1 --t 1", None, None),
-    ("MAX_COVERAGE_ENTRIES", "simulate --m 1 --b 3162 --z 1 --t 1",
-     "simulate --m 1 --b 3163 --z 1 --t 2", "m*b^2 = 10004569 entries exceed 10000000"),
-    ("MAX_RECOVERED_FLAGS", "simulate --m 2 --b 368 --z 1 --t 367",
-     "simulate --m 2 --b 369 --z 1 --t 368", "K*(F+1) = 100487556 exceed 100000000"),
-    ("MAX_USERS", f"simulate --m 150000 --b 1 --z 1 --t 1 --topology random "
+    ("MAX_STEPS", f"simulate --m 17 --b 2 --z 1 --t 1 {LOGS}",
+     "simulate --m 18 --b 2 --z 1 --t 1", "largest term is summand lookups rows*m^2"),
+    ("MAX_STEPS", f"simulate --m 1 --b 1818 --z 1 --t 1 {LOGS}",
+     "simulate --m 1 --b 1819 --z 1 --t 1", "largest term is broadcast work 2*rows*(m+5)"),
+    ("MAX_STEPS", f"simulate --m 218181 --b 1 --z 1 --t 1 --topology random "
                   f"--placement seeded {LOGS}",
-     f"simulate --m 150001 --b 1 --z 1 --t 1 --topology random --placement seeded {LOGS}",
-     "K = m*b = 150001 users exceed 150000"),
-    ("MAX_PAYLOAD_BYTES", f"simulate --m 1 --b 2 --z 1 --t 1 --payload 12499900 {LOGS}",
-     f"simulate --m 1 --b 2 --z 1 --t 1 --payload 12499901 {LOGS}",
-     "= 50000004 bytes exceed 50000000"),
+     "simulate --m 218182 --b 1 --z 1 --t 1", "largest term is user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", f"simulate --m 1 --b 3435 --z 1 --t 3434 --placement seeded {LOGS}",
+     "simulate --m 1 --b 3436 --z 1 --t 3435", "largest term is user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", f"simulate --m 1 --b 1544 --z 1544 --t 1 --topology random {LOGS}",
+     "simulate --m 1 --b 1545 --z 1545 --t 1", "largest term is user work K*(250+20*z+5*b)"),
+    ("MAX_HELD_BYTES", f"simulate --m 4 --b 25 --z 1 --t 24 {LOGS}",
+     "simulate --m 4 --b 26 --z 1 --t 25", "largest term is cell columns 96*m*F"),
+    ("MAX_HELD_BYTES", f"simulate --m 2 --b 461 --z 1 --t 461 {LOGS}",
+     "simulate --m 2 --b 462 --z 1 --t 462", "largest term is decode's table 5*K*(F+1)/4"),
+    ("MAX_HELD_BYTES", f"simulate --m 1 --b 2 --z 1 --t 1 --payload 24999693 {LOGS}",
+     f"simulate --m 1 --b 2 --z 1 --t 1 --payload 24999694 {LOGS}",
+     "largest term is payloads and contents 5*(m+1)*rows*(size+100)/2"),
+    ("DEFAULT_POINT_BUDGET", f"simulate --m 6 --b 10 --z 1 --t 10 {LOGS}",
+     "simulate --m 7 --b 10 --z 1 --t 10", "10000000 points exceeds budget 1000000"),
+    ("DEFAULT_POINT_BUDGET", f"simulate --m 19 --b 2 --z 1 --t 2 {LOGS}",
+     "simulate --m 20 --b 2 --z 1 --t 2", "1048576 points exceeds budget 1000000"),
     ("DEFAULT_POINT_BUDGET", "design --m 19 --b 2",
      "design --m 20 --b 2", "1048576 points exceeds budget 1000000"),
     ("DEFAULT_POINT_BUDGET", "design --m 11 --b 3 --mu 5",
@@ -52,8 +57,10 @@ EDGES = [
      "compare --K 3501 --z 1", "--K 3501 exceeds the compare budget of 3500 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",
      "compare --K 1 --z 1 --grid 1e-4300", "has more digits than the CSV prints (4300)"),
-    ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 1",
-     "topology --m 1 --b 3163 --z 1", "m*b^2 = 10004569 entries exceed 10000000"),
+    ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 3162",
+     "topology --m 1 --b 3163 --z 3163", "m*b^2 = 10004569 entries exceed 10000000"),
+    ("MAX_USERS", "topology --m 150000 --b 1 --z 1",
+     "topology --m 150001 --b 1 --z 1", "K = m*b = 150001 users exceed 150000"),
     ("RANDOM_TRIES", "topology --m 1 --b 30 --z 1 --source random",
      "topology --m 1 --b 31 --z 1 --source random",
      "no C3-satisfying draw is within reach for b=31, z=1"),

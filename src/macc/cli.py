@@ -28,8 +28,8 @@ from . import analysis, designs, engine, topology
 # so that `_emit` joins whole slices into its 8 KB writes
 _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes
-# about 2 s at K = 3500 and 2.5-2.8 s at K = 4000 in-process on a 2-vCPU x86-64 VM.  NT's
+# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 2.5 s
+# and 37 MB at K = 3500 in a fresh process on a 2-vCPU x86-64 VM (budget_edges.py).  NT's
 # subpacketization K*C(K, t) < K*2**K then has about 1060 digits, within the
 # `default_max_str_digits` that `analysis._log10_int`'s str() may print
 MAX_COMPARE_USERS = 3500
@@ -211,6 +211,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--seed must be a signed 64-bit integer, got {args.seed}")
     n_files = args.files if args.files is not None else args.m * args.b
     params = engine.SchemeParams(m=args.m, b=args.b, z=args.z, t=args.t, n_files=n_files)
+    engine.check_cost(args.m, args.b, args.z, args.t, args.payload)  # before any topology
     top = _load_topology(args)
 
     demands = None

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
 # block entries that `design` builds, checks and writes, m*(mu*b^m + 40*b), at about 0.5 us
-# and 18 B each (a block weighs 40); the slowest accepted, (m, b, mu) = (19, 2, 1) or
-# (11, 3, 5), take about 6.5 s and 200 MB in a fresh process on a 2-vCPU x86-64 VM
+# and 18 B each (a block weighs 40); the slowest accepted, (m, b, mu) = (19, 2, 1) and
+# (11, 3, 5), take 4.7 and 4.8 s and 192 and 197 MB in fresh processes (budget_edges.py)
 MAX_DESIGN_COST = 10**7
 
 
@@ -30,10 +30,13 @@ class PointBudgetError(Exception):
 
 
 def point_count(m: int, b: int, mu: int = 1) -> int:
-    """mu * b**m; once b**m >= 2**64, past every budget, refused before it is computed."""
+    """mu * b**m, refused above the point budget; once b**m >= 2**64, before it is computed."""
     if m * (b.bit_length() - 1) >= 64:
         raise PointBudgetError(f"b^m = {b}^{m} points exceeds budget {DEFAULT_POINT_BUDGET}")
-    return mu * b**m
+    n = mu * b**m
+    if n > DEFAULT_POINT_BUDGET:
+        raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,6 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     if m < 1 or b < 1 or mu < 1:
         raise ValueError("m, b, mu must be positive")
     n = point_count(m, b, mu)
-    if n > DEFAULT_POINT_BUDGET:
-        raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
     cost = m * (n + 40 * b)
     if cost > MAX_DESIGN_COST:
         raise PointBudgetError(f"design blocks of m*(mu*b^m + 40*b) = {cost} entries "

@@ -28,49 +28,66 @@ from fractions import Fraction
 from operator import add, getitem, xor
 from typing import NamedTuple
 
-from .designs import DEFAULT_POINT_BUDGET, PointBudgetError, point_count
-from .topology import (
-    MatchingAssignment,
-    Topology,
-    cell_slots,
-    extract_matchings,
-    validate,
-)
+from .designs import PointBudgetError, point_count
+from .topology import MatchingAssignment, Topology, cell_slots, extract_matchings, validate
 
 DEFAULT_PAYLOAD_SIZE = 64
-MAX_SCHEDULE_ROWS = 10**7  # transmissions r * b**m that SchemeParams accepts
-MAX_COVERAGE_ENTRIES = 10**7  # m * b**2 entries of place's and validate's group tables, likewise
-# K * (F + 1) bytes of decode's per-user subfile table, likewise; it is written in full:
-# simulate --m 2 --b 368 --z 1 --t 367 takes 0.4-0.5 s and 140 MB ru_maxrss, (6,8,1,1)
-# 5.4-6.5 s and 206 MB
-MAX_RECOVERED_FLAGS = 10**8
-# users K = m * b, likewise; at b = 1 the slowest accepted simulate takes 6.3 s and 157 MB
-MAX_USERS = 150000
-# bytes of r*F payloads and the m*r*F contents they XOR, each with ~100 B of overhead
-MAX_PAYLOAD_BYTES = 5 * 10**7
+# budgets, timed in fresh processes on a 2-vCPU x86-64 VM by scripts/budget_edges.py;
+# `topology`'s slowest accepted run, (m, b, z) = (1, 3162, 3162), takes 8.7 s and 739 MB
+MAX_COVERAGE_ENTRIES = 10**7  # m * b**2, at least the K*z access entries it builds
+MAX_USERS = 150000  # users K = m * b; (150000, 1, 1) takes 1.7 s and 35 MB
+# simulate's cost model, :func:`check_cost`: a step takes about 0.13 us and a held byte
+# adds about 1 B of ru_maxrss with --log and --report, so a run stays in 10 s and 300 MB
+MAX_STEPS = 6 * 10**7
+MAX_HELD_BYTES = 25 * 10**7
 
 
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
-    """Broadcast rate in file units: the blocks per group that no user covers; exact.
-
-    A user reads one cache per cell of :func:`~macc.topology.cell_slots`, and each
-    cache stores min(t, |cell|) blocks of its cell, so r is the sum over the cells
-    of |cell| - min(t, |cell|).
-    """
+    """Broadcast rate in file units: the blocks per group that no user covers; exact.  A
+    user reads one cache in each cell of :func:`~macc.topology.cell_slots`, z - 1 cells of
+    x = floor(b/z) slots and one of b - (z-1)x, and a cache stores min(t, |cell|) blocks."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if t < 1:
         raise ValueError("t must be >= 1")
-    return Fraction(sum(len(cell) - min(t, len(cell)) for cell in cell_slots(b, z)))
+    if not 1 <= z <= b:
+        raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
+    x = b // z
+    return Fraction((z - 1) * max(0, x - t) + max(0, b - (z - 1) * x - t))
 
 
 def check_coverage_budget(m: int, b: int) -> None:
-    """Refuse m*b^2 entries of place's and validate's group tables, or m*b users, above budget."""
+    """Refuse m < 1, then m*b^2 coverage entries or m*b users above budget."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if m * b**2 > MAX_COVERAGE_ENTRIES:
         raise PointBudgetError(f"coverage tables of m*b^2 = {m * b**2} entries "
                                f"exceed {MAX_COVERAGE_ENTRIES}")
     if m * b > MAX_USERS:
         raise PointBudgetError(f"K = m*b = {m * b} users exceed {MAX_USERS}")
+
+
+def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) -> None:
+    """Refuse a simulate run whose estimated steps or held bytes exceed their limit, naming
+    the largest term: closed forms in (m, b, z, t, size), after the shape and point checks,
+    so nothing loops over or allocates in b or z before a refusal."""
+    r, f = int(achievable_rate(b, m, z, t)), point_count(m, b)  # shape first, then points
+    rows, k = r * f, m * b
+    payload = 0 if payload_size is None else (m + 1) * rows * (payload_size + 100)
+    for what, limit, terms in (
+            ("steps", MAX_STEPS, {"summand lookups rows*m^2": rows * m * m,
+                                  "broadcast work 2*rows*(m+5)": 2 * rows * (m + 5),
+                                  "user work K*(250+20*z+5*b)": k * (250 + 20 * z + 5 * b)}),
+            ("held bytes", MAX_HELD_BYTES, {
+                "rounds 12*rows*(m+2)": 12 * rows * (m + 2),
+                "cell columns 96*m*F": 96 * m * f if r else 0,
+                "decode's table 5*K*(F+1)/4": 5 * k * (f + 1) // 4,
+                "user data K*(800+80*z+8*b)": k * (800 + 80 * z + 8 * b),
+                "payloads and contents 5*(m+1)*rows*(size+100)/2": 5 * payload // 2})):
+        total, top = sum(terms.values()), max(terms, key=terms.get)
+        if total > limit:
+            raise PointBudgetError(f"simulate needs about {total} {what}, over {limit}; "
+                                   f"its largest term is {top} = {terms[top]}")
 
 
 @dataclass(frozen=True)
@@ -86,16 +103,7 @@ class SchemeParams:
     def __post_init__(self):
         if self.m < 1 or self.n_files < 1:
             raise ValueError("m and n_files must be >= 1")
-        r, f = self.missing_count, self.subpacketization
-        if r * f > MAX_SCHEDULE_ROWS:
-            raise PointBudgetError(f"schedule of r={r} rounds x b^m={f} cells = {r * f} "
-                                   f"transmissions exceeds {MAX_SCHEDULE_ROWS}")
-        if f > DEFAULT_POINT_BUDGET:
-            raise PointBudgetError(f"{f} points exceeds budget {DEFAULT_POINT_BUDGET}")
-        check_coverage_budget(self.m, self.b)
-        if self.num_users * (f + 1) > MAX_RECOVERED_FLAGS:
-            raise PointBudgetError(f"recovered flags K*(F+1) = {self.num_users * (f + 1)} "
-                                   f"exceed {MAX_RECOVERED_FLAGS}")
+        check_cost(self.m, self.b, self.z, self.t)
 
     @property
     def subpacketization(self) -> int:
@@ -393,14 +401,9 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     carry XOR payloads, and :func:`check_payloads` checks every broadcast's
     payload against the ground-truth generator.
     """
-    if payload_size is not None:
-        if payload_size < 1:
-            raise ValueError("payload size must be >= 1")
-        rows = params.missing_count * params.subpacketization
-        held = (params.m + 1) * rows * (payload_size + 100)
-        if held > MAX_PAYLOAD_BYTES:
-            raise PointBudgetError(f"payloads and contents of (m+1)*r*F*(size+100) = {held} "
-                                   f"bytes exceed {MAX_PAYLOAD_BYTES}")
+    if payload_size is not None and payload_size < 1:
+        raise ValueError("payload size must be >= 1")
+    check_cost(params.m, params.b, params.z, params.t, payload_size)  # the payloads' share too
     if demands is None:
         if params.n_files < params.num_users:
             raise ValueError("default distinct demands need N >= K")
@@ -433,17 +436,9 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     users_complete = [got.count(1) == missed for got in decoding.recovered]
 
     return SimulationReport(
-        m=m,
-        b=b,
-        z=params.z,
-        t=params.t,
-        n_files=params.n_files,
-        subpacketization=f,
-        transmission_count=len(schedule),
-        rate=Fraction(len(schedule), f),
+        m=m, b=b, z=params.z, t=params.t, n_files=params.n_files, subpacketization=f,
+        transmission_count=len(schedule), rate=Fraction(len(schedule), f),
         expected_rate=achievable_rate(b, m, params.z, params.t),
-        users_complete=tuple(users_complete),
-        beneficiary_counts=decoding.beneficiary_counts,
+        users_complete=tuple(users_complete), beneficiary_counts=decoding.beneficiary_counts,
         byte_oracle_ok=None if payload_size is None else check_payloads(schedule, contents),
-        transmissions=schedule,
-    )
+        transmissions=schedule)

@@ -34,7 +34,7 @@ RANDOM_TRIES = 1000  # draws per group before random_topology gives up
 
 def cell_slots(b: int, z: int) -> list[range]:
     """The z cells as ranges of cache slots: floor(b/z) slots for cells 1..z-1, the rest
-    for cell z.  The one place the cell bounds are computed."""
+    for cell z.  :func:`~macc.engine.achievable_rate` sums over these sizes in closed form."""
     if not 1 <= z <= b:
         raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
     x = b // z

@@ -369,14 +369,14 @@ def test_simulate_rate_zero_writes_empty_log(capsys, tmp_path):
 
 
 def test_simulate_refuses_schedule_above_row_limit(capsys):
-    # 10**6 points fit the design budget, but 999 rounds of them do not fit the schedule
+    # 10**6 points fit the design budget, but the work of 999 rounds of them does not
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "simulate", "--m", "2", "--b", "1000", "--z", "1",
                              "--t", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: schedule of r=999 rounds x b^m=1000000 cells = 999000000 "
-                   "transmissions exceeds 10000000\n")
+    assert err == ("error: simulate needs about 17992540000 steps, over 60000000; its largest "
+                   "term is broadcast work 2*rows*(m+5) = 13986000000\n")
     code, out, _ = run_cli(capsys, "simulate", "--m", "3", "--b", "20", "--z", "4", "--t", "1")
     assert code == 0 and "transmissions=128000\n" in out and "decoded=60/60\n" in out
 
@@ -392,25 +392,25 @@ def test_simulate_refuses_points_above_budget(capsys):
 
 
 def test_simulate_refuses_coverage_above_budget(capsys):
-    # 10 rounds of 10**6 cells fit the rows and the points; 10**6 users' coverage does not
+    # 10 rounds of 10**6 cells fit the points; 10**6 users' pools of 10**6 slots do not
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "simulate", "--m", "1", "--b", "1000000", "--z", "1",
                              "--t", "999990")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: coverage tables of m*b^2 = 1000000000000 entries "
-                   "exceed 10000000\n")
+    assert err == ("error: simulate needs about 5000400000000 steps, over 60000000; its "
+                   "largest term is user work K*(250+20*z+5*b) = 5000270000000\n")
 
 
 def test_simulate_refuses_payloads_above_budget(capsys):
-    # 4 * (size + 100) bytes of payloads and contents: the limit admits 12499900 bytes
+    # 10 * (size + 100) held bytes of payloads and contents: the limit admits 24999693 bytes
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "simulate", "--m", "1", "--b", "2", "--z", "1", "--t", "1",
-                             "--payload", "12499901")
+                             "--payload", "24999694")
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == ("error: payloads and contents of (m+1)*r*F*(size+100) = 50000004 bytes "
-                   "exceed 50000000\n")
+    assert err == ("error: simulate needs about 250000003 held bytes, over 250000000; its "
+                   "largest term is payloads and contents 5*(m+1)*rows*(size+100)/2 = 249997940\n")
 
 
 @pytest.mark.parametrize("m, b, mu, cost", [("243903", "1", "1", 10000023),
@@ -434,7 +434,7 @@ def test_design_accepts_shapes_that_only_the_intersection_count_refused(capsys, 
 
 
 def test_topology_refuses_coverage_above_budget(capsys):
-    # simulate's coverage budget bounds topology too, before any graph is built
+    # topology's coverage budget, before any graph is built
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1000", "--z", "1")
     assert time.perf_counter() - start < 1
@@ -473,16 +473,20 @@ def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--m", str(MAX_USERS + 1), "--b", "1", "--z", "1", "--t", "1"],
+    ["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
     ["topology", "--m", str(MAX_USERS + 1), "--b", "1", "--z", "1"],
 ])
 def test_user_budget_bounds_b_equal_one(capsys, argv):
-    # at b = 1 the point, row and coverage budgets never bind
+    # at b = 1 only the users bind: simulate's user work, one past (218181, 1, 1, 1), and
+    # topology's user budget
+    message = {"simulate": "simulate needs about 60000050 steps, over 60000000; its largest "
+                           "term is user work K*(250+20*z+5*b) = 60000050",
+               "topology": f"K = m*b = {MAX_USERS + 1} users exceed {MAX_USERS}"}[argv[0]]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == f"error: K = m*b = {MAX_USERS + 1} users exceed {MAX_USERS}\n"
+    assert err == f"error: {message}\n"
 
 
 class _Writes:

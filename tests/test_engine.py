@@ -1,7 +1,9 @@
+import collections
 import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
 import time
 import tracemalloc
@@ -30,14 +32,7 @@ from macc import (
 )
 from macc.cli import write_log
 from macc.designs import DEFAULT_POINT_BUDGET
-from macc.engine import (
-    MAX_RECOVERED_FLAGS,
-    MAX_SCHEDULE_ROWS,
-    MAX_USERS,
-    Decoding,
-    Schedule,
-    class_blocks,
-)
+from macc.engine import Decoding, Schedule, check_cost, class_blocks
 from macc.topology import cell_slots
 
 
@@ -308,42 +303,50 @@ def test_deliver_empty_when_rate_zero():
 
 
 def test_scheme_params_bound_the_schedule_rows():
-    # (m, b, z, t) = (2, 250, 1, 90): rate 160 over 62500 cells, the row limit exactly
-    params = SchemeParams(m=2, b=250, z=1, t=90, n_files=1)
-    assert params.missing_count * params.subpacketization == MAX_SCHEDULE_ROWS
-    # (6, 10, 1, 1): rate 9 over 10**6 cells, the point limit exactly
-    params = SchemeParams(m=6, b=10, z=1, t=1, n_files=1)
-    assert params.subpacketization == DEFAULT_POINT_BUDGET
-    # (2, 1000, 1, 990) meets both limits too, but 2000 users' recovered flags over
-    # 10**6 + 1 subfile ids do not fit
-    with pytest.raises(PointBudgetError, match="^recovered flags K\\*\\(F\\+1\\) = "
-                                               "2000002000 exceed 100000000$"):
-        SchemeParams(m=2, b=1000, z=1, t=990, n_files=1)
-    params = SchemeParams(m=2, b=368, z=1, t=300, n_files=1)  # 99672800 flags
-    assert params.num_users * (params.subpacketization + 1) <= MAX_RECOVERED_FLAGS
-    with pytest.raises(PointBudgetError, match="K\\*\\(F\\+1\\) = 100487556 exceed"):
-        SchemeParams(m=2, b=369, z=1, t=300, n_files=1)
-    # the same rows and points from one group of 10**6 users need 10**12 coverage entries
-    with pytest.raises(PointBudgetError, match="^coverage tables of m\\*b\\^2 = "
-                                               "1000000000000 entries exceed 10000000$"):
-        SchemeParams(m=1, b=10**6, z=1, t=999990, n_files=1)
-    SchemeParams(m=1, b=3162, z=1, t=3161, n_files=1)  # 9998244 entries
-    with pytest.raises(PointBudgetError, match="m\\*b\\^2 = 10004569 entries"):
-        SchemeParams(m=1, b=3163, z=1, t=3162, n_files=1)
-    with pytest.raises(PointBudgetError, match="r=2 rounds x b\\^m=10000000 cells = 20000000"):
-        SchemeParams(m=7, b=10, z=1, t=8, n_files=1)
-    # rate 1 over 10**7 cells fits the rows, but not the points
+    # check_cost's model: for each term that can bind first, the largest accepted shape
+    # along one parameter and the smallest refused one, whose message names that term
+    edges = [((17, 2, 1, 1), (18, 2, 1, 1), "steps", "summand lookups rows*m^2"),
+             ((1, 1818, 1, 1), (1, 1819, 1, 1), "steps", "broadcast work 2*rows*(m+5)"),
+             ((218181, 1, 1, 1), (218182, 1, 1, 1), "steps", "user work K*(250+20*z+5*b)"),
+             ((1, 3435, 1, 3434), (1, 3436, 1, 3435), "steps", "user work K*(250+20*z+5*b)"),
+             ((4, 25, 1, 24), (4, 26, 1, 25), "held bytes", "cell columns 96*m*F"),
+             ((2, 461, 1, 461), (2, 462, 1, 462), "held bytes", "decode's table 5*K*(F+1)/4")]
+    for accepted, refused, what, term in edges:
+        SchemeParams(*accepted, n_files=1)
+        with pytest.raises(PointBudgetError, match=f"^simulate needs about \\d+ {what}, over "
+                                                   f"\\d+; its largest term is {re.escape(term)} "):
+            SchemeParams(*refused, n_files=1)
+    with pytest.raises(PointBudgetError, match="^simulate needs about 97003360 steps, over "
+                                               "60000000; its largest term is summand lookups "
+                                               "rows\\*m\\^2 = 84934656$"):
+        SchemeParams(m=18, b=2, z=1, t=1, n_files=1)
+    # the payloads and their contents count only once a payload size is given
+    check_cost(1, 2, 1, 1, 24999693)
+    with pytest.raises(PointBudgetError, match="held bytes, over 250000000; its largest term "
+                                               "is payloads and contents "):
+        check_cost(1, 2, 1, 1, 24999694)
+    # the benchmark's shapes: (3, 20, 4, 1), and (3, 6, 2, 1) with 1 KiB payloads
+    SchemeParams(m=3, b=20, z=4, t=1, n_files=1)
+    check_cost(3, 6, 2, 1, 1024)
+    # at rate 0 the point budget binds first: (6, 10, 1, 10) is 10**6 cells and no rows
+    assert SchemeParams(m=6, b=10, z=1, t=10, n_files=1).subpacketization == DEFAULT_POINT_BUDGET
     with pytest.raises(PointBudgetError, match="^10000000 points exceeds budget 1000000$"):
-        SchemeParams(m=7, b=10, z=1, t=9, n_files=1)
+        SchemeParams(m=7, b=10, z=1, t=10, n_files=1)
     # from b**m = 2**64 on, the points are refused before the power is computed
-    with pytest.raises(PointBudgetError, match=f"^schedule of r=1 rounds x b\\^m={2**63} cells "):
+    with pytest.raises(PointBudgetError, match=f"^{2**63} points exceeds budget 1000000$"):
         SchemeParams(m=63, b=2, z=1, t=1, n_files=1)
     with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points exceeds budget 1000000$"):
         SchemeParams(m=64, b=2, z=1, t=1, n_files=1)
-    # at b = 1 only the user budget binds
-    SchemeParams(m=MAX_USERS, b=1, z=1, t=1, n_files=1)
-    with pytest.raises(PointBudgetError, match=f"^K = m\\*b = {MAX_USERS + 1} users exceed"):
-        SchemeParams(m=MAX_USERS + 1, b=1, z=1, t=1, n_files=1)
+
+
+def test_achievable_rate_closed_form_matches_the_cells():
+    # the closed form against the sum over cell_slots' cells, two distinct sizes at most
+    for b in range(1, 80):
+        for z in range(1, b + 1):
+            sizes = collections.Counter(map(len, cell_slots(b, z)))
+            for t in range(1, b + 2):
+                assert achievable_rate(b, 1, z, t) == sum(
+                    count * (size - min(t, size)) for size, count in sizes.items())
 
 
 def test_schedule_payloads_sit_beside_their_rounds(example_a, example_a_matching):
