@@ -53,8 +53,8 @@ EDGES = [
      "design --m 11 --b 3 --mu 6", "1062882 points exceeds budget 1000000"),
     ("MAX_DESIGN_COST", "design --m 1 --b 243902",
      "design --m 1 --b 243903", "= 10000023 entries exceed 10000000"),
-    ("MAX_COMPARE_USERS", "compare --K 3500 --z 1",
-     "compare --K 3501 --z 1", "--K 3501 exceeds the compare budget of 3500 users"),
+    ("MAX_COMPARE_USERS", "compare --K 4000 --z 1",
+     "compare --K 4001 --z 1", "--K 4001 exceeds the compare budget of 4000 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",
      "compare --K 1 --z 1 --grid 1e-4300", "has more digits than the CSV prints (4300)"),
     ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 3162",

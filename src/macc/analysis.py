@@ -21,10 +21,9 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .engine import achievable_rate
 from .topology import cell_sizes
@@ -48,44 +47,67 @@ def divisors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Curve:
-    """Lower convex envelope of (memory, rate) corners; evaluation by interpolation."""
+    """Lower convex envelope of (memory, rate) corners, held at strictly increasing
+    integers js = memory * scale; evaluation by interpolation."""
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    scale: int
+    js: tuple[int, ...]
+    rates: tuple[Fraction, ...]
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip((Fraction(j, self.scale) for j in self.js), self.rates))
 
     def rate_at(self, memory) -> Fraction:
         x = Fraction(memory)
-        pts = self.points
-        if x < pts[0][0]:
-            raise ValueError(f"memory {x} below curve domain start {pts[0][0]}")
-        if x >= pts[-1][0]:
-            return pts[-1][1]
-        hi = bisect.bisect_right(pts, x, key=operator.itemgetter(0))
-        (m0, r0), (m1, r1) = pts[hi - 1], pts[hi]
-        return r0 + (r1 - r0) * (x - m0) / (m1 - m0)
+        return next(self._walk([(x.numerator * self.scale, x.denominator)]))
+
+    def _walk(self, positions):
+        """The rate at each p/q on the js axis, for (p, q) whose floors p // q do not
+        decrease: one pass forward, and between two vertices one Fraction of integers."""
+        js, rates, hi = self.js, self.rates, 0
+        for p, q in positions:
+            hi = bisect.bisect_right(js, p // q, hi)  # js[hi - 1] <= p/q < js[hi]
+            if hi == 0:
+                raise ValueError(f"memory {Fraction(p, q * self.scale)} below curve domain "
+                                 f"start {Fraction(js[0], self.scale)}")
+            j0, r0 = js[hi - 1], rates[hi - 1]
+            if hi == len(js) or p == j0 * q:
+                yield r0
+                continue
+            j1, (n0, d0), (n1, d1) = js[hi], r0.as_integer_ratio(), rates[hi].as_integer_ratio()
+            yield Fraction(n0 * d1 * (j1 * q - p) + n1 * d0 * (p - j0 * q),
+                           d0 * d1 * (j1 - j0) * q)
 
 
 def envelope(points) -> Curve:
     """Lower convex hull of (memory, rate) pairs; per memory the lowest rate is kept
     and collinear points are dropped."""
-    pts = sorted((Fraction(mem), Fraction(rate)) for mem, rate in points)
+    pts = [(Fraction(mem), Fraction(rate)) for mem, rate in points]
     if not pts:
         raise ValueError("need at least one point")
-    if not 0 <= pts[0][0] <= pts[-1][0] <= 1:
+    if not 0 <= min(mem for mem, _ in pts) <= max(mem for mem, _ in pts) <= 1:
         raise ValueError("memory fraction must lie in [0, 1]")
     if min(rate for _, rate in pts) < 0:
         raise ValueError("rate must be >= 0")
-    hull: list[tuple[Fraction, Fraction]] = []
-    for x, y in pts:
-        if hull and hull[-1][0] == x:  # a higher rate at the same memory
+    scale = lcm(*(mem.denominator for mem, _ in pts))
+    return _hull(scale, [(mem.numerator * (scale // mem.denominator), rate) for mem, rate in pts])
+
+
+def _hull(scale: int, points) -> Curve:
+    """:func:`envelope` of (j, rate) pairs at j = memory * scale, turns tested in integers."""
+    hull: list[tuple[int, int, int, Fraction]] = []  # (j, numerator, denominator, rate)
+    for j, rate in sorted(points):
+        if hull and hull[-1][0] == j:  # a higher rate at the same memory
             continue
+        n, d = rate.as_integer_ratio()
         while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2:]
-            if (y1 - y0) * (x - x1) >= (y - y1) * (x1 - x0):
-                hull.pop()
-            else:
+            (j0, n0, d0, _), (j1, n1, d1, _) = hull[-2:]
+            if (n1 * d0 - n0 * d1) * d * (j - j1) < (n * d1 - n1 * d) * d0 * (j1 - j0):
                 break
-        hull.append((x, y))
-    return Curve(points=tuple(hull))
+            hull.pop()
+        hull.append((j, n, d, rate))
+    return Curve(scale, tuple(h[0] for h in hull), tuple(h[3] for h in hull))
 
 
 def our_corners(k_users: int, z: int) -> dict:
@@ -95,24 +117,24 @@ def our_corners(k_users: int, z: int) -> dict:
     line of CHANGES.md (ROADMAP item 1): the smallest b**m should win."""
     if z < 1:
         raise ValueError("z must be >= 1")
-    corners: dict[Fraction, tuple[Fraction, int]] = {}
+    corners: dict[int, tuple[Fraction, int]] = {}  # keyed by j = K*t/b = m*t
     for b in divisors(k_users):
         if b < z:
             continue
         m = k_users // b
         for t in range(1, cell_sizes(b, z)[-1] + 1):  # the last cell's size: rate 0 there
-            mem, rate = Fraction(t, b), achievable_rate(b, m, z, t)
-            if mem not in corners or rate < corners[mem][0]:
-                corners[mem] = (rate, b**m)
-    return dict(sorted(corners.items()))
+            rate = achievable_rate(b, m, z, t)
+            if m * t not in corners or rate < corners[m * t][0]:
+                corners[m * t] = (rate, b**m)
+    return {Fraction(j, k_users): corner for j, corner in sorted(corners.items())}
 
 
 def our_envelope(k_users: int, z: int) -> Curve:
-    return _curve("ours", k_users, z, our_corners(k_users, z))
+    return _curve("ours", k_users, z, _on_lattice(k_users, our_corners(k_users, z)))
 
 
 # RK, NT and SICPS share one binomial per t'.  A comparison table asks for at most K of
-# them per scheme, and the CLI caps K at MAX_COMPARE_USERS (3500), so 4096 entries keep
+# them per scheme, and the CLI caps K at MAX_COMPARE_USERS (4000), so 4096 entries keep
 # one table's binomials from the first of those schemes' passes to the last
 _binomial = functools.lru_cache(maxsize=4096)(comb)
 
@@ -199,23 +221,28 @@ def rival_corners(scheme: str, k_users: int, z: int, tparams=None) -> dict:
     return corners
 
 
+def _on_lattice(k: int, corners: dict) -> dict:
+    """A corner map re-keyed from memory M/N to the whole j = K*M/N."""
+    return {mem.numerator * (k // mem.denominator): v for mem, v in corners.items()}
+
+
 def _curve(scheme: str, k: int, z: int, corners: dict) -> Curve | None:
-    """The envelope of one scheme's corner map from (0, K): ours adds all its corners, a
-    rival its corners at t'' <= floor(K/z) and rate 0 at ceil(K/z)/K, where full local
-    coverage leaves nothing to send.  SICPS and SPE rates are external: None."""
+    """The envelope of one scheme's corner map keyed by j = K*M/N, from (0, K): ours adds
+    all its corners, a rival its corners at j <= floor(K/z) and rate 0 at ceil(K/z), where
+    full local coverage leaves nothing to send.  SICPS and SPE rates are external: None."""
     if scheme not in ("ours", *RATE_SCHEMES):
         return None
-    pts = [(Fraction(0), Fraction(k))] + [(mem, rate) for mem, (rate, _) in corners.items()]
+    pts = [(0, Fraction(k))] + [(j, rate) for j, (rate, _) in corners.items()]
     if scheme != "ours":
-        pts = [p for p in pts if p[0] * k <= k // z]
-        pts.append((Fraction(_ceil_div(k, z), k), Fraction(0)))
-    return envelope(pts)
+        pts = [p for p in pts if p[0] <= k // z]
+        pts.append((_ceil_div(k, z), Fraction(0)))
+    return _hull(k, pts)
 
 
 def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
     if scheme not in RATE_SCHEMES:
         raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
-    return _curve(scheme, k_users, z, rival_corners(scheme, k_users, z))
+    return _curve(scheme, k_users, z, _on_lattice(k_users, rival_corners(scheme, k_users, z)))
 
 
 @dataclass(frozen=True)
@@ -382,30 +409,34 @@ def _log10_int(n: int) -> float:
 
 
 def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
-    """One row per (memory, scheme): envelope rate plus corner subpacketization.
+    """One row per (memory, scheme) in grid order: envelope rate, corner subpacketization.
 
-    Each scheme's corner map is computed once; a rival's covers t = 1..floor(K/z)
-    and each integral t = K*M/N of the grid.  :func:`_curve` builds each envelope
-    from its map.  A row takes its subpacketization from the map, and is a
-    "corner" when the envelope meets that corner's rate."""
+    Each scheme's corner map is computed once, keyed by j = K*M/N; a rival's covers
+    t = 1..floor(K/z) and each whole j of the grid.  Each envelope is read in one walk
+    over the grid, sorted once.  A row takes its subpacketization from the map, and is
+    a "corner" when the envelope meets that corner's rate."""
     k = k_users
     grid = [Fraction(mem) for mem in grid]
-    tparams = sorted(set(range(1, k // z + 1))
-                     | {int(mem * k) for mem in grid if (mem * k).denominator == 1})
-    corners = {"ours": our_corners(k, z)} | {
-        scheme: rival_corners(scheme, k, z, tparams) for scheme in SCHEME_ORDER[1:]}
-    curves = {scheme: _curve(scheme, k, z, corners[scheme]) for scheme in SCHEME_ORDER}
+    axis = [(mem.numerator * k, mem.denominator) for mem in grid]  # M/N at j = p/q
+    lattice = [p // q if p % q == 0 else None for p, q in axis]
+    tparams = sorted(set(range(1, k // z + 1)) | {j for j in lattice if j is not None})
+    corners = {"ours": _on_lattice(k, our_corners(k, z))} | {
+        scheme: _on_lattice(k, rival_corners(scheme, k, z, tparams))
+        for scheme in SCHEME_ORDER[1:]}
+    order = sorted(range(len(grid)), key=lambda i: axis[i][0] // axis[i][1])
+    walks = {scheme: curve._walk(axis[i] for i in order) for scheme in SCHEME_ORDER
+             if (curve := _curve(scheme, k, z, corners[scheme])) is not None}
 
-    rows: list[TableRow] = []
-    for mem in grid:
+    rows: list[list[TableRow]] = [[] for _ in grid]
+    for i in order:
         for scheme in SCHEME_ORDER:
-            corner_rate, sub = corners[scheme].get(mem, (None, None))
-            rate = None if curves[scheme] is None else curves[scheme].rate_at(mem)
+            corner_rate, sub = corners[scheme].get(lattice[i], (None, None))
+            rate = next(walks[scheme]) if scheme in walks else None
             kind = ("external" if rate is None
                     else "corner" if corner_rate == rate else "interpolated")
-            rows.append(TableRow(memory=mem, scheme=scheme, rate=rate, kind=kind,
-                                 subpacketization=sub))
-    return rows
+            rows[i].append(TableRow(memory=grid[i], scheme=scheme, rate=rate, kind=kind,
+                                    subpacketization=sub))
+    return [row for block in rows for row in block]
 
 
 CSV_HEADER = "mn_num,mn_den,scheme,rate,log10_subpacketization"

@@ -28,11 +28,11 @@ from . import analysis, designs, engine, topology
 # so that `_emit` joins whole slices into its 8 KB writes
 _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 2.5 s
-# and 37 MB at K = 3500 in a fresh process on a 2-vCPU x86-64 VM (budget_edges.py).  NT's
-# subpacketization K*C(K, t) < K*2**K then has about 1060 digits, within the
-# `default_max_str_digits` that `analysis._log10_int`'s str() may print
-MAX_COMPARE_USERS = 3500
+# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 2.3 s
+# and 39 MB at K = 4000 in a fresh process on a 2-vCPU x86-64 VM (budget_edges.py; --json
+# adds 0.9 s and 31 MB).  NT's subpacketization K*C(K, t) < K*2**K then has at most 1206
+# digits, within the `default_max_str_digits` that `analysis._log10_int`'s str() may print
+MAX_COMPARE_USERS = 4000
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
 MAX_GRID_DIGITS = sys.int_info.default_max_str_digits

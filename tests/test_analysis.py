@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analysis_oracles import fraction_hull, oracle_table, rate_on
 from macc import (
     ApplicabilityError,
     achievable_rate,
@@ -441,6 +442,36 @@ def test_csv_shape():
 def test_log10_of_big_values():
     assert abs(log10_of(10**400) - 400.0) < 1e-9
     assert abs(log10_of(F(10**50, 10**20)) - 30.0) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_comparison_table_walk_matches_the_per_point_oracle(data):
+    # a grid unsorted, with repeats, on and off the t/K lattice and holding 0 and 1:
+    # every row equals the one from a Fraction-memory hull bisected per grid entry
+    k = data.draw(st.integers(1, 60))
+    z = data.draw(st.integers(1, k))
+    entries = data.draw(st.lists(st.one_of(st.integers(0, k).map(lambda j: F(j, k)),
+                                            st.fractions(0, 1, max_denominator=4 * k)),
+                                  max_size=12))
+    grid = data.draw(st.permutations(entries + entries[:3] + [F(0), F(1)]))
+    rows = [(r.memory, r.scheme, r.rate, r.kind, r.subpacketization)
+            for r in comparison_table(k, z, grid)]
+    assert rows == oracle_table(k, z, grid)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_envelope_matches_the_per_point_oracle(data):
+    raw = data.draw(st.lists(st.tuples(st.fractions(0, 1, max_denominator=30),
+                                       st.fractions(0, 100, max_denominator=30)),
+                             min_size=1, max_size=12))
+    memories = data.draw(st.lists(st.fractions(0, 1, max_denominator=60), max_size=12))
+    curve, hull = envelope(raw), fraction_hull(raw)
+    assert curve.points == hull
+    for mem in memories:
+        if mem >= hull[0][0]:
+            assert curve.rate_at(mem) == rate_on(hull, mem), mem
 
 
 @settings(max_examples=50, deadline=None)

@@ -791,3 +791,16 @@ def test_compare_and_design_output_bytes_are_pinned(capsys, tmp_path):
         path.unlink(missing_ok=True)
         digest.update(repr((argv, code, out, err, written)).encode())
     assert digest.hexdigest() == COMPARE_DESIGN_GOLDEN
+
+
+# sha256 over exit code, stdout, stderr and --json bytes of one `compare` whose grid is
+# unsorted, repeats an entry and holds entries off the t/K lattice: rows keep its order
+COMPARE_ROW_ORDER_GOLDEN = "29c0e3340814c4b5494fe86641f10291c5d57aa8f5561d9cf19a93f9d8d62d11"
+
+
+def test_compare_rows_follow_the_grid_order(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    argv = ["compare", "--K", "100", "--z", "5", "--grid", "1/3,0,1/7,1/7,1,2/100"]
+    code, out, err = run_cli(capsys, *argv, "--json", str(path))
+    digest = hashlib.sha256(repr((argv, code, out, err, path.read_bytes())).encode())
+    assert digest.hexdigest() == COMPARE_ROW_ORDER_GOLDEN
