@@ -9,7 +9,7 @@ exits 2 and names its limit:
 
     PYTHONPATH=src python3 scripts/budget_edges.py
 
-The accepted runs take up to about 10 s and 750 MB each, one after another.
+The accepted runs take up to about 8 s and 250 MB each, one after another.
 """
 
 import json
@@ -57,8 +57,10 @@ EDGES = [
      "compare --K 4001 --z 1", "--K 4001 exceeds the compare budget of 4000 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",
      "compare --K 1 --z 1 --grid 1e-4300", "has more digits than the CSV prints (4300)"),
-    ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 3162",
-     "topology --m 1 --b 3163 --z 3163", "m*b^2 = 10004569 entries exceed 10000000"),
+    ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 948",
+     "topology --m 1 --b 3163 --z 948", "m*b^2 = 10004569 entries exceed 10000000"),
+    ("MAX_ACCESS_ENTRIES", "topology --m 1 --b 1732 --z 1732 --source random",
+     "topology --m 1 --b 1733 --z 1733", "K*z = 3003289 entries exceed 3000000"),
     ("MAX_USERS", "topology --m 150000 --b 1 --z 1",
      "topology --m 150001 --b 1 --z 1", "K = m*b = 150001 users exceed 150000"),
     ("RANDOM_TRIES", "topology --m 1 --b 30 --z 1 --source random",

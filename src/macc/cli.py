@@ -28,7 +28,7 @@ from . import analysis, designs, engine, topology
 # so that `_emit` joins whole slices into its 8 KB writes
 _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 2.3 s
+# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 1.9 s
 # and 39 MB at K = 4000 in a fresh process on a 2-vCPU x86-64 VM (budget_edges.py; --json
 # adds 0.9 s and 31 MB).  NT's subpacketization K*C(K, t) < K*2**K then has at most 1206
 # digits, within the `default_max_str_digits` that `analysis._log10_int`'s str() may print
@@ -141,7 +141,7 @@ def _load_topology(args) -> topology.Topology:
 
 
 def cmd_topology(args) -> int:
-    engine.check_coverage_budget(args.m, args.b)
+    engine.check_coverage_budget(args.m, args.b, args.z)
     top = _load_topology(args)
     report = topology.validate(top)
     _emit(_json_doc({"topology": top, "validation": report}), args.out)

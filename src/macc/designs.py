@@ -21,7 +21,7 @@ from dataclasses import dataclass
 DEFAULT_POINT_BUDGET = 10**6
 # block entries that `design` builds, checks and writes, m*(mu*b^m + 40*b), at about 0.5 us
 # and 18 B each (a block weighs 40); the slowest accepted, (m, b, mu) = (19, 2, 1) and
-# (11, 3, 5), take 4.7 and 4.8 s and 192 and 197 MB in fresh processes (budget_edges.py)
+# (11, 3, 5), take 5.2 and 4.9 s and 194 and 198 MB in fresh processes (budget_edges.py)
 MAX_DESIGN_COST = 10**7
 
 

@@ -32,10 +32,11 @@ from .designs import PointBudgetError, point_count
 from .topology import MatchingAssignment, Topology, cell_slots, extract_matchings, validate
 
 DEFAULT_PAYLOAD_SIZE = 64
-# budgets, timed in fresh processes on a 2-vCPU x86-64 VM by scripts/budget_edges.py;
-# `topology`'s slowest accepted run, (m, b, z) = (1, 3162, 3162), takes 8.7 s and 739 MB
-MAX_COVERAGE_ENTRIES = 10**7  # m * b**2, at least the K*z access entries it builds
-MAX_USERS = 150000  # users K = m * b; (150000, 1, 1) takes 1.7 s and 35 MB
+# budgets, timed in fresh processes on a 2-vCPU x86-64 VM by scripts/budget_edges.py
+MAX_COVERAGE_ENTRIES = 10**7  # m * b**2; (1, 3162, 948) takes 2.2 s and 234 MB
+MAX_USERS = 150000  # users K = m * b; (150000, 1, 1) takes 1.9 s and 35 MB
+# K * z; an access entry costs about 70 B, and random (1, 1732, 1732) takes 3.5 s and 224 MB
+MAX_ACCESS_ENTRIES = 3 * 10**6
 # simulate's cost model, :func:`check_cost`: a step takes about 0.13 us and a held byte
 # adds about 1 B of ru_maxrss with --log and --report, so a run stays in 10 s and 300 MB
 MAX_STEPS = 6 * 10**7
@@ -56,8 +57,9 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
     return Fraction((z - 1) * max(0, x - t) + max(0, b - (z - 1) * x - t))
 
 
-def check_coverage_budget(m: int, b: int) -> None:
-    """Refuse m < 1, then m*b^2 coverage entries or m*b users above budget."""
+def check_coverage_budget(m: int, b: int, z: int) -> None:
+    """Refuse m < 1, then m*b^2 coverage entries, m*b users or, for 1 <= z <= b (any other
+    z is the topology's own error), K*z access entries above budget."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m * b**2 > MAX_COVERAGE_ENTRIES:
@@ -65,6 +67,9 @@ def check_coverage_budget(m: int, b: int) -> None:
                                f"exceed {MAX_COVERAGE_ENTRIES}")
     if m * b > MAX_USERS:
         raise PointBudgetError(f"K = m*b = {m * b} users exceed {MAX_USERS}")
+    if 1 <= z <= b and m * b * z > MAX_ACCESS_ENTRIES:
+        raise PointBudgetError(f"access lists of K*z = {m * b * z} entries "
+                               f"exceed {MAX_ACCESS_ENTRIES}")
 
 
 def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) -> None:
@@ -358,12 +363,18 @@ def check_payloads(schedule: Schedule, contents) -> bool:
 
 
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:
-    """Deterministic content of a subfile; the ground truth for the byte oracle."""
+    """Deterministic content of a subfile, the byte oracle's ground truth: keyed BLAKE2b-512
+    blocks of b"file:subfile:counter", keyed by the seed as 8 signed big-endian bytes."""
     if size < 1:
         raise ValueError("payload size must be >= 1")
-    key = seed.to_bytes(8, "big", signed=True)
-    blocks = [hashlib.blake2b(b"%d:%d:%d" % (file, subfile, counter), key=key,
-                              digest_size=64).digest() for counter in range(-(-size // 64))]
+    # every block hashes the same key and prefix, so each copies one state that has them
+    state = hashlib.blake2b(b"%d:%d:" % (file, subfile), key=seed.to_bytes(8, "big", signed=True),
+                            digest_size=64)
+    blocks = []
+    for counter in range(-(-size // 64)):
+        block = state.copy()
+        block.update(b"%d" % counter)
+        blocks.append(block.digest())
     return b"".join(blocks)[:size]
 
 

@@ -21,7 +21,7 @@ from macc import (
 from macc import cli
 from macc.analysis import CSV_HEADER, json_default, rows_to_csv
 from macc.cli import MAX_COMPARE_USERS, main, write_log
-from macc.engine import MAX_USERS, Schedule
+from macc.engine import MAX_USERS, Schedule, check_coverage_budget
 
 # the stdlib's own indented encoding, which `cli._json_doc` must reproduce byte for byte
 ORACLE = json.JSONEncoder(sort_keys=True, indent=2, default=json_default)
@@ -442,6 +442,22 @@ def test_topology_refuses_coverage_above_budget(capsys):
     assert err == "error: coverage tables of m*b^2 = 11000000 entries exceed 10000000\n"
     code, out, _ = run_cli(capsys, "topology", "--m", "10", "--b", "1000", "--z", "1")
     assert code == 0 and json.loads(out)["validation"]["passed"]
+
+
+def test_topology_refuses_access_entries_above_budget(capsys):
+    # the K*z access entries, about 70 B each, are priced before any list is built
+    for argv, kz in ((["--m", "1", "--b", "1733", "--z", "1733"], 3003289),
+                     (["--m", "10", "--b", "1000", "--z", "301"], 3010000)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "topology", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: access lists of K*z = {kz} entries exceed 3000000\n"
+    check_coverage_budget(1, 1732, 1732)
+    check_coverage_budget(10, 1000, 300)
+    # a z outside 1..b keeps the topology's own message
+    code, _, err = run_cli(capsys, "topology", "--m", "1", "--b", "3", "--z", str(10**12))
+    assert code == 2 and err == f"error: need 1 <= z <= b, got z={10**12}, b=3\n"
 
 
 def test_compare_refuses_users_above_budget(capsys):

@@ -30,6 +30,7 @@ from macc import (
     simulate,
     subfile_bytes,
 )
+from macc import engine
 from macc.cli import write_log
 from macc.designs import DEFAULT_POINT_BUDGET
 from macc.engine import Decoding, Schedule, check_cost, class_blocks
@@ -715,15 +716,43 @@ def test_decode_refuses_a_round_it_cannot_read(example_a, example_a_matching):
 
 
 def test_subfile_bytes_matches_keyed_blake2b():
-    # 64-byte keyed BLAKE2b-512 blocks of b"file:subfile:counter", chained and cut to size
-    for seed, size in ((3, 1), (-1, 63), (3, 64), (2**63 - 1, 65), (3, 1024), (5, 2 * 10**6)):
+    # 64-byte keyed BLAKE2b-512 blocks of b"file:subfile:counter", chained and cut to size,
+    # each block spelled out as its own keyed hash.  Seeds alternate, so state kept from an
+    # earlier seed or (file, subfile) shows, and ids run to two digits on either side of a ":"
+    def want(seed, file, subfile, size):
         key = seed.to_bytes(8, "big", signed=True)
-        want = bytearray()
-        while len(want) < size:
-            want += hashlib.blake2b(b"7:11:%d" % (len(want) // 64), key=key, digest_size=64).digest()
-        assert subfile_bytes(seed, 7, 11, size) == want[:size]
+        blocks = bytearray()
+        while len(blocks) < size:
+            blocks += hashlib.blake2b(b"%d:%d:%d" % (file, subfile, len(blocks) // 64), key=key,
+                                      digest_size=64).digest()
+        return blocks[:size]
+
+    for seed in (3, -1, 3, 2**63 - 1, 3):
+        for file, subfile in ((7, 11), (1, 23), (12, 3), (1, 2)):
+            for size in (1, 63, 64, 65, 128, 129, 1024):
+                assert subfile_bytes(seed, file, subfile, size) == want(seed, file, subfile, size)
+    assert subfile_bytes(5, 7, 11, 2 * 10**6) == want(5, 7, 11, 2 * 10**6)
     with pytest.raises(ValueError, match="^payload size must be >= 1$"):
         subfile_bytes(0, 7, 11, 0)
+
+
+def test_simulate_hashes_each_distinct_summand_once(monkeypatch):
+    # shared demands as in the simulate-bytes bench: (3, 6, 2, 1), each of 6 files wanted by
+    # 3 users, so a (file, subfile) summand recurs across broadcasts; each is hashed once
+    calls = collections.Counter()
+
+    def counted(seed, file, subfile, size):
+        calls[file, subfile] += 1
+        return subfile_bytes(seed, file, subfile, size)
+
+    monkeypatch.setattr(engine, "subfile_bytes", counted)
+    params = SchemeParams(m=3, b=6, z=2, t=1, n_files=6)
+    demands = [u * 5 % 6 + 1 for u in range(18)]
+    report = simulate(canonical_topology(3, 6, 2), params, demands, payload_size=8, seed=5)
+    assert report.byte_oracle_ok and report.all_complete()
+    summands = [(f, s) for _, _, sums in rows(report.transmissions) for _, f, s in sums]
+    assert len(set(summands)) < len(summands) // 2
+    assert calls == collections.Counter(set(summands))
 
 
 def test_simulate_requires_enough_files(example_a):
