@@ -1,6 +1,13 @@
 #!/usr/bin/env python3
 """Run each size limit's largest accepted and smallest refused ``macc`` argv and print one table.
 
+Every command is priced by one cost model (``designs.check_terms``: ``MAX_STEPS`` and
+``MAX_HELD_BYTES``) before it does any work.  For each term of the model that can bind
+first, the script finds the edge itself: it bisects the command's pricing function
+in-process along one named parameter of an argv, so the accepted argv is the largest
+value the model admits and the refused one the next.  The limits outside the model
+keep hand-typed pairs.
+
 Every run gets a fresh child process of its own, one at a time, with stdout thrown away
 and --log/--report written to a temporary directory (TMP in the table).  The child
 reports its wall seconds from start-up to exit, its peak RSS (``ru_maxrss``, in MiB)
@@ -9,7 +16,7 @@ exits 2 and names its limit:
 
     PYTHONPATH=src python3 scripts/budget_edges.py
 
-The accepted runs take up to about 8 s and 250 MB each, one after another.
+The accepted runs take up to about 8 s and 260 MB each, one after another.
 """
 
 import json
@@ -17,32 +24,55 @@ import subprocess
 import sys
 import tempfile
 
+from macc import cli, designs, engine
+
 TMP = "TMP"
 LOGS = f"--log {TMP}/tx.jsonl --report {TMP}/report.json"
+PARSER = cli.build_parser()
 
-# (limit, largest accepted argv, smallest refused argv or None, the refusal's message);
-# the refused argv steps the accepted one just past the limit, and past no other one.
-# simulate's cost model (engine.check_cost) has one pair per term that can bind first,
-# each accepted run with the flags that cost the most at its shape
-EDGES = [
-    ("MAX_STEPS", f"simulate --m 17 --b 2 --z 1 --t 1 {LOGS}",
-     "simulate --m 18 --b 2 --z 1 --t 1", "largest term is summand lookups rows*m^2"),
-    ("MAX_STEPS", f"simulate --m 1 --b 1818 --z 1 --t 1 {LOGS}",
-     "simulate --m 1 --b 1819 --z 1 --t 1", "largest term is broadcast work 2*rows*(m+5)"),
-    ("MAX_STEPS", f"simulate --m 218181 --b 1 --z 1 --t 1 --topology random "
-                  f"--placement seeded {LOGS}",
-     "simulate --m 218182 --b 1 --z 1 --t 1", "largest term is user work K*(250+20*z+5*b)"),
-    ("MAX_STEPS", f"simulate --m 1 --b 3435 --z 1 --t 3434 --placement seeded {LOGS}",
-     "simulate --m 1 --b 3436 --z 1 --t 3435", "largest term is user work K*(250+20*z+5*b)"),
-    ("MAX_STEPS", f"simulate --m 1 --b 1544 --z 1544 --t 1 --topology random {LOGS}",
-     "simulate --m 1 --b 1545 --z 1545 --t 1", "largest term is user work K*(250+20*z+5*b)"),
-    ("MAX_HELD_BYTES", f"simulate --m 4 --b 25 --z 1 --t 24 {LOGS}",
-     "simulate --m 4 --b 26 --z 1 --t 25", "largest term is cell columns 96*m*F"),
-    ("MAX_HELD_BYTES", f"simulate --m 2 --b 461 --z 1 --t 461 {LOGS}",
-     "simulate --m 2 --b 462 --z 1 --t 462", "largest term is decode's table 5*K*(F+1)/4"),
-    ("MAX_HELD_BYTES", f"simulate --m 1 --b 2 --z 1 --t 1 --payload 24999693 {LOGS}",
-     f"simulate --m 1 --b 2 --z 1 --t 1 --payload 24999694 {LOGS}",
-     "largest term is payloads and contents 5*(m+1)*rows*(size+100)/2"),
+# the pricing function each command calls on its flags before any work
+PRICES = {"design": lambda a: designs.check_design_cost(a.m, a.b, a.mu),
+          "topology": lambda a: designs.check_terms("topology", *engine.user_terms(a.m, a.b, a.z)),
+          "simulate": lambda a: engine.check_cost(a.m, a.b, a.z, a.t, a.payload),
+          "compare": lambda a: cli.check_compare_cost(a.K, a.z, a.grid)}
+
+# (limit, parameter, argv at a value of the parameter, the term its refusal names): one
+# edge per term that can bind first, searched from the parameter's value 2 on, each
+# accepted run with the flags that cost the most at its shape
+MODELLED = [
+    ("MAX_STEPS", "m", lambda m: f"simulate --m {m} --b 2 --z 1 --t 1 {LOGS}",
+     "summand lookups rows*m^2"),
+    ("MAX_STEPS", "b", lambda b: f"simulate --m 1 --b {b} --z 1 --t 1 {LOGS}",
+     "broadcast work 2*rows*(m+5)"),
+    ("MAX_STEPS", "m", lambda m: f"simulate --m {m} --b 1 --z 1 --t 1 --topology random "
+                                 f"--placement seeded {LOGS}",
+     "user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", "b = t + 1", lambda b: f"simulate --m 1 --b {b} --z 1 --t {b - 1} "
+                                         f"--placement seeded {LOGS}",
+     "user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", "b = z", lambda b: f"simulate --m 1 --b {b} --z {b} --t 1 --topology random "
+                                     f"{LOGS}",
+     "user work K*(250+20*z+5*b)"),
+    ("MAX_HELD_BYTES", "b = t + 1", lambda b: f"simulate --m 4 --b {b} --z 1 --t {b - 1} {LOGS}",
+     "cell columns 96*m*F"),
+    ("MAX_HELD_BYTES", "b = t", lambda b: f"simulate --m 2 --b {b} --z 1 --t {b} {LOGS}",
+     "decode's table 5*K*(F+1)/4"),
+    ("MAX_HELD_BYTES", "size", lambda n: f"simulate --m 1 --b 2 --z 1 --t 1 --payload {n} {LOGS}",
+     "payloads and contents 5*(m+1)*rows*(size+100)/2"),
+    ("MAX_STEPS", "b", lambda b: f"design --m 1 --b {b}", "block entries 6*m*(mu*b^m+40*b)"),
+    ("MAX_STEPS", "m", lambda m: f"topology --m {m} --b 1 --z 1", "user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", "b", lambda b: f"topology --m 1 --b {b} --z 1", "user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", "b = z", lambda b: f"topology --m 1 --b {b} --z {b} --source random",
+     "user work K*(250+20*z+5*b)"),
+    ("MAX_HELD_BYTES", "entries", lambda n: f"compare --K 4000 --z 1 --json {TMP}/rows.json "
+                                            f"--grid {','.join('0' * n)}",
+     "table rows 650*8*entries"),
+]
+
+# (limit, largest accepted argv, smallest refused argv, the refusal's message) for the
+# limits outside the cost model; the refused argv steps the accepted one just past the
+# limit, and past no other one
+HAND = [
     ("DEFAULT_POINT_BUDGET", f"simulate --m 6 --b 10 --z 1 --t 10 {LOGS}",
      "simulate --m 7 --b 10 --z 1 --t 10", "10000000 points exceeds budget 1000000"),
     ("DEFAULT_POINT_BUDGET", f"simulate --m 19 --b 2 --z 1 --t 2 {LOGS}",
@@ -51,22 +81,49 @@ EDGES = [
      "design --m 20 --b 2", "1048576 points exceeds budget 1000000"),
     ("DEFAULT_POINT_BUDGET", "design --m 11 --b 3 --mu 5",
      "design --m 11 --b 3 --mu 6", "1062882 points exceeds budget 1000000"),
-    ("MAX_DESIGN_COST", "design --m 1 --b 243902",
-     "design --m 1 --b 243903", "= 10000023 entries exceed 10000000"),
     ("MAX_COMPARE_USERS", "compare --K 4000 --z 1",
      "compare --K 4001 --z 1", "--K 4001 exceeds the compare budget of 4000 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",
      "compare --K 1 --z 1 --grid 1e-4300", "has more digits than the CSV prints (4300)"),
-    ("MAX_COVERAGE_ENTRIES", "topology --m 1 --b 3162 --z 948",
-     "topology --m 1 --b 3163 --z 948", "m*b^2 = 10004569 entries exceed 10000000"),
-    ("MAX_ACCESS_ENTRIES", "topology --m 1 --b 1732 --z 1732 --source random",
-     "topology --m 1 --b 1733 --z 1733", "K*z = 3003289 entries exceed 3000000"),
-    ("MAX_USERS", "topology --m 150000 --b 1 --z 1",
-     "topology --m 150001 --b 1 --z 1", "K = m*b = 150001 users exceed 150000"),
     ("RANDOM_TRIES", "topology --m 1 --b 30 --z 1 --source random",
      "topology --m 1 --b 31 --z 1 --source random",
      "no C3-satisfying draw is within reach for b=31, z=1"),
 ]
+
+
+def accepted(argv: str) -> bool:
+    """Whether the cost model and the limits checked with it admit ``argv``."""
+    args = PARSER.parse_args(argv.split())
+    try:
+        PRICES[args.command](args)
+    except designs.PointBudgetError:
+        return False
+    return True
+
+
+def largest_accepted(argv_at) -> int:
+    """The largest value that ``argv_at`` is accepted at, searched by doubling from 2 and
+    then bisecting; the first refused value is one more."""
+    lo, hi = 2, 4
+    assert accepted(argv_at(lo)), argv_at(lo)
+    while accepted(argv_at(hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(argv_at(mid)) else (lo, mid)
+    return lo
+
+
+def edges() -> list[tuple[str, str, str, str]]:
+    """(limit, largest accepted argv, smallest refused argv, the refusal's message) for
+    every modelled term, searched, then every hand pair."""
+    found = []
+    for limit, parameter, argv_at, term in MODELLED:
+        value = largest_accepted(argv_at)
+        found.append((f"{limit} along {parameter}", argv_at(value), argv_at(value + 1),
+                      f"largest term is {term} = "))
+    return found + HAND
+
 
 # runs the CLI on its argv and writes its exit code, wall seconds and ru_maxrss as the
 # last line of stderr
@@ -100,17 +157,22 @@ def run(argv: str, tmp: str) -> dict:
     return {**got, "stderr": " ".join(filter(None, message)).replace(tmp, TMP)}
 
 
+def shown(argv: str) -> str:
+    """``argv`` with a --grid of more than 8 entries cut to its first two and its count."""
+    return " ".join(f"{arg[:4]}...({arg.count(',') + 1} entries)" if arg.count(",") > 8 else arg
+                    for arg in argv.split())
+
+
 def main() -> None:
     print("| limit | edge | argv | exit | wall s | ru_maxrss MB | stderr |")
     print("|---|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
-        for limit, accepted, refused, _ in EDGES:
-            for edge, argv in (("accepted", accepted), ("refused", refused)):
-                if argv is None:
-                    continue
+        for limit, accepted_argv, refused_argv, _ in edges():
+            for edge, argv in (("accepted", accepted_argv), ("refused", refused_argv)):
                 got = run(argv, tmp)
-                print(f"| {limit} | {edge} | `{argv}` | {got['exit']} | {got['wall_s']:.2f} "
-                      f"| {got['maxrss_mb']:.0f} | {got['stderr']} |", flush=True)
+                print(f"| {limit} | {edge} | `{shown(argv)}` | {got['exit']} "
+                      f"| {got['wall_s']:.2f} | {got['maxrss_mb']:.0f} | {got['stderr']} |",
+                      flush=True)
 
 
 if __name__ == "__main__":

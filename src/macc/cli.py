@@ -28,10 +28,9 @@ from . import analysis, designs, engine, topology
 # so that `_emit` joins whole slices into its 8 KB writes
 _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# users that `compare` accepts: its slowest case, z = 1 on the default grid, takes 1.9 s
-# and 39 MB at K = 4000 in a fresh process on a 2-vCPU x86-64 VM (budget_edges.py; --json
-# adds 0.9 s and 31 MB).  NT's subpacketization K*C(K, t) < K*2**K then has at most 1206
-# digits, within the `default_max_str_digits` that `analysis._log10_int`'s str() may print
+# users `compare` accepts, outside the cost model: rivals' corners are big-integer binomials,
+# and NT's subpacketization K*C(K, t) (1206 digits at K = 4000) must keep to the 4300 digits
+# `analysis._log10_int`'s str() may print; K = 4000 at z = 1 takes 1.8 s, 39 MB (budget_edges.py)
 MAX_COMPARE_USERS = 4000
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
@@ -115,10 +114,11 @@ def cmd_design(args) -> int:
 
 
 def _read_json(path: str):
-    """The JSON document in the file ``path``; nesting too deep to parse is a ValueError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document in the file ``path``; one that does not parse is a ValueError naming it."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
@@ -141,7 +141,7 @@ def _load_topology(args) -> topology.Topology:
 
 
 def cmd_topology(args) -> int:
-    engine.check_coverage_budget(args.m, args.b, args.z)
+    designs.check_terms("topology", *engine.user_terms(args.m, args.b, args.z))
     top = _load_topology(args)
     report = topology.validate(top)
     _emit(_json_doc({"topology": top, "validation": report}), args.out)
@@ -273,12 +273,20 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
     return grid
 
 
-def cmd_compare(args) -> int:
-    if not 1 <= args.z <= args.K:
-        raise ValueError(f"need 1 <= --z <= --K, got --z {args.z} and --K {args.K}")
-    if args.K > MAX_COMPARE_USERS:
-        raise designs.PointBudgetError(f"--K {args.K} exceeds the compare budget of "
+def check_compare_cost(k: int, z: int, grid: str | None) -> None:
+    """Refuse z outside 1..K, K over its limit, then 8 table rows per grid entry (commas + 1)."""
+    if not 1 <= z <= k:
+        raise ValueError(f"need 1 <= --z <= --K, got --z {z} and --K {k}")
+    if k > MAX_COMPARE_USERS:
+        raise designs.PointBudgetError(f"--K {k} exceeds the compare budget of "
                                        f"{MAX_COMPARE_USERS} users")
+    rows = 8 * (-(-k // z) + 1 if grid is None else grid.count(",") + 1)
+    designs.check_terms("compare", {"table rows 140*8*entries": 140 * rows},
+                        {"table rows 650*8*entries": 650 * rows})
+
+
+def cmd_compare(args) -> int:
+    check_compare_cost(args.K, args.z, args.grid)
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
     _emit(analysis.rows_to_csv(rows), args.out)

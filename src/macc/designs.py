@@ -19,14 +19,24 @@ import itertools
 from dataclasses import dataclass
 
 DEFAULT_POINT_BUDGET = 10**6
-# block entries that `design` builds, checks and writes, m*(mu*b^m + 40*b), at about 0.5 us
-# and 18 B each (a block weighs 40); the slowest accepted, (m, b, mu) = (19, 2, 1) and
-# (11, 3, 5), take 5.2 and 4.9 s and 194 and 198 MB in fresh processes (budget_edges.py)
-MAX_DESIGN_COST = 10**7
+# the one cost model that prices every command, :func:`check_terms`: a step takes about
+# 0.13 us and a held byte adds about 1 B of ru_maxrss, so the slowest accepted runs take
+# at most 7.4 s and 254 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
+MAX_STEPS = 6 * 10**7
+MAX_HELD_BYTES = 25 * 10**7
 
 
 class PointBudgetError(Exception):
     """Requested design or delivery schedule is larger than its budget."""
+
+
+def check_terms(command: str, steps: dict[str, int], held: dict[str, int]) -> None:
+    """Refuse ``command`` if its closed-form terms of steps or held bytes sum over a limit."""
+    for what, limit, terms in (("steps", MAX_STEPS, steps), ("held bytes", MAX_HELD_BYTES, held)):
+        total, top = sum(terms.values()), max(terms, key=terms.get)
+        if total > limit:
+            raise PointBudgetError(f"{command} needs about {total} {what}, over {limit}; "
+                                   f"its largest term is {top} = {terms[top]}")
 
 
 def point_count(m: int, b: int, mu: int = 1) -> int:
@@ -36,6 +46,14 @@ def point_count(m: int, b: int, mu: int = 1) -> int:
     n = mu * b**m
     if n > DEFAULT_POINT_BUDGET:
         raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
+    return n
+
+
+def check_design_cost(m: int, b: int, mu: int) -> int:
+    """mu*b^m points, once the point budget and then the cost model accept the design."""
+    n = point_count(m, b, mu)
+    check_terms("design", {"block entries 6*m*(mu*b^m+40*b)": 6 * m * (n + 40 * b)},
+                {"block entries 18*m*(mu*b^m+40*b)": 18 * m * (n + 40 * b)})
     return n
 
 
@@ -81,11 +99,7 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     """
     if m < 1 or b < 1 or mu < 1:
         raise ValueError("m, b, mu must be positive")
-    n = point_count(m, b, mu)
-    cost = m * (n + 40 * b)
-    if cost > MAX_DESIGN_COST:
-        raise PointBudgetError(f"design blocks of m*(mu*b^m + 40*b) = {cost} entries "
-                               f"exceed {MAX_DESIGN_COST}")
+    n = check_design_cost(m, b, mu)
 
     # block (i, l+1) is the b**(i-1) runs of mu*b**(m-i) columns that start at
     # l*run, (l+b)*run, ...; slicing one list shares each point's int between classes

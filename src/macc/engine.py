@@ -28,19 +28,10 @@ from fractions import Fraction
 from operator import add, getitem, xor
 from typing import NamedTuple
 
-from .designs import PointBudgetError, point_count
+from .designs import check_terms, point_count
 from .topology import MatchingAssignment, Topology, cell_slots, extract_matchings, validate
 
 DEFAULT_PAYLOAD_SIZE = 64
-# budgets, timed in fresh processes on a 2-vCPU x86-64 VM by scripts/budget_edges.py
-MAX_COVERAGE_ENTRIES = 10**7  # m * b**2; (1, 3162, 948) takes 2.2 s and 234 MB
-MAX_USERS = 150000  # users K = m * b; (150000, 1, 1) takes 1.9 s and 35 MB
-# K * z; an access entry costs about 70 B, and random (1, 1732, 1732) takes 3.5 s and 224 MB
-MAX_ACCESS_ENTRIES = 3 * 10**6
-# simulate's cost model, :func:`check_cost`: a step takes about 0.13 us and a held byte
-# adds about 1 B of ru_maxrss with --log and --report, so a run stays in 10 s and 300 MB
-MAX_STEPS = 6 * 10**7
-MAX_HELD_BYTES = 25 * 10**7
 
 
 def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
@@ -57,19 +48,11 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
     return Fraction((z - 1) * max(0, x - t) + max(0, b - (z - 1) * x - t))
 
 
-def check_coverage_budget(m: int, b: int, z: int) -> None:
-    """Refuse m < 1, then m*b^2 coverage entries, m*b users or, for 1 <= z <= b (any other
-    z is the topology's own error), K*z access entries above budget."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m * b**2 > MAX_COVERAGE_ENTRIES:
-        raise PointBudgetError(f"coverage tables of m*b^2 = {m * b**2} entries "
-                               f"exceed {MAX_COVERAGE_ENTRIES}")
-    if m * b > MAX_USERS:
-        raise PointBudgetError(f"K = m*b = {m * b} users exceed {MAX_USERS}")
-    if 1 <= z <= b and m * b * z > MAX_ACCESS_ENTRIES:
-        raise PointBudgetError(f"access lists of K*z = {m * b * z} entries "
-                               f"exceed {MAX_ACCESS_ENTRIES}")
+def user_terms(m: int, b: int, z: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Steps and held bytes of the K = m*b users' graph and work, after the shape checks."""
+    achievable_rate(b, m, z, 1)  # the shape checks: m >= 1, then 1 <= z <= b
+    return ({"user work K*(250+20*z+5*b)": m * b * (250 + 20 * z + 5 * b)},
+            {"user data K*(800+80*z+8*b)": m * b * (800 + 80 * z + 8 * b)})
 
 
 def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) -> None:
@@ -79,20 +62,14 @@ def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) 
     r, f = int(achievable_rate(b, m, z, t)), point_count(m, b)  # shape first, then points
     rows, k = r * f, m * b
     payload = 0 if payload_size is None else (m + 1) * rows * (payload_size + 100)
-    for what, limit, terms in (
-            ("steps", MAX_STEPS, {"summand lookups rows*m^2": rows * m * m,
-                                  "broadcast work 2*rows*(m+5)": 2 * rows * (m + 5),
-                                  "user work K*(250+20*z+5*b)": k * (250 + 20 * z + 5 * b)}),
-            ("held bytes", MAX_HELD_BYTES, {
-                "rounds 12*rows*(m+2)": 12 * rows * (m + 2),
-                "cell columns 96*m*F": 96 * m * f if r else 0,
-                "decode's table 5*K*(F+1)/4": 5 * k * (f + 1) // 4,
-                "user data K*(800+80*z+8*b)": k * (800 + 80 * z + 8 * b),
-                "payloads and contents 5*(m+1)*rows*(size+100)/2": 5 * payload // 2})):
-        total, top = sum(terms.values()), max(terms, key=terms.get)
-        if total > limit:
-            raise PointBudgetError(f"simulate needs about {total} {what}, over {limit}; "
-                                   f"its largest term is {top} = {terms[top]}")
+    user_steps, user_held = user_terms(m, b, z)
+    check_terms("simulate",
+                {"summand lookups rows*m^2": rows * m * m,
+                 "broadcast work 2*rows*(m+5)": 2 * rows * (m + 5), **user_steps},
+                {"rounds 12*rows*(m+2)": 12 * rows * (m + 2),
+                 "cell columns 96*m*F": 96 * m * f if r else 0,
+                 "decode's table 5*K*(F+1)/4": 5 * k * (f + 1) // 4, **user_held,
+                 "payloads and contents 5*(m+1)*rows*(size+100)/2": 5 * payload // 2})
 
 
 @dataclass(frozen=True)

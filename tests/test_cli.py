@@ -20,11 +20,26 @@ from macc import (
 )
 from macc import cli
 from macc.analysis import CSV_HEADER, json_default, rows_to_csv
-from macc.cli import MAX_COMPARE_USERS, main, write_log
-from macc.engine import MAX_USERS, Schedule, check_coverage_budget
+from macc.cli import MAX_COMPARE_USERS, check_compare_cost, main, write_log
+from macc.designs import (MAX_HELD_BYTES, MAX_STEPS, PointBudgetError, check_design_cost,
+                          check_terms)
+from macc.engine import Schedule, check_cost, user_terms
 
 # the stdlib's own indented encoding, which `cli._json_doc` must reproduce byte for byte
 ORACLE = json.JSONEncoder(sort_keys=True, indent=2, default=json_default)
+
+
+def check_graph_cost(m, b, z):
+    """`topology`'s price of its flags, the users' terms of the cost model."""
+    check_terms("topology", *user_terms(m, b, z))
+
+
+def _accepted(price, *args) -> bool:
+    try:
+        price(*args)
+    except PointBudgetError:
+        return False
+    return True
 
 
 def run_cli(capsys, *argv):
@@ -413,17 +428,32 @@ def test_simulate_refuses_payloads_above_budget(capsys):
                    "largest term is payloads and contents 5*(m+1)*rows*(size+100)/2 = 249997940\n")
 
 
-@pytest.mark.parametrize("m, b, mu, cost", [("243903", "1", "1", 10000023),
-                                           ("1", "243903", "1", 10000023),
-                                           ("16", "2", "10", 10487040)])
-def test_design_refuses_work_above_budget(capsys, m, b, mu, cost):
+@pytest.mark.parametrize("m, b, mu, entries", [("243903", "1", "1", 10000023),
+                                              ("1", "243903", "1", 10000023),
+                                              ("16", "2", "10", 10487040)])
+def test_design_refuses_work_above_budget(capsys, m, b, mu, entries):
     # one past the largest accepted designs at b = 1, (243902, 1), at m = 1, (1, 243902),
-    # and at (16, 2) in mu, (16, 2, 9); refused before any block is built
+    # and at (16, 2) in mu, (16, 2, 9), of m*(mu*b^m + 40*b) block entries at 6 steps
+    # each; refused before any block is built
+    steps = 6 * entries
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "design", "--m", m, "--b", b, "--mu", mu)
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == f"error: design blocks of m*(mu*b^m + 40*b) = {cost} entries exceed 10000000\n"
+    assert err == (f"error: design needs about {steps} steps, over 60000000; its largest "
+                   f"term is block entries 6*m*(mu*b^m+40*b) = {steps}\n")
+    for shape in ((243902, 1, 1), (1, 243902, 1), (16, 2, 9)):
+        check_design_cost(*shape)
+
+
+def test_design_accepts_what_its_block_entries_allowed():
+    # the cost model's block entries term accepts exactly the designs of at most 10**7
+    # block entries m*(mu*b^m + 40*b) inside the point budget, the set it always accepted
+    for m, b, mu in itertools.product((1, 2, 3, 5, 8, 16, 19, 243902, 243903),
+                                      (1, 2, 3, 10, 1000, 243902, 243903), (1, 2, 9, 10)):
+        if m * (b.bit_length() - 1) >= 64 or mu * b**m > 10**6:
+            continue
+        assert _accepted(check_design_cost, m, b, mu) == (m * (mu * b**m + 40 * b) <= 10**7)
 
 
 @pytest.mark.parametrize("m, b", [("4", "14"), ("5", "8")])
@@ -434,30 +464,66 @@ def test_design_accepts_shapes_that_only_the_intersection_count_refused(capsys, 
 
 
 def test_topology_refuses_coverage_above_budget(capsys):
-    # topology's coverage budget, before any graph is built
+    # the users' terms of the cost model, before any graph is built: one past the largest
+    # accepted b at m = 11 and z = 1, (11, 1017, 1)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1000", "--z", "1")
+    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1018", "--z", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == "error: coverage tables of m*b^2 = 11000000 entries exceed 10000000\n"
+    assert err == ("error: topology needs about 60021280 steps, over 60000000; its largest "
+                   "term is user work K*(250+20*z+5*b) = 60021280\n")
+    check_graph_cost(11, 1017, 1)
     code, out, _ = run_cli(capsys, "topology", "--m", "10", "--b", "1000", "--z", "1")
     assert code == 0 and json.loads(out)["validation"]["passed"]
 
 
 def test_topology_refuses_access_entries_above_budget(capsys):
-    # the K*z access entries, about 70 B each, are priced before any list is built
-    for argv, kz in ((["--m", "1", "--b", "1733", "--z", "1733"], 3003289),
-                     (["--m", "10", "--b", "1000", "--z", "301"], 3010000)):
+    # the K*z access entries are priced by the users' terms before any list is built
+    for argv, steps in ((["--m", "1", "--b", "1733", "--z", "1733"], 75515475),
+                        (["--m", "10", "--b", "1000", "--z", "301"], 112700000)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "topology", *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == f"error: access lists of K*z = {kz} entries exceed 3000000\n"
-    check_coverage_budget(1, 1732, 1732)
-    check_coverage_budget(10, 1000, 300)
+        assert err == (f"error: topology needs about {steps} steps, over 60000000; its "
+                       f"largest term is user work K*(250+20*z+5*b) = {steps}\n")
+    # the largest accepted z at b = z and at (10, 1000)
+    check_graph_cost(1, 1544, 1544)
+    check_graph_cost(10, 1000, 37)
+    with pytest.raises(PointBudgetError):
+        check_graph_cost(10, 1000, 38)
     # a z outside 1..b keeps the topology's own message
     code, _, err = run_cli(capsys, "topology", "--m", "1", "--b", "3", "--z", str(10**12))
     assert code == 2 and err == f"error: need 1 <= z <= b, got z={10**12}, b=3\n"
+
+
+class _Priced(Exception):
+    """Raised in place of building a topology, once `topology` has priced its shape."""
+
+
+@pytest.mark.parametrize("m, b, z, accepted", [
+    (150001, 1, 1, True), (218181, 1, 1, True), (1, 1544, 1544, True),
+    (1, 1545, 1545, False), (1, 1732, 1732, False), (1, 3162, 948, False),
+    (10, 1000, 300, False),
+])
+def test_topology_prices_a_graph_as_simulate_does(capsys, monkeypatch, m, b, z, accepted):
+    # topology accepts a shape iff the users' terms of the cost model fit both limits,
+    # and accepts every graph that simulate accepts at some t
+    def priced(args):
+        raise _Priced
+
+    monkeypatch.setattr(cli, "_load_topology", priced)
+    k = m * b
+    fits = (k * (250 + 20 * z + 5 * b) <= MAX_STEPS
+            and k * (800 + 80 * z + 8 * b) <= MAX_HELD_BYTES)
+    assert fits == accepted
+    try:
+        code = main(["topology", "--m", str(m), "--b", str(b), "--z", str(z)])
+    except _Priced:
+        code = None
+    assert (code is None) == accepted, capsys.readouterr().err
+    if any(_accepted(check_cost, m, b, z, t) for t in range(1, b + 1)):
+        assert code is None
 
 
 def test_compare_refuses_users_above_budget(capsys):
@@ -470,6 +536,25 @@ def test_compare_refuses_users_above_budget(capsys):
     k = MAX_COMPARE_USERS
     code, out, _ = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
     assert code == 0 and out.startswith(CSV_HEADER)
+
+
+def test_compare_refuses_grid_rows_above_budget(capsys):
+    # 8 table rows per --grid entry, counted by commas before any entry is parsed: the
+    # held bytes admit 48076 entries; 100000 at K = 100 took 12.9 s and 594 MB unpriced
+    for k, entries, message in (
+            (4000, 48077, "250000400 held bytes, over 250000000; its largest term is table "
+                          "rows 650*8*entries = 250000400"),
+            (100, 100000, "112000000 steps, over 60000000; its largest term is table rows "
+                          "140*8*entries = 112000000")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", "1",
+                                 "--grid", ",".join(["0"] * entries))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err == f"error: compare needs about {message}\n"
+    check_compare_cost(4000, 1, ",".join(["0"] * 48076))
+    # every default grid, ceil(K/z) + 1 entries, is accepted
+    check_compare_cost(MAX_COMPARE_USERS, 1, None)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -490,14 +575,13 @@ def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
-    ["topology", "--m", str(MAX_USERS + 1), "--b", "1", "--z", "1"],
+    ["topology", "--m", "218182", "--b", "1", "--z", "1"],
 ])
 def test_user_budget_bounds_b_equal_one(capsys, argv):
-    # at b = 1 only the users bind: simulate's user work, one past (218181, 1, 1, 1), and
-    # topology's user budget
-    message = {"simulate": "simulate needs about 60000050 steps, over 60000000; its largest "
-                           "term is user work K*(250+20*z+5*b) = 60000050",
-               "topology": f"K = m*b = {MAX_USERS + 1} users exceed {MAX_USERS}"}[argv[0]]
+    # at b = 1 only the users bind, one past (218181, 1, 1): simulate's and topology's
+    # user work, one term of one cost model
+    message = (f"{argv[0]} needs about 60000050 steps, over 60000000; its largest term is "
+               "user work K*(250+20*z+5*b) = 60000050")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.1

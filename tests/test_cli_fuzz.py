@@ -59,3 +59,43 @@ def test_every_argv_exits_0_1_or_2_and_refuses_fast(capsys):
             failures.append((" ".join(argv), code, round(took, 3)))
     assert not failures
     assert time.perf_counter() - start <= 3
+
+
+# malformed --topology/--source and --demands files, each read where a (1, 2, 1) topology
+# or its demands belong; the ones that do not parse must be named in the message
+TOPOLOGY = '{"m": 1, "b": 2, "z": 1, "access": [[1], [2]]}'
+FILES = {"non-utf8.json": (b'{"m": 1, "b": 2, "z": 1, "access": [[1], [\xff]]}', True),
+         "deep.json": (b"[" * 10**5 + b"]" * 10**5, True),
+         "bool-m.json": (TOPOLOGY.replace('"m": 1', '"m": true').encode(), False),
+         "string-access.json": (TOPOLOGY.replace("[[1], [2]]", '"[[1], [2]]"').encode(), False),
+         "cache-out-of-range.json": (TOPOLOGY.replace("[2]]", "[3]]").encode(), False),
+         "digits.json": (TOPOLOGY.replace('"b": 2', '"b": ' + "2" * 5000).encode(), True),
+         "nan.json": (TOPOLOGY.replace('"z": 1', '"z": NaN').encode(), False)}
+
+
+def test_malformed_input_files_exit_2_fast(tmp_path, capsys):
+    for name, (content, _) in FILES.items():
+        (tmp_path / name).write_bytes(content)
+    (tmp_path / "nan-demands.json").write_text("[1, NaN]")
+    (tmp_path / "digit-demands.json").write_text("[1, " + "2" * 5000 + "]")
+    (tmp_path / "directory.json").mkdir()
+    named = {*(name for name, (_, parse) in FILES.items() if parse), "digit-demands.json",
+             "directory.json"}
+    failures = []
+    for path in sorted(tmp_path.iterdir()):
+        for argv in (["topology", "--m", "1", "--b", "2", "--z", "1", "--source", str(path)],
+                     ["simulate", "--m", "1", "--b", "2", "--z", "1", "--t", "1",
+                      "--topology", str(path)],
+                     ["simulate", "--m", "1", "--b", "2", "--z", "1", "--t", "1",
+                      "--demands", str(path)]):
+            begin = time.perf_counter()
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 - every escape is the failure under test
+                code = repr(exc)
+            took = time.perf_counter() - begin
+            err = capsys.readouterr().err
+            if (code != 2 or took >= 0.1 or not err.startswith("error: ")
+                    or (path.name in named and str(path) not in err)):
+                failures.append((path.name, argv[0], code, round(took, 3), err[:200]))
+    assert not failures
