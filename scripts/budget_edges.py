@@ -16,7 +16,7 @@ exits 2 and names its limit:
 
     PYTHONPATH=src python3 scripts/budget_edges.py
 
-The accepted runs take up to about 8 s and 260 MB each, one after another.
+The accepted runs take up to about 8 s and 255 MB each, one after another.
 """
 
 import json
@@ -59,7 +59,12 @@ MODELLED = [
      "decode's table 5*K*(F+1)/4"),
     ("MAX_HELD_BYTES", "size", lambda n: f"simulate --m 1 --b 2 --z 1 --t 1 --payload {n} {LOGS}",
      "payloads and contents 5*(m+1)*rows*(size+100)/2"),
-    ("MAX_STEPS", "b", lambda b: f"design --m 1 --b {b}", "block entries 6*m*(mu*b^m+40*b)"),
+    ("MAX_HELD_BYTES", "m", lambda m: f"simulate --m {m} --b 2 --z 1 --t 2 {LOGS}",
+     "decode's table 5*K*(F+1)/4"),
+    ("MAX_STEPS", "b", lambda b: f"design --m 1 --b {b}", "blocks and classes 70*m*(b+1)"),
+    ("MAX_HELD_BYTES", "mu", lambda mu: f"design --m 1 --b 1 --mu {mu}", "points 40*mu*b^m"),
+    ("MAX_HELD_BYTES", "b", lambda b: f"design --m 2 --b {b}", "points 40*mu*b^m"),
+    ("MAX_STEPS", "m", lambda m: f"design --m {m} --b 2", "block entries 4*m*mu*b^m"),
     ("MAX_STEPS", "m", lambda m: f"topology --m {m} --b 1 --z 1", "user work K*(250+20*z+5*b)"),
     ("MAX_STEPS", "b", lambda b: f"topology --m 1 --b {b} --z 1", "user work K*(250+20*z+5*b)"),
     ("MAX_STEPS", "b = z", lambda b: f"topology --m 1 --b {b} --z {b} --source random",
@@ -73,14 +78,6 @@ MODELLED = [
 # limits outside the cost model; the refused argv steps the accepted one just past the
 # limit, and past no other one
 HAND = [
-    ("DEFAULT_POINT_BUDGET", f"simulate --m 6 --b 10 --z 1 --t 10 {LOGS}",
-     "simulate --m 7 --b 10 --z 1 --t 10", "10000000 points exceeds budget 1000000"),
-    ("DEFAULT_POINT_BUDGET", f"simulate --m 19 --b 2 --z 1 --t 2 {LOGS}",
-     "simulate --m 20 --b 2 --z 1 --t 2", "1048576 points exceeds budget 1000000"),
-    ("DEFAULT_POINT_BUDGET", "design --m 19 --b 2",
-     "design --m 20 --b 2", "1048576 points exceeds budget 1000000"),
-    ("DEFAULT_POINT_BUDGET", "design --m 11 --b 3 --mu 5",
-     "design --m 11 --b 3 --mu 6", "1062882 points exceeds budget 1000000"),
     ("MAX_COMPARE_USERS", "compare --K 4000 --z 1",
      "compare --K 4001 --z 1", "--K 4001 exceeds the compare budget of 4000 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",

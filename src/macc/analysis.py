@@ -32,7 +32,7 @@ SCHEME_ORDER = ("ours", "RK", "NT", "SICPS", "SPE", "SR1", "SR2", "MR")
 RATE_SCHEMES = ("RK", "NT", "SR1", "SR2", "MR")
 
 
-class ApplicabilityError(Exception):
+class ApplicabilityError(ValueError):
     """Scheme formula does not apply at the requested parameters."""
 
 

@@ -30,7 +30,7 @@ _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # users `compare` accepts, outside the cost model: rivals' corners are big-integer binomials,
 # and NT's subpacketization K*C(K, t) (1206 digits at K = 4000) must keep to the 4300 digits
-# `analysis._log10_int`'s str() may print; K = 4000 at z = 1 takes 1.8 s, 39 MB (budget_edges.py)
+# `analysis._log10_int`'s str() may print; K = 4000 at z = 1 takes 2.0 s, 39 MB (budget_edges.py)
 MAX_COMPARE_USERS = 4000
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
@@ -353,8 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, designs.PointBudgetError, topology.MatchingError,
-            topology.GenerationError, analysis.ApplicabilityError) as exc:
+    except (ValueError, OSError) as exc:  # every refusal of the package is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,15 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-DEFAULT_POINT_BUDGET = 10**6
 # the one cost model that prices every command, :func:`check_terms`: a step takes about
 # 0.13 us and a held byte adds about 1 B of ru_maxrss, so the slowest accepted runs take
-# at most 7.4 s and 254 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
+# at most 7.7 s and 255 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
 MAX_STEPS = 6 * 10**7
 MAX_HELD_BYTES = 25 * 10**7
 
 
-class PointBudgetError(Exception):
+class PointBudgetError(ValueError):
     """Requested design or delivery schedule is larger than its budget."""
 
 
@@ -40,20 +39,20 @@ def check_terms(command: str, steps: dict[str, int], held: dict[str, int]) -> No
 
 
 def point_count(m: int, b: int, mu: int = 1) -> int:
-    """mu * b**m, refused above the point budget; once b**m >= 2**64, before it is computed."""
+    """mu * b**m, refused once b**m >= 2**64, before the power is computed."""
     if m * (b.bit_length() - 1) >= 64:
-        raise PointBudgetError(f"b^m = {b}^{m} points exceeds budget {DEFAULT_POINT_BUDGET}")
-    n = mu * b**m
-    if n > DEFAULT_POINT_BUDGET:
-        raise PointBudgetError(f"{n} points exceeds budget {DEFAULT_POINT_BUDGET}")
-    return n
+        raise PointBudgetError(f"b^m = {b}^{m} points is 2^64 or more")
+    return mu * b**m
 
 
 def check_design_cost(m: int, b: int, mu: int) -> int:
-    """mu*b^m points, once the point budget and then the cost model accept the design."""
+    """mu*b^m points, once the cost model accepts the design: per point, per block entry
+    and per block or class, the steps and held bytes that fresh `design` runs measured."""
     n = point_count(m, b, mu)
-    check_terms("design", {"block entries 6*m*(mu*b^m+40*b)": 6 * m * (n + 40 * b)},
-                {"block entries 18*m*(mu*b^m+40*b)": 18 * m * (n + 40 * b)})
+    check_terms("design", {"points 4*mu*b^m": 4 * n, "block entries 4*m*mu*b^m": 4 * m * n,
+                           "blocks and classes 70*m*(b+1)": 70 * m * (b + 1)},
+                {"points 40*mu*b^m": 40 * n, "block entries 20*m*mu*b^m": 20 * m * n,
+                 "blocks and classes 140*m*(b+1)": 140 * m * (b + 1)})
     return n
 
 

@@ -57,9 +57,9 @@ def user_terms(m: int, b: int, z: int) -> tuple[dict[str, int], dict[str, int]]:
 
 def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) -> None:
     """Refuse a simulate run whose estimated steps or held bytes exceed their limit, naming
-    the largest term: closed forms in (m, b, z, t, size), after the shape and point checks,
-    so nothing loops over or allocates in b or z before a refusal."""
-    r, f = int(achievable_rate(b, m, z, t)), point_count(m, b)  # shape first, then points
+    the largest term: closed forms in (m, b, z, t, size), after the shape checks and the
+    2^64 guard, so nothing loops over or allocates in b or z before a refusal."""
+    r, f = int(achievable_rate(b, m, z, t)), point_count(m, b)  # shape first, then 2^64
     rows, k = r * f, m * b
     payload = 0 if payload_size is None else (m + 1) * rows * (payload_size + 100)
     user_steps, user_held = user_terms(m, b, z)

@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass
 
 
-class MatchingError(Exception):
+class MatchingError(ValueError):
     """No perfect matching exists in some group (condition C3 fails)."""
 
 
-class GenerationError(Exception):
+class GenerationError(ValueError):
     """Random generation failed to satisfy C3 within the retry budget."""
 
 

@@ -18,6 +18,7 @@ from macc import (
     validate,
     verify_mcrd,
 )
+import macc
 from macc import cli
 from macc.analysis import CSV_HEADER, json_default, rows_to_csv
 from macc.cli import MAX_COMPARE_USERS, check_compare_cost, main, write_log
@@ -397,13 +398,15 @@ def test_simulate_refuses_schedule_above_row_limit(capsys):
 
 
 def test_simulate_refuses_points_above_budget(capsys):
-    # 1001**2 cells of one round fit the schedule rows, but not the point budget
+    # one round of 1001**2 cells fits the steps, but not decode's table of 2002 users'
+    # rows of 1001**2 + 1 states
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "simulate", "--m", "2", "--b", "1001", "--z", "1",
                              "--t", "1000", "--topology", "random")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == "error: 1002001 points exceeds budget 1000000\n"
+    assert err == ("error: simulate needs about 2765784021 held bytes, over 250000000; its "
+                   "largest term is decode's table 5*K*(F+1)/4 = 2507510005\n")
 
 
 def test_simulate_refuses_coverage_above_budget(capsys):
@@ -428,32 +431,37 @@ def test_simulate_refuses_payloads_above_budget(capsys):
                    "largest term is payloads and contents 5*(m+1)*rows*(size+100)/2 = 249997940\n")
 
 
-@pytest.mark.parametrize("m, b, mu, entries", [("243903", "1", "1", 10000023),
-                                              ("1", "243903", "1", 10000023),
-                                              ("16", "2", "10", 10487040)])
-def test_design_refuses_work_above_budget(capsys, m, b, mu, entries):
-    # one past the largest accepted designs at b = 1, (243902, 1), at m = 1, (1, 243902),
-    # and at (16, 2) in mu, (16, 2, 9), of m*(mu*b^m + 40*b) block entries at 6 steps
-    # each; refused before any block is built
-    steps = 6 * entries
+@pytest.mark.parametrize("m, b, mu, message", [
+    ("416667", "1", "1", "60000052 steps, over 60000000; its largest term is blocks and "
+                         "classes 70*m*(b+1) = 58333380"),
+    ("1", "769230", "1", "60000010 steps, over 60000000; its largest term is blocks and "
+                         "classes 70*m*(b+1) = 53846170"),
+    ("16", "2", "11", "259529280 held bytes, over 250000000; its largest term is block "
+                      "entries 20*m*mu*b^m = 230686720"),
+    ("1", "1", "9999960", "79999820 steps, over 60000000; its largest term is points "
+                          "4*mu*b^m = 39999840"),
+], ids=["b=1", "m=1", "mu-at-16-2", "mu-at-1-1"])
+def test_design_refuses_work_above_budget(capsys, m, b, mu, message):
+    # one past the largest accepted designs at b = 1, (416666, 1), at m = 1, (1, 769229),
+    # and at (16, 2) in mu, (16, 2, 10), before any block is built; at (1, 1, 9999960) a
+    # fresh process took 7.1 s and 556 MB with the design's terms lifted
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "design", "--m", m, "--b", b, "--mu", mu)
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == (f"error: design needs about {steps} steps, over 60000000; its largest "
-                   f"term is block entries 6*m*(mu*b^m+40*b) = {steps}\n")
-    for shape in ((243902, 1, 1), (1, 243902, 1), (16, 2, 9)):
+    assert err == f"error: design needs about {message}\n"
+    for shape in ((416666, 1, 1), (1, 769229, 1), (16, 2, 10)):
         check_design_cost(*shape)
 
 
 def test_design_accepts_what_its_block_entries_allowed():
-    # the cost model's block entries term accepts exactly the designs of at most 10**7
-    # block entries m*(mu*b^m + 40*b) inside the point budget, the set it always accepted
-    for m, b, mu in itertools.product((1, 2, 3, 5, 8, 16, 19, 243902, 243903),
-                                      (1, 2, 3, 10, 1000, 243902, 243903), (1, 2, 9, 10)):
-        if m * (b.bit_length() - 1) >= 64 or mu * b**m > 10**6:
-            continue
-        assert _accepted(check_design_cost, m, b, mu) == (m * (mu * b**m + 40 * b) <= 10**7)
+    # the cost model accepts every design that the 10**6 point budget and the 10**7 block
+    # entries m*(mu*b^m + 40*b) accepted before it measured the design's terms
+    for m, b, mu in itertools.product((1, 2, 3, 5, 8, 10, 16, 19, 243902, 243903),
+                                      (1, 2, 3, 10, 1000, 243902, 243903), (1, 2, 9, 10, 976)):
+        if m * (b.bit_length() - 1) < 64 and mu * b**m <= 10**6:
+            assert (_accepted(check_design_cost, m, b, mu)
+                    or m * (mu * b**m + 40 * b) > 10**7), (m, b, mu)
 
 
 @pytest.mark.parametrize("m, b", [("4", "14"), ("5", "8")])
@@ -558,11 +566,11 @@ def test_compare_refuses_grid_rows_above_budget(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["design", "--m", "100000", "--b", "2"], "b^m = 2^100000 points exceeds budget 1000000"),
-    (["design", "--m", "3000000", "--b", "3"], "b^m = 3^3000000 points exceeds budget 1000000"),
+    (["design", "--m", "100000", "--b", "2"], "b^m = 2^100000 points is 2^64 or more"),
+    (["design", "--m", "3000000", "--b", "3"], "b^m = 3^3000000 points is 2^64 or more"),
     (["simulate", "--m", "20000", "--b", "2", "--z", "1", "--t", "1"],
-     "b^m = 2^20000 points exceeds budget 1000000"),
-])
+     "b^m = 2^20000 points is 2^64 or more"),
+], ids=["design-2^100000", "design-3^3000000", "simulate-2^20000"])
 def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
     # b**m is neither computed (3**3000000 takes about 0.6 s) nor formatted (past 4300
     # digits that raises) once it reaches 2**64
@@ -587,6 +595,15 @@ def test_user_budget_bounds_b_equal_one(capsys, argv):
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_every_exported_error_is_a_value_error():
+    # main maps ValueError and OSError to exit 2, so each refusal the package raises is one
+    errors = {name for name, obj in vars(macc).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert errors == {"PointBudgetError", "MatchingError", "GenerationError",
+                      "ApplicabilityError"}
+    assert all(issubclass(getattr(macc, name), ValueError) for name in errors)
 
 
 class _Writes:
@@ -868,8 +885,8 @@ def test_topology_output_bytes_are_pinned(capsys, tmp_path):
 
 
 # sha256 over exit code, stdout, stderr and --json bytes of every `compare` and `design`
-# run below, including usage errors and a design over the point budget
-COMPARE_DESIGN_GOLDEN = "010e33aacc749e920c31c5bcb3f8633172294615882edfef9e73531a0ee89099"
+# run below, including usage errors and a design over the cost model's steps
+COMPARE_DESIGN_GOLDEN = "7e968cf21366a9e689df545cc9f08e43db91b20d2517bdb0bb317de88b7775d7"
 
 
 def test_compare_and_design_output_bytes_are_pinned(capsys, tmp_path):

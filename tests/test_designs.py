@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from design_oracles import block_cover_check, point_at, product_report
 from macc import (
     Design,
     PointBudgetError,
+    cli,
     construct_mcrd,
+    designs,
     verify_mcrd,
 )
 
@@ -130,20 +134,48 @@ def test_argument_and_budget_errors():
     for bad in [(0, 2, 1), (2, 0, 1), (2, 2, 0), (-1, 2, 1)]:
         with pytest.raises(ValueError):
             construct_mcrd(*bad)
-    with pytest.raises(PointBudgetError):
+    with pytest.raises(PointBudgetError, match="^design needs about 120140140 steps, over "
+                                               "60000000; its largest term is block entries "):
         construct_mcrd(2, 1000, 10)
     # b**m >= 2**64 is refused before the power is computed, at any m
-    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points exceeds budget 1000000$"):
+    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points is 2\\^64 or more$"):
         construct_mcrd(64, 2, 1)
-    with pytest.raises(PointBudgetError, match=f"^b\\^m = {2**32}\\^2 points"):
+    with pytest.raises(PointBudgetError, match=f"^b\\^m = {2**32}\\^2 points is 2\\^64 or more$"):
         construct_mcrd(2, 2**32, 1)
-    with pytest.raises(PointBudgetError, match=f"^{2**63} points exceeds budget"):
+    with pytest.raises(PointBudgetError, match=f"^design needs about {4 * 64 * 2**63 + 70 * 189} "
+                                               f"steps, over 60000000; its largest term is "
+                                               f"block entries 4\\*m\\*mu\\*b\\^m = "):
         construct_mcrd(63, 2, 1)
     # a point is an int: 2.0 and True compare equal to ints but are refused by type
     for point in (2.0, True):
         kind = type(point).__name__
         with pytest.raises(ValueError, match=f"^points must be of type int, got {kind}$"):
             Design(1, 2, 1, (((1,), (point,)),))
+
+
+@pytest.mark.parametrize("m, b, mu", [(1, 1, 20000), (2, 142, 1), (14, 2, 1)])
+def test_design_held_bytes_bound_its_traced_peak(monkeypatch, m, b, mu):
+    # the held bytes `design` is priced at bound the traced peak of all it does: build,
+    # verify and write the JSON, at about 2*10**4 points whose memory is mostly points
+    # (m = 1), points and block entries (m = 2) and block entries (m = 14).  Tracing
+    # costs 1-4 us per allocation on a 2-vCPU x86-64 VM: 2*10**5 points took about 25 s
+    held, check_terms = {}, designs.check_terms
+
+    def priced(command, steps, terms):
+        held.update(terms)
+        check_terms(command, steps, terms)
+
+    monkeypatch.setattr(designs, "check_terms", priced)
+    tracemalloc.start()
+    try:
+        design = construct_mcrd(m, b, mu)
+        report = verify_mcrd(design)
+        collections.deque(cli._json_doc({"design": design, "verification": report}), maxlen=0)
+        del design, report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= sum(held.values()), (peak, held)
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,7 +32,6 @@ from macc import (
 )
 from macc import engine
 from macc.cli import write_log
-from macc.designs import DEFAULT_POINT_BUDGET
 from macc.engine import Decoding, Schedule, check_cost, class_blocks
 from macc.topology import cell_slots
 
@@ -329,14 +328,20 @@ def test_scheme_params_bound_the_schedule_rows():
     # the benchmark's shapes: (3, 20, 4, 1), and (3, 6, 2, 1) with 1 KiB payloads
     SchemeParams(m=3, b=20, z=4, t=1, n_files=1)
     check_cost(3, 6, 2, 1, 1024)
-    # at rate 0 the point budget binds first: (6, 10, 1, 10) is 10**6 cells and no rows
-    assert SchemeParams(m=6, b=10, z=1, t=10, n_files=1).subpacketization == DEFAULT_POINT_BUDGET
-    with pytest.raises(PointBudgetError, match="^10000000 points exceeds budget 1000000$"):
-        SchemeParams(m=7, b=10, z=1, t=10, n_files=1)
-    # from b**m = 2**64 on, the points are refused before the power is computed
-    with pytest.raises(PointBudgetError, match=f"^{2**63} points exceeds budget 1000000$"):
+    # at rate 0 decode's table binds: (22, 2, 1, 2) holds 44 users' rows of 2**22 + 1
+    # states and no broadcast rows, and 10**7 points at (7, 10, 1, 10) are refused
+    assert SchemeParams(m=22, b=2, z=1, t=2, n_files=1).subpacketization == 2**22
+    for m, b in ((23, 2), (7, 10)):
+        with pytest.raises(PointBudgetError, match="held bytes, over 250000000; its largest "
+                                                   "term is decode's table 5\\*K\\*\\(F\\+1\\)/4 "):
+            SchemeParams(m=m, b=b, z=1, t=b, n_files=1)
+    # 2**63 points price 2**63 rows; from b**m = 2**64 on, the points are refused before
+    # the power is computed
+    with pytest.raises(PointBudgetError, match=f"^simulate needs about \\d+ steps, over 60000000; "
+                                               f"its largest term is summand lookups rows\\*m\\^2 = "
+                                               f"{2**63 * 63**2}$"):
         SchemeParams(m=63, b=2, z=1, t=1, n_files=1)
-    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points exceeds budget 1000000$"):
+    with pytest.raises(PointBudgetError, match="^b\\^m = 2\\^64 points is 2\\^64 or more$"):
         SchemeParams(m=64, b=2, z=1, t=1, n_files=1)
 
 
