@@ -16,7 +16,7 @@ exits 2 and names its limit:
 
     PYTHONPATH=src python3 scripts/budget_edges.py
 
-The accepted runs take up to about 8 s and 255 MB each, one after another.
+The accepted runs take up to about 6 s and 251 MB each, one after another.
 """
 
 import json
@@ -46,13 +46,13 @@ MODELLED = [
      "broadcast work 2*rows*(m+5)"),
     ("MAX_STEPS", "m", lambda m: f"simulate --m {m} --b 1 --z 1 --t 1 --topology random "
                                  f"--placement seeded {LOGS}",
-     "user work K*(250+20*z+5*b)"),
+     "user work K*(250+20*z)"),
     ("MAX_STEPS", "b = t + 1", lambda b: f"simulate --m 1 --b {b} --z 1 --t {b - 1} "
                                          f"--placement seeded {LOGS}",
-     "user work K*(250+20*z+5*b)"),
+     "place's pool 5*K*b"),
     ("MAX_STEPS", "b = z", lambda b: f"simulate --m 1 --b {b} --z {b} --t 1 --topology random "
                                      f"{LOGS}",
-     "user work K*(250+20*z+5*b)"),
+     "user work K*(250+20*z)"),
     ("MAX_HELD_BYTES", "b = t + 1", lambda b: f"simulate --m 4 --b {b} --z 1 --t {b - 1} {LOGS}",
      "cell columns 96*m*F"),
     ("MAX_HELD_BYTES", "b = t", lambda b: f"simulate --m 2 --b {b} --z 1 --t {b} {LOGS}",
@@ -65,21 +65,25 @@ MODELLED = [
     ("MAX_HELD_BYTES", "mu", lambda mu: f"design --m 1 --b 1 --mu {mu}", "points 40*mu*b^m"),
     ("MAX_HELD_BYTES", "b", lambda b: f"design --m 2 --b {b}", "points 40*mu*b^m"),
     ("MAX_STEPS", "m", lambda m: f"design --m {m} --b 2", "block entries 4*m*mu*b^m"),
-    ("MAX_STEPS", "m", lambda m: f"topology --m {m} --b 1 --z 1", "user work K*(250+20*z+5*b)"),
-    ("MAX_STEPS", "b", lambda b: f"topology --m 1 --b {b} --z 1", "user work K*(250+20*z+5*b)"),
+    ("MAX_STEPS", "m", lambda m: f"topology --m {m} --b 1 --z 1", "user work K*(250+20*z)"),
+    ("MAX_STEPS", "b", lambda b: f"topology --m 1 --b {b} --z 1", "user work K*(250+20*z)"),
     ("MAX_STEPS", "b = z", lambda b: f"topology --m 1 --b {b} --z {b} --source random",
-     "user work K*(250+20*z+5*b)"),
-    ("MAX_HELD_BYTES", "entries", lambda n: f"compare --K 4000 --z 1 --json {TMP}/rows.json "
-                                            f"--grid {','.join('0' * n)}",
-     "table rows 650*8*entries"),
+     "user work K*(250+20*z)"),
+    ("MAX_STEPS", "K", lambda k: f"compare --K {k} --z 1 --json {TMP}/rows.json",
+     "big integers (K/z+entries)*bits^2/6144"),
+    ("MAX_STEPS", "K", lambda k: f"compare --K {k} --z 2 --json {TMP}/rows.json",
+     "big integers (K/z+entries)*bits^2/6144"),
+    ("MAX_STEPS", "K/8", lambda n: f"compare --K {8 * n} --z 8 --json {TMP}/rows.json",
+     "big integers (K/z+entries)*bits^2/6144"),
+    ("MAX_STEPS", "entries", lambda n: f"compare --K 4000 --z 1 --json {TMP}/rows.json "
+                                       f"--grid {','.join(['1/2'] * n)}",
+     "big integers (K/z+entries)*bits^2/6144"),
 ]
 
 # (limit, largest accepted argv, smallest refused argv, the refusal's message) for the
 # limits outside the cost model; the refused argv steps the accepted one just past the
 # limit, and past no other one
 HAND = [
-    ("MAX_COMPARE_USERS", "compare --K 4000 --z 1",
-     "compare --K 4001 --z 1", "--K 4001 exceeds the compare budget of 4000 users"),
     ("MAX_GRID_DIGITS", "compare --K 1 --z 1 --grid 1e-4299",
      "compare --K 1 --z 1 --grid 1e-4300", "has more digits than the CSV prints (4300)"),
     ("RANDOM_TRIES", "topology --m 1 --b 30 --z 1 --source random",

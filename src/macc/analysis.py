@@ -133,23 +133,17 @@ def our_envelope(k_users: int, z: int) -> Curve:
     return _curve("ours", k_users, z, _on_lattice(k_users, our_corners(k_users, z)))
 
 
-# RK, NT and SICPS share one binomial per t'.  A comparison table asks for at most K of
-# them per scheme, and the CLI caps K at MAX_COMPARE_USERS (4000), so 4096 entries keep
-# one table's binomials from the first of those schemes' passes to the last
-_binomial = functools.lru_cache(maxsize=4096)(comb)
-
-
-def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
+def rival_corner(scheme: str, k_users: int, z: int, tparam: int, choose=comb):
     """(rate, subpacketization) of a rival scheme at its own corner M/N = tparam/K.
 
     The rate is exact, or None for SICPS and SPE, whose rates are external.
     The subpacketization is an int or Fraction, or for SR1 the interval
-    (K, K**2) it is known to lie in.  Raises ``ApplicabilityError`` where the
-    scheme has no corner at tparam."""
+    (K, K**2) it is known to lie in; RK, SICPS and NT read their one binomial from
+    ``choose``.  Raises ``ApplicabilityError`` where the scheme has no corner at tparam."""
     k, t = k_users, tparam
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
-        binomial = _binomial(k - t * z + t - 1, t - 1)
+        binomial = choose(k - t * z + t - 1, t - 1)
         if scheme == "NT":  # C(K - t'z + t', t') = C(K - t'z + t' - 1, t' - 1) (K - t'z + t')/t'
             return Fraction(k - t * z, t + 1), k * (binomial * (k - t * z + t) // t)
         sub = _whole(Fraction(k, t) * binomial)
@@ -207,15 +201,15 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
     return Fraction(g * (g + 2), 2 * (k_users + 2))
 
 
-def rival_corners(scheme: str, k_users: int, z: int, tparams=None) -> dict:
+def rival_corners(scheme: str, k_users: int, z: int, tparams=None, choose=comb) -> dict:
     """Memory t''/K -> ``rival_corner`` at each t'' of ``tparams`` (default
-    1..floor(K/z)) where it applies."""
+    1..floor(K/z)) where it applies, RK, SICPS and NT's C(n, r) taken from ``choose``."""
     if tparams is None:
         tparams = range(1, k_users // z + 1)
     corners = {}
     for t in tparams:
         try:
-            corners[Fraction(t, k_users)] = rival_corner(scheme, k_users, z, t)
+            corners[Fraction(t, k_users)] = rival_corner(scheme, k_users, z, t, choose)
         except ApplicabilityError:
             pass
     return corners
@@ -377,9 +371,7 @@ class TableRow:
 
     def log10_subpacketization(self) -> float | None:
         s = self.subpacketization
-        if s is None or isinstance(s, tuple):
-            return None
-        return log10_of(s)
+        return None if s is None or isinstance(s, tuple) else log10_of(s)
 
     def to_json_dict(self) -> dict:
         """The row for :func:`json_default`; an SR1 interval goes in its own key."""
@@ -394,18 +386,19 @@ class TableRow:
 
 
 def log10_of(x) -> float:
-    """log10 of a positive int/Fraction of any size."""
+    """log10 of a positive int/Fraction of any size, each integer read as its first 15
+    decimal digits, found by integer division, and a power of ten: the float as ever."""
     num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (int(x), 1)
-    return _log10_int(num) - _log10_int(den)
-
-
-def _log10_int(n: int) -> float:
-    if n <= 0:
+    if num <= 0:
         raise ValueError("log10 needs a positive value")
-    s = str(n)
-    if len(s) <= 15:
-        return math.log10(n)
-    return math.log10(int(s[:15])) + (len(s) - 15)
+    logs = []
+    for n in (num, den):
+        shift = max(0, (n.bit_length() - 1) * 3 // 10 - 14)  # 0.3 < log10(2): never too many
+        head = n // 10**shift
+        while head >= 10**15:  # down to the first 15 digits
+            head, shift = head // 10, shift + 1
+        logs.append(math.log10(head) + shift)
+    return logs[0] - logs[1]
 
 
 def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
@@ -420,8 +413,9 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     axis = [(mem.numerator * k, mem.denominator) for mem in grid]  # M/N at j = p/q
     lattice = [p // q if p % q == 0 else None for p, q in axis]
     tparams = sorted(set(range(1, k // z + 1)) | {j for j in lattice if j is not None})
+    choose = functools.cache(comb)  # one C(n, r) per t', shared by RK, SICPS and NT
     corners = {"ours": _on_lattice(k, our_corners(k, z))} | {
-        scheme: _on_lattice(k, rival_corners(scheme, k, z, tparams))
+        scheme: _on_lattice(k, rival_corners(scheme, k, z, tparams, choose))
         for scheme in SCHEME_ORDER[1:]}
     order = sorted(range(len(grid)), key=lambda i: axis[i][0] // axis[i][1])
     walks = {scheme: curve._walk(axis[i] for i in order) for scheme in SCHEME_ORDER
@@ -447,11 +441,8 @@ def rows_to_csv(rows) -> list[str]:
     lines = [CSV_HEADER + "\n"]
     for r in rows:
         rate = "" if r.rate is None else f"{float(r.rate):.6f}"
-        log_s = r.log10_subpacketization()
-        lines.append(
-            f"{r.memory.numerator},{r.memory.denominator},{r.scheme},{rate},"
-            + ("" if log_s is None else f"{log_s:.6f}") + "\n"
-        )
+        log_s = "" if (s := r.log10_subpacketization()) is None else f"{s:.6f}"
+        lines.append(f"{r.memory.numerator},{r.memory.denominator},{r.scheme},{rate},{log_s}\n")
     return lines
 
 

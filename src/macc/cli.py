@@ -17,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import reprlib
 import sys
 from fractions import Fraction
@@ -28,10 +29,6 @@ from . import analysis, designs, engine, topology
 # so that `_emit` joins whole slices into its 8 KB writes
 _SLICE = 256
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# users `compare` accepts, outside the cost model: rivals' corners are big-integer binomials,
-# and NT's subpacketization K*C(K, t) (1206 digits at K = 4000) must keep to the 4300 digits
-# `analysis._log10_int`'s str() may print; K = 4000 at z = 1 takes 2.0 s, 39 MB (budget_edges.py)
-MAX_COMPARE_USERS = 4000
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
 MAX_GRID_DIGITS = sys.int_info.default_max_str_digits
@@ -274,15 +271,20 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
 
 
 def check_compare_cost(k: int, z: int, grid: str | None) -> None:
-    """Refuse z outside 1..K, K over its limit, then 8 table rows per grid entry (commas + 1)."""
+    """Refuse z outside 1..K, then price in O(1): 8 table rows per grid entry (commas + 1),
+    the divisor scan, ours' sigma(K)/z < K*(1+bitlen(K))/z corners and the big integers, a
+    binomial per t' <= K/z and 3 per entry, each of at most about K*bitlen(z)/z bits, on
+    which comb and int-to-str take about bits^2/6144 steps."""
     if not 1 <= z <= k:
         raise ValueError(f"need 1 <= --z <= --K, got --z {z} and --K {k}")
-    if k > MAX_COMPARE_USERS:
-        raise designs.PointBudgetError(f"--K {k} exceeds the compare budget of "
-                                       f"{MAX_COMPARE_USERS} users")
-    rows = 8 * (-(-k // z) + 1 if grid is None else grid.count(",") + 1)
-    designs.check_terms("compare", {"table rows 140*8*entries": 140 * rows},
-                        {"table rows 650*8*entries": 650 * rows})
+    entries = -(-k // z) + 1 if grid is None else grid.count(",") + 1
+    bits = k * z.bit_length() // z
+    designs.check_terms("compare", {
+        "table rows 140*8*entries": 140 * 8 * entries, "divisor scan 4*sqrt(K)": 4 * math.isqrt(k),
+        "ours' corners 16*K*(1+bitlen(K)/z)": 16 * (k + k * k.bit_length() // z),
+        "big integers (K/z+entries)*bits^2/6144": (k // z + entries) * bits * bits // 6144},
+        {"table rows 650*8*entries": 650 * 8 * entries,
+         "big integers (K/z+3*entries)*bits": (k // z + 3 * entries) * bits})
 
 
 def cmd_compare(args) -> int:

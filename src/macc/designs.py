@@ -16,11 +16,13 @@ convention.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 # the one cost model that prices every command, :func:`check_terms`: a step takes about
 # 0.13 us and a held byte adds about 1 B of ru_maxrss, so the slowest accepted runs take
-# at most 7.7 s and 255 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
+# at most 6.0 s and 251 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
 MAX_STEPS = 6 * 10**7
 MAX_HELD_BYTES = 25 * 10**7
 
@@ -33,9 +35,11 @@ def check_terms(command: str, steps: dict[str, int], held: dict[str, int]) -> No
     """Refuse ``command`` if its closed-form terms of steps or held bytes sum over a limit."""
     for what, limit, terms in (("steps", MAX_STEPS, steps), ("held bytes", MAX_HELD_BYTES, held)):
         total, top = sum(terms.values()), max(terms, key=terms.get)
-        if total > limit:
+        if total > limit:  # a count past the digits int-to-str prints reads 10^N
+            total, most = (str(n) if n < 10**sys.int_info.default_max_str_digits
+                           else f"10^{int(math.log10(n))}" for n in (total, terms[top]))
             raise PointBudgetError(f"{command} needs about {total} {what}, over {limit}; "
-                                   f"its largest term is {top} = {terms[top]}")
+                                   f"its largest term is {top} = {most}")
 
 
 def point_count(m: int, b: int, mu: int = 1) -> int:
@@ -100,10 +104,11 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
         raise ValueError("m, b, mu must be positive")
     n = check_design_cost(m, b, mu)
 
-    # block (i, l+1) is the b**(i-1) runs of mu*b**(m-i) columns that start at
-    # l*run, (l+b)*run, ...; slicing one list shares each point's int between classes
+    # block (i, l+1) is the b**(i-1) runs of mu*b**(m-i) columns that start at l*run,
+    # (l+b)*run, ..., a strided slice for runs of one; slicing shares each point's int
     points = [*range(1, n + 1)]
-    blocks = tuple(tuple(tuple(itertools.chain.from_iterable(points[s:s + run]
+    blocks = tuple(tuple(tuple(points[l::b]) if run == 1 else
+                         tuple(itertools.chain.from_iterable(points[s:s + run]
                                                              for s in range(l * run, n, b * run)))
                          for l in range(b))
                    for run in (mu * b ** (m - i) for i in range(1, m + 1)))

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -439,9 +441,34 @@ def test_csv_shape():
     assert ours.startswith("1,4,ours,2.000000,")
 
 
+def _str_log10(x) -> float:
+    """The former log10 of a positive int or Fraction: per integer, its first 15 digits
+    and its length in decimal."""
+    def log10_int(n):
+        digits = str(n)
+        return math.log10(n) if len(digits) <= 15 else (math.log10(int(digits[:15]))
+                                                        + (len(digits) - 15))
+    x = F(x)
+    return log10_int(x.numerator) - log10_int(x.denominator)
+
+
 def test_log10_of_big_values():
     assert abs(log10_of(10**400) - 400.0) < 1e-9
     assert abs(log10_of(F(10**50, 10**20)) - 30.0) < 1e-9
+    # the float the str-based form gave, which the JSON prints whole and the CSV as %.6f,
+    # at 10^k - 1, 10^k and 10^k + 1 for k <= 5000 and at every subpacketization of a
+    # K = 840 table
+    values = [10**k + d for k in range(5001) for d in (-1, 0, 1) if 10**k + d > 0]
+    table = comparison_table(840, 5, [F(t, 840) for t in range(841)])
+    values += [row.subpacketization for row in table if isinstance(row.subpacketization, (int, F))]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the oracle prints integers of up to 5001 digits
+    try:
+        assert [log10_of(x) for x in values] == [_str_log10(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError, match="log10 needs a positive value"):
+        log10_of(0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,8 +21,8 @@ from macc import (
 )
 import macc
 from macc import cli
-from macc.analysis import CSV_HEADER, json_default, rows_to_csv
-from macc.cli import MAX_COMPARE_USERS, check_compare_cost, main, write_log
+from macc.analysis import json_default, rows_to_csv
+from macc.cli import MAX_GRID_DIGITS, check_compare_cost, main, write_log
 from macc.designs import (MAX_HELD_BYTES, MAX_STEPS, PointBudgetError, check_design_cost,
                           check_terms)
 from macc.engine import Schedule, check_cost, user_terms
@@ -417,7 +418,7 @@ def test_simulate_refuses_coverage_above_budget(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == ("error: simulate needs about 5000400000000 steps, over 60000000; its "
-                   "largest term is user work K*(250+20*z+5*b) = 5000270000000\n")
+                   "largest term is place's pool 5*K*b = 5000000000000\n")
 
 
 def test_simulate_refuses_payloads_above_budget(capsys):
@@ -472,34 +473,34 @@ def test_design_accepts_shapes_that_only_the_intersection_count_refused(capsys, 
 
 
 def test_topology_refuses_coverage_above_budget(capsys):
-    # the users' terms of the cost model, before any graph is built: one past the largest
-    # accepted b at m = 11 and z = 1, (11, 1017, 1)
+    # the users' graph terms of the cost model, before any graph is built: one past the
+    # largest accepted b at m = 11 and z = 1, (11, 20202, 1)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1018", "--z", "1")
+    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "20203", "--z", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: topology needs about 60021280 steps, over 60000000; its largest "
-                   "term is user work K*(250+20*z+5*b) = 60021280\n")
-    check_graph_cost(11, 1017, 1)
+    assert err == ("error: topology needs about 60002910 steps, over 60000000; its largest "
+                   "term is user work K*(250+20*z) = 60002910\n")
+    check_graph_cost(11, 20202, 1)
     code, out, _ = run_cli(capsys, "topology", "--m", "10", "--b", "1000", "--z", "1")
     assert code == 0 and json.loads(out)["validation"]["passed"]
 
 
 def test_topology_refuses_access_entries_above_budget(capsys):
     # the K*z access entries are priced by the users' terms before any list is built
-    for argv, steps in ((["--m", "1", "--b", "1733", "--z", "1733"], 75515475),
-                        (["--m", "10", "--b", "1000", "--z", "301"], 112700000)):
+    for argv, steps in ((["--m", "1", "--b", "1733", "--z", "1733"], 60499030),
+                        (["--m", "10", "--b", "1000", "--z", "301"], 62700000)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "topology", *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err == (f"error: topology needs about {steps} steps, over 60000000; its "
-                       f"largest term is user work K*(250+20*z+5*b) = {steps}\n")
+                       f"largest term is user work K*(250+20*z) = {steps}\n")
     # the largest accepted z at b = z and at (10, 1000)
-    check_graph_cost(1, 1544, 1544)
-    check_graph_cost(10, 1000, 37)
+    check_graph_cost(1, 1725, 1725)
+    check_graph_cost(10, 1000, 287)
     with pytest.raises(PointBudgetError):
-        check_graph_cost(10, 1000, 38)
+        check_graph_cost(10, 1000, 288)
     # a z outside 1..b keeps the topology's own message
     code, _, err = run_cli(capsys, "topology", "--m", "1", "--b", "3", "--z", str(10**12))
     assert code == 2 and err == f"error: need 1 <= z <= b, got z={10**12}, b=3\n"
@@ -511,19 +512,19 @@ class _Priced(Exception):
 
 @pytest.mark.parametrize("m, b, z, accepted", [
     (150001, 1, 1, True), (218181, 1, 1, True), (1, 1544, 1544, True),
-    (1, 1545, 1545, False), (1, 1732, 1732, False), (1, 3162, 948, False),
-    (10, 1000, 300, False),
+    (1, 1725, 1725, True), (1, 3438, 1, True), (1, 1726, 1726, False),
+    (1, 1732, 1732, False), (1, 3162, 948, False), (10, 1000, 300, False),
 ])
 def test_topology_prices_a_graph_as_simulate_does(capsys, monkeypatch, m, b, z, accepted):
-    # topology accepts a shape iff the users' terms of the cost model fit both limits,
-    # and accepts every graph that simulate accepts at some t
+    # topology accepts a shape iff the users' graph terms of the cost model fit both
+    # limits, and accepts every graph that simulate accepts at some t; place's pool,
+    # which only simulate builds, refused (1, 1725, 1725) and (1, 3438, 1)
     def priced(args):
         raise _Priced
 
     monkeypatch.setattr(cli, "_load_topology", priced)
     k = m * b
-    fits = (k * (250 + 20 * z + 5 * b) <= MAX_STEPS
-            and k * (800 + 80 * z + 8 * b) <= MAX_HELD_BYTES)
+    fits = k * (250 + 20 * z) <= MAX_STEPS and k * (800 + 80 * z) <= MAX_HELD_BYTES
     assert fits == accepted
     try:
         code = main(["topology", "--m", str(m), "--b", str(b), "--z", str(z)])
@@ -534,25 +535,28 @@ def test_topology_prices_a_graph_as_simulate_does(capsys, monkeypatch, m, b, z, 
         assert code is None
 
 
-def test_compare_refuses_users_above_budget(capsys):
+@pytest.mark.parametrize("z, edge", [(1, 5449), (8, 17728)])
+def test_compare_refuses_big_integers_above_budget(capsys, z, edge):
+    # one past the largest default-grid K at z = 1 and z = 8, priced in O(1) before any
+    # binomial is computed; K = 16000 at z = 8 takes about 1 s
     start = time.perf_counter()
-    k = MAX_COMPARE_USERS + 1
-    code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
-    assert time.perf_counter() - start < 1
+    code, out, err = run_cli(capsys, "compare", "--K", str(edge + 1), "--z", str(z))
+    assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
-    assert err == f"error: --K {k} exceeds the compare budget of {MAX_COMPARE_USERS} users\n"
-    k = MAX_COMPARE_USERS
-    code, out, _ = run_cli(capsys, "compare", "--K", str(k), "--z", str(k))
-    assert code == 0 and out.startswith(CSV_HEADER)
+    assert err.startswith("error: compare needs about ")
+    assert "; its largest term is big integers (K/z+entries)*bits^2/6144 = " in err
+    check_compare_cost(edge, z, None)
+    check_compare_cost(16000, 8, None)
 
 
 def test_compare_refuses_grid_rows_above_budget(capsys):
-    # 8 table rows per --grid entry, counted by commas before any entry is parsed: the
-    # held bytes admit 48076 entries; 100000 at K = 100 took 12.9 s and 594 MB unpriced
+    # 8 table rows per --grid entry, counted by commas before any entry is parsed, and up
+    # to three subpacketizations of about K bits each at z = 1: the steps admit 13090
+    # entries at K = 4000; 100000 at K = 100 took 12.9 s and 594 MB unpriced
     for k, entries, message in (
-            (4000, 48077, "250000400 held bytes, over 250000000; its largest term is table "
-                          "rows 650*8*entries = 250000400"),
-            (100, 100000, "112000000 steps, over 60000000; its largest term is table rows "
+            (4000, 13091, "60001984 steps, over 60000000; its largest term is big integers "
+                          "(K/z+entries)*bits^2/6144 = 44507812"),
+            (100, 100000, "112175763 steps, over 60000000; its largest term is table rows "
                           "140*8*entries = 112000000")):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", "1",
@@ -560,9 +564,37 @@ def test_compare_refuses_grid_rows_above_budget(capsys):
         assert time.perf_counter() - start < 0.1
         assert code == 2 and out == ""
         assert err == f"error: compare needs about {message}\n"
-    check_compare_cost(4000, 1, ",".join(["0"] * 48076))
-    # every default grid, ceil(K/z) + 1 entries, is accepted
-    check_compare_cost(MAX_COMPARE_USERS, 1, None)
+    check_compare_cost(4000, 1, ",".join(["0"] * 13090))
+
+
+def test_compare_json_integers_stay_printable():
+    # --json prints every subpacketization whole, and int-to-str refuses more than 4300
+    # digits (14284 bits).  At the largest K the cost model admits for each z <= 4096 (with
+    # the fewest grid entries), ours' b^(K/b) for b >= z and NT's K*C(K - t'z + t', t'), the
+    # largest corners, stay below that; past z = 4096, ours' corners refuse K > 3750000
+    def admitted(k, z):
+        return _accepted(check_compare_cost, k, z, "0")
+
+    def log2_nt(k, z, t):  # log2 of C(K - t'z + t', t')
+        n = k - t * z + t
+        return (math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)) / math.log(2)
+
+    limit = MAX_GRID_DIGITS * math.log2(10)
+    for z in range(1, 4097):
+        lo, hi = z, 2 * z  # the largest admitted K, by doubling and bisection
+        while admitted(hi, z):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid, z) else (lo, mid)
+        k, lo, hi = lo, 1, lo // z  # binomials along a line of Pascal's triangle are
+        while lo < hi:              # log-concave: bisect for the t' where they stop rising
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if log2_nt(k, z, mid + 1) > log2_nt(k, z, mid) else (lo, mid)
+        b = max(z, 3)  # log2(b)/b falls from b = 3 on
+        assert max((k // b) * math.log2(b), log2_nt(k, z, lo) + math.log2(k)) < limit - 500, (k, z)
+    assert not admitted(3750001, 3750001)
+    assert 3750000 * math.log2(4097) / 4097 < limit - 500
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -581,15 +613,17 @@ def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
-    ["topology", "--m", "218182", "--b", "1", "--z", "1"],
-])
-def test_user_budget_bounds_b_equal_one(capsys, argv):
-    # at b = 1 only the users bind, one past (218181, 1, 1): simulate's and topology's
-    # user work, one term of one cost model
-    message = (f"{argv[0]} needs about 60000050 steps, over 60000000; its largest term is "
-               "user work K*(250+20*z+5*b) = 60000050")
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
+     "simulate needs about 60000050 steps, over 60000000; its largest term is user work "
+     "K*(250+20*z) = 58909140"),
+    (["topology", "--m", "222223", "--b", "1", "--z", "1"],
+     "topology needs about 60000210 steps, over 60000000; its largest term is user work "
+     "K*(250+20*z) = 60000210"),
+], ids=["argv0", "argv1"])
+def test_user_budget_bounds_b_equal_one(capsys, argv, message):
+    # at b = 1 only the users bind, one past the largest accepted K: the user work term
+    # simulate and topology share, where simulate adds place's pool of 5*b steps a user
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.1

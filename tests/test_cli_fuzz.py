@@ -21,7 +21,26 @@ NAMED = [f"simulate --m 3 --b {10**30} --z 3 --t 4",
          f"simulate --m 1 --b {10**8} --z {10**8} --t 1",
          f"topology --m 0 --b {10**30} --z 4",
          f"topology --m -3 --b {10**6} --z {10**6}",
-         f"topology --m -3 --b {10**8} --z {10**8}"]
+         f"topology --m -3 --b {10**8} --z {10**8}",
+         "design --m 1 --b 1 --mu " + "9" * 4300,
+         "topology --m " + "9" * 4300 + " --b 1 --z 1",
+         f"compare --K {10**30} --z 1 --grid 0",
+         f"compare --K {2**63} --z 3 --grid 1"]
+# the refusals of the last four, whose totals have more digits than int-to-str prints or
+# would make the divisor scan and the binomials run for ages
+MESSAGES = {
+    NAMED[-4]: "design needs about 10^4300 steps, over 60000000; its largest term is points "
+               "4*mu*b^m = 10^4300",
+    NAMED[-3]: "topology needs about 10^4302 steps, over 60000000; its largest term is user "
+               "work K*(250+20*z) = 10^4302",
+    NAMED[-2]: "compare needs about 162760416666666666666666666666829427083333333333333334949"
+               "333333333333337333333333334453 steps, over 60000000; its largest term is big "
+               "integers (K/z+entries)*bits^2/6144 = 16276041666666666666666666666682942708333"
+               "3333333333333333333333333333333333333333333333",
+    NAMED[-1]: "compare needs about 18919698035381343930349963298155261047968691752107765 "
+               "steps, over 60000000; its largest term is big integers "
+               "(K/z+entries)*bits^2/6144 = 18919698035381343930349963298151965229694176830882601",
+}
 
 
 def fuzz_argvs(count: int = 1000, seed: int = 9) -> list[list[str]]:
@@ -41,6 +60,14 @@ def fuzz_argvs(count: int = 1000, seed: int = 9) -> list[list[str]]:
             argv += ["--source" if command == "topology" else "--topology", "random"]
         runs.append(argv)
     return runs
+
+
+def test_named_refusals_name_their_limit(capsys):
+    for argv, message in MESSAGES.items():
+        start = time.perf_counter()
+        assert cli.main(argv.split()) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_argv_exits_0_1_or_2_and_refuses_fast(capsys):

@@ -178,6 +178,22 @@ def test_design_held_bytes_bound_its_traced_peak(monkeypatch, m, b, mu):
     assert 0 < peak <= sum(held.values()), (peak, held)
 
 
+def _runs_blocks(m, b, mu):
+    """The blocks as runs of mu*b**(m-i) columns gathered slice by slice, the construction
+    that built every class before the last class at mu = 1 became one strided slice."""
+    n = mu * b**m
+    points = [*range(1, n + 1)]
+    return tuple(tuple(tuple(itertools.chain.from_iterable(points[s:s + run]
+                                                           for s in range(l * run, n, b * run)))
+                       for l in range(b))
+                 for run in (mu * b ** (m - i) for i in range(1, m + 1)))
+
+
+@pytest.mark.parametrize("m, b, mu", [(2, 5, 1), (3, 4, 1), (2, 3, 2)])
+def test_construct_matches_the_runs_construction(m, b, mu):
+    assert construct_mcrd(m, b, mu).blocks == _runs_blocks(m, b, mu)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 3),
