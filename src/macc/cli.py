@@ -17,7 +17,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import reprlib
 import sys
 from fractions import Fraction
@@ -272,15 +271,15 @@ def _parse_grid(text: str | None, k: int, z: int) -> list[Fraction]:
 
 def check_compare_cost(k: int, z: int, grid: str | None) -> None:
     """Refuse z outside 1..K, then price in O(1): 8 table rows per grid entry (commas + 1),
-    the divisor scan, ours' sigma(K)/z < K*(1+bitlen(K))/z corners and the big integers, a
-    binomial per t' <= K/z and 3 per entry, each of at most about K*bitlen(z)/z bits, on
-    which comb and int-to-str take about bits^2/6144 steps."""
+    ours' sigma(K)/z < K*(1+bitlen(K))/z corners (whose term also covers the divisor scan)
+    and the big integers, a binomial per t' <= K/z and 3 per entry, each of at most about
+    K*bitlen(z)/z bits, on which comb and int-to-str take about bits^2/6144 steps."""
     if not 1 <= z <= k:
         raise ValueError(f"need 1 <= --z <= --K, got --z {z} and --K {k}")
     entries = -(-k // z) + 1 if grid is None else grid.count(",") + 1
     bits = k * z.bit_length() // z
     designs.check_terms("compare", {
-        "table rows 140*8*entries": 140 * 8 * entries, "divisor scan 4*sqrt(K)": 4 * math.isqrt(k),
+        "table rows 140*8*entries": 140 * 8 * entries,
         "ours' corners 16*K*(1+bitlen(K)/z)": 16 * (k + k * k.bit_length() // z),
         "big integers (K/z+entries)*bits^2/6144": (k // z + entries) * bits * bits // 6144},
         {"table rows 650*8*entries": 650 * 8 * entries,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 # the one cost model that prices every command, :func:`check_terms`: a step takes about
 # 0.13 us and a held byte adds about 1 B of ru_maxrss, so the slowest accepted runs take
-# at most 6.0 s and 251 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
+# at most 8.3 s and 251 MB in fresh processes on a 2-vCPU x86-64 VM (budget_edges.py)
 MAX_STEPS = 6 * 10**7
 MAX_HELD_BYTES = 25 * 10**7
 

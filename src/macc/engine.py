@@ -49,10 +49,11 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
 
 
 def user_terms(m: int, b: int, z: int) -> tuple[dict[str, int], dict[str, int]]:
-    """Steps and held bytes of the K = m*b users' graph, after the shape checks."""
+    """Steps and held bytes of the K = m*b users' graph and work, after the shape checks; a
+    user's 5*b steps price place's pool and the C3 matching's b-entry visited list."""
     achievable_rate(b, m, z, 1)  # the shape checks: m >= 1, then 1 <= z <= b
-    return ({"user work K*(250+20*z)": m * b * (250 + 20 * z)},
-            {"user data K*(800+80*z)": m * b * (800 + 80 * z)})
+    return ({"user work K*(250+20*z+5*b)": m * b * (250 + 20 * z + 5 * b)},
+            {"user data K*(800+80*z+8*b)": m * b * (800 + 80 * z + 8 * b)})
 
 
 def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) -> None:
@@ -64,9 +65,9 @@ def check_cost(m: int, b: int, z: int, t: int, payload_size: int | None = None) 
     payload = 0 if payload_size is None else (m + 1) * rows * (payload_size + 100)
     user_steps, user_held = user_terms(m, b, z)
     check_terms("simulate",
-                {"summand lookups rows*m^2": rows * m * m, "place's pool 5*K*b": 5 * k * b,
+                {"summand lookups rows*m^2": rows * m * m,
                  "broadcast work 2*rows*(m+5)": 2 * rows * (m + 5), **user_steps},
-                {"rounds 12*rows*(m+2)": 12 * rows * (m + 2), "place's pool 8*K*b": 8 * k * b,
+                {"rounds 12*rows*(m+2)": 12 * rows * (m + 2),
                  "cell columns 96*m*F": 96 * m * f if r else 0,
                  "decode's table 5*K*(F+1)/4": 5 * k * (f + 1) // 4, **user_held,
                  "payloads and contents 5*(m+1)*rows*(size+100)/2": 5 * payload // 2})

@@ -418,7 +418,7 @@ def test_simulate_refuses_coverage_above_budget(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == ("error: simulate needs about 5000400000000 steps, over 60000000; its "
-                   "largest term is place's pool 5*K*b = 5000000000000\n")
+                   "largest term is user work K*(250+20*z+5*b) = 5000270000000\n")
 
 
 def test_simulate_refuses_payloads_above_budget(capsys):
@@ -473,34 +473,53 @@ def test_design_accepts_shapes_that_only_the_intersection_count_refused(capsys, 
 
 
 def test_topology_refuses_coverage_above_budget(capsys):
-    # the users' graph terms of the cost model, before any graph is built: one past the
-    # largest accepted b at m = 11 and z = 1, (11, 20202, 1)
+    # the users' terms of the cost model, before any graph is built: one past the largest
+    # accepted b at m = 11 and z = 1, (11, 1017, 1)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "20203", "--z", "1")
+    code, out, err = run_cli(capsys, "topology", "--m", "11", "--b", "1018", "--z", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: topology needs about 60002910 steps, over 60000000; its largest "
-                   "term is user work K*(250+20*z) = 60002910\n")
-    check_graph_cost(11, 20202, 1)
+    assert err == ("error: topology needs about 60021280 steps, over 60000000; its largest "
+                   "term is user work K*(250+20*z+5*b) = 60021280\n")
+    check_graph_cost(11, 1017, 1)
     code, out, _ = run_cli(capsys, "topology", "--m", "10", "--b", "1000", "--z", "1")
     assert code == 0 and json.loads(out)["validation"]["passed"]
 
 
+def test_topology_matches_the_largest_one_cache_file_in_time(capsys, tmp_path):
+    # every user of the largest accepted group at z = 1 reads cache 1, so the greedy pass
+    # leaves b - 1 users to the C3 matching, each with a b-entry visited list: the 5*b
+    # steps a user of the user work term price that
+    b = 3437
+    check_graph_cost(1, b, 1)
+    with pytest.raises(PointBudgetError):
+        check_graph_cost(1, b + 1, 1)
+    path = tmp_path / "one_cache.json"
+    path.write_text(json.dumps({"m": 1, "b": b, "z": 1, "access": [[1]] * b}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "topology", "--m", "1", "--b", str(b), "--z", "1",
+                           "--source", str(path))
+    assert time.perf_counter() - start < 6
+    assert code == 1
+    assert json.loads(out)["validation"]["violations"] == [
+        f"C3: group 1 has maximum matching 1 < {b}"]
+
+
 def test_topology_refuses_access_entries_above_budget(capsys):
     # the K*z access entries are priced by the users' terms before any list is built
-    for argv, steps in ((["--m", "1", "--b", "1733", "--z", "1733"], 60499030),
-                        (["--m", "10", "--b", "1000", "--z", "301"], 62700000)):
+    for argv, steps in ((["--m", "1", "--b", "1733", "--z", "1733"], 75515475),
+                        (["--m", "10", "--b", "1000", "--z", "301"], 112700000)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "topology", *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err == (f"error: topology needs about {steps} steps, over 60000000; its "
-                       f"largest term is user work K*(250+20*z) = {steps}\n")
+                       f"largest term is user work K*(250+20*z+5*b) = {steps}\n")
     # the largest accepted z at b = z and at (10, 1000)
-    check_graph_cost(1, 1725, 1725)
-    check_graph_cost(10, 1000, 287)
+    check_graph_cost(1, 1544, 1544)
+    check_graph_cost(10, 1000, 37)
     with pytest.raises(PointBudgetError):
-        check_graph_cost(10, 1000, 288)
+        check_graph_cost(10, 1000, 38)
     # a z outside 1..b keeps the topology's own message
     code, _, err = run_cli(capsys, "topology", "--m", "1", "--b", "3", "--z", str(10**12))
     assert code == 2 and err == f"error: need 1 <= z <= b, got z={10**12}, b=3\n"
@@ -512,19 +531,19 @@ class _Priced(Exception):
 
 @pytest.mark.parametrize("m, b, z, accepted", [
     (150001, 1, 1, True), (218181, 1, 1, True), (1, 1544, 1544, True),
-    (1, 1725, 1725, True), (1, 3438, 1, True), (1, 1726, 1726, False),
-    (1, 1732, 1732, False), (1, 3162, 948, False), (10, 1000, 300, False),
+    (1, 1545, 1545, False), (1, 1732, 1732, False), (1, 3162, 948, False),
+    (10, 1000, 300, False),
 ])
 def test_topology_prices_a_graph_as_simulate_does(capsys, monkeypatch, m, b, z, accepted):
-    # topology accepts a shape iff the users' graph terms of the cost model fit both
-    # limits, and accepts every graph that simulate accepts at some t; place's pool,
-    # which only simulate builds, refused (1, 1725, 1725) and (1, 3438, 1)
+    # topology accepts a shape iff the users' terms of the cost model fit both limits,
+    # and accepts every graph that simulate accepts at some t
     def priced(args):
         raise _Priced
 
     monkeypatch.setattr(cli, "_load_topology", priced)
     k = m * b
-    fits = k * (250 + 20 * z) <= MAX_STEPS and k * (800 + 80 * z) <= MAX_HELD_BYTES
+    fits = (k * (250 + 20 * z + 5 * b) <= MAX_STEPS
+            and k * (800 + 80 * z + 8 * b) <= MAX_HELD_BYTES)
     assert fits == accepted
     try:
         code = main(["topology", "--m", str(m), "--b", str(b), "--z", str(z)])
@@ -554,9 +573,9 @@ def test_compare_refuses_grid_rows_above_budget(capsys):
     # to three subpacketizations of about K bits each at z = 1: the steps admit 13090
     # entries at K = 4000; 100000 at K = 100 took 12.9 s and 594 MB unpriced
     for k, entries, message in (
-            (4000, 13091, "60001984 steps, over 60000000; its largest term is big integers "
+            (4000, 13091, "60001732 steps, over 60000000; its largest term is big integers "
                           "(K/z+entries)*bits^2/6144 = 44507812"),
-            (100, 100000, "112175763 steps, over 60000000; its largest term is table rows "
+            (100, 100000, "112175723 steps, over 60000000; its largest term is table rows "
                           "140*8*entries = 112000000")):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "compare", "--K", str(k), "--z", "1",
@@ -613,17 +632,15 @@ def test_point_budgets_refuse_huge_powers_unbuilt(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
-     "simulate needs about 60000050 steps, over 60000000; its largest term is user work "
-     "K*(250+20*z) = 58909140"),
-    (["topology", "--m", "222223", "--b", "1", "--z", "1"],
-     "topology needs about 60000210 steps, over 60000000; its largest term is user work "
-     "K*(250+20*z) = 60000210"),
-], ids=["argv0", "argv1"])
-def test_user_budget_bounds_b_equal_one(capsys, argv, message):
-    # at b = 1 only the users bind, one past the largest accepted K: the user work term
-    # simulate and topology share, where simulate adds place's pool of 5*b steps a user
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "218182", "--b", "1", "--z", "1", "--t", "1"],
+    ["topology", "--m", "218182", "--b", "1", "--z", "1"],
+])
+def test_user_budget_bounds_b_equal_one(capsys, argv):
+    # at b = 1 only the users bind, one past (218181, 1, 1): simulate's and topology's
+    # user work, one term of one cost model
+    message = (f"{argv[0]} needs about 60000050 steps, over 60000000; its largest term is "
+               "user work K*(250+20*z+5*b) = 60000050")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.1

@@ -32,12 +32,12 @@ MESSAGES = {
     NAMED[-4]: "design needs about 10^4300 steps, over 60000000; its largest term is points "
                "4*mu*b^m = 10^4300",
     NAMED[-3]: "topology needs about 10^4302 steps, over 60000000; its largest term is user "
-               "work K*(250+20*z) = 10^4302",
+               "work K*(250+20*z+5*b) = 10^4302",
     NAMED[-2]: "compare needs about 162760416666666666666666666666829427083333333333333334949"
-               "333333333333337333333333334453 steps, over 60000000; its largest term is big "
+               "333333333333333333333333334453 steps, over 60000000; its largest term is big "
                "integers (K/z+entries)*bits^2/6144 = 16276041666666666666666666666682942708333"
                "3333333333333333333333333333333333333333333333",
-    NAMED[-1]: "compare needs about 18919698035381343930349963298155261047968691752107765 "
+    NAMED[-1]: "compare needs about 18919698035381343930349963298155261047968679604105769 "
                "steps, over 60000000; its largest term is big integers "
                "(K/z+entries)*bits^2/6144 = 18919698035381343930349963298151965229694176830882601",
 }

@@ -307,8 +307,8 @@ def test_scheme_params_bound_the_schedule_rows():
     # along one parameter and the smallest refused one, whose message names that term
     edges = [((17, 2, 1, 1), (18, 2, 1, 1), "steps", "summand lookups rows*m^2"),
              ((1, 1818, 1, 1), (1, 1819, 1, 1), "steps", "broadcast work 2*rows*(m+5)"),
-             ((218181, 1, 1, 1), (218182, 1, 1, 1), "steps", "user work K*(250+20*z)"),
-             ((1, 3435, 1, 3434), (1, 3436, 1, 3435), "steps", "place's pool 5*K*b"),
+             ((218181, 1, 1, 1), (218182, 1, 1, 1), "steps", "user work K*(250+20*z+5*b)"),
+             ((1, 3435, 1, 3434), (1, 3436, 1, 3435), "steps", "user work K*(250+20*z+5*b)"),
              ((4, 25, 1, 24), (4, 26, 1, 25), "held bytes", "cell columns 96*m*F"),
              ((2, 461, 1, 461), (2, 462, 1, 462), "held bytes", "decode's table 5*K*(F+1)/4")]
     for accepted, refused, what, term in edges:
