@@ -19,10 +19,11 @@ random to --out; `design` for m <= 3, b <= 5 and mu <= 2; `compare --json` for
 K <= 30 and z in 0..K+1, and for K in {60, 100, 210, 360, 840} and z in {1, 2, 3, 5,
 7}, where SR1's sums are long; runs whose JSON holds lists of scalars longer than one
 slice of the document encoder (`simulate` at (3, 20, 4, 1) with --log and --report, whose
-report lists 128 000 beneficiary counts, `design` at (2, 100) and `topology` at (3, 400,
-40), random); `design` at the benchmark's other shapes (3, 16), (4, 8), (3, 14) and
-(5, 5), and at (3, 10) with mu = 2; and one run of each subcommand whose output file
-cannot be opened.
+report lists 128 000 beneficiary counts, and `design` at (2, 100)); random `topology` at
+the benchmark's nine shapes, m = 3, b in {200, 300, 400} and z = b // cell for cell in
+{10, 15, 20}, of which (200, 13) and (400, 26) have an uneven last cell; `design` at the
+benchmark's other shapes (3, 16), (4, 8), (3, 14) and (5, 5), and at (3, 10) with mu = 2;
+and one run of each subcommand whose output file cannot be opened.
 """
 
 import contextlib
@@ -67,8 +68,9 @@ def sweep() -> list[list[str]]:
              + [*itertools.product((60, 100, 210, 360, 840), (1, 2, 3, 5, 7))]]
     runs += [["simulate", "--m", "3", "--b", "20", "--z", "4", "--t", "1", *SIMULATE_VARIANTS[2],
               "--log", f"{TMP}/tx.jsonl", "--report", f"{TMP}/report.json"],
-             ["design", "--m", "2", "--b", "100"],
-             ["topology", "--m", "3", "--b", "400", "--z", "40", "--source", "random"]]
+             ["design", "--m", "2", "--b", "100"]]
+    runs += [["topology", "--m", "3", "--b", str(b), "--z", str(b // cell), "--source", "random"]
+             for b, cell in itertools.product((200, 300, 400), (10, 15, 20))]
     runs += [["design", "--m", str(m), "--b", str(b), "--mu", str(mu)]
              for m, b, mu in ((3, 16, 1), (4, 8, 1), (3, 14, 1), (5, 5, 1), (3, 10, 2))]
     missing = f"{TMP}/missing/out"

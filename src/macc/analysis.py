@@ -460,6 +460,8 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, default=json_default)
 
 
 def rows_to_json(rows) -> list[str]:
-    """The rows' JSON array as chunks: "[", each row after its ", " separator, "]"."""
-    items = [_ROW_ENCODER.encode(r.to_json_dict()) for r in rows]
-    return ["[", *items[:1], *(", " + item for item in items[1:]), "]"]
+    """The rows' JSON array as chunks: "[", runs of 32 rows, one encoder call each, "]"."""
+    chunks, rows = ["["], iter(rows)
+    while part := [r.to_json_dict() for r in itertools.islice(rows, 32)]:
+        chunks.append((", " if len(chunks) > 1 else "") + _ROW_ENCODER.encode(part)[1:-1])
+    return chunks + ["]"]

@@ -5,9 +5,9 @@ All randomness flows from --seed; identical flags and seed give
 byte-identical output.  Every output goes out through one writer, :func:`_emit`, in
 writes of at most 8 KB joined from a stream of text chunks, never built whole in memory.
 Two producers feed it the large outputs: :func:`_json_doc` walks a design, topology or
-report document and hands each run of scalars to the C JSON encoder a slice at a time,
-and :func:`write_log` splices each transmission line from pieces of text built once per
-cell and once per subfile.
+report document and hands each run of scalars, or of rows of numbers, to the C JSON
+encoder a slice at a time, and :func:`write_log` splices each transmission line from
+pieces of text built once per cell and once per subfile.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _json_doc(doc: dict):
     With ``indent`` set the stdlib encodes in pure Python, token by token.  This walk
     writes dicts in key order and lists item by item, but a slice of a list that holds
     only str, int, float, bool and None goes to one C-encoder call whose item separator
-    carries the slice's newline and indent."""
+    carries the slice's newline and indent; so does a slice of rows of numbers (:func:`_rows`)."""
     return itertools.chain(_walk(doc, 0), "\n")
 
 
@@ -80,6 +80,11 @@ def _walk(obj, level: int):
             yield from _walk(value, level + 1)
             sep = "," + inner
         yield outer + "}"
+    elif (isinstance(obj, (list, tuple)) and obj and type(obj[0]) in (list, tuple)
+          and set(map(type, obj)) <= {list, tuple} and 0 < min(map(len, obj))
+          and max(map(len, obj)) <= _SLICE
+          and set(map(type, itertools.chain.from_iterable(obj))) <= _SCALARS - {str}):
+        yield from _rows(obj, inner, outer, _run_encoder(level + 2).encode)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
@@ -100,6 +105,17 @@ def _walk(obj, level: int):
         yield json.dumps(obj)
     else:
         yield from _walk(analysis.json_default(obj), level)
+
+
+def _rows(rows, inner: str, outer: str, encode):
+    """The chunks of rows of 1 to ``_SLICE`` numbers at indent ``inner``: ``encode`` writes
+    up to ``_SLICE`` numbers a call at the rows' item separator; row boundaries are respelled."""
+    head = inner + "[" + inner + "  "  # the text before a row's first number
+    step, sep, boundary = _SLICE // max(map(len, rows)), "[" + head, inner + "]," + head
+    for start in range(0, len(rows), step):
+        yield sep + encode(rows[start:start + step])[2:-2].replace("]," + inner + "  [", boundary)
+        sep = boundary
+    yield inner + "]" + outer + "]"
 
 
 def cmd_design(args) -> int:

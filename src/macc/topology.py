@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import rshift
 
 
 class MatchingError(ValueError):
@@ -62,9 +65,9 @@ class Topology:
         k = self.m * self.b
         if len(self.access) != k:
             raise ValueError(f"need {k} access lists, got {len(self.access)}")
-        for caches in self.access:
-            if any(not 1 <= c <= k for c in caches):
-                raise ValueError("cache id out of range")
+        rows = list(filter(None, self.access))
+        if rows and (min(map(min, rows)) < 1 or max(map(max, rows)) > k):
+            raise ValueError("cache id out of range")
 
     def user_access(self, i: int, j: int) -> tuple[int, ...]:
         """Global cache ids read by user k(i,j)."""
@@ -73,9 +76,9 @@ class Topology:
     def group_slots(self, i: int) -> list[list[int]]:
         """The within-group view of group i: entry j-1 lists, ascending, the cache slots
         user k(i,j) reads in group i; caches of other groups are left out."""
-        first = (i - 1) * self.b
-        return [sorted(c - first for c in caches if first < c <= first + self.b)
-                for caches in self.access[first:first + self.b]]
+        first, last = (i - 1) * self.b, i * self.b
+        return [sorted([c - first for c in caches if first < c <= last])
+                for caches in self.access[first:last]]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
@@ -84,9 +87,8 @@ class Topology:
             if type(doc[name]) is not int:
                 raise ValueError(f"topology field {name!r} must be an integer")
         rows = doc["access"]
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(type(c) is int for c in row) for row in rows
-        ):
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and set(map(type, chain.from_iterable(rows))) <= {int}):
             raise ValueError("topology field 'access' must be a list of lists of integer cache ids")
         access = tuple(tuple(sorted(set(row))) for row in rows)
         return cls(m=doc["m"], b=doc["b"], z=doc["z"], access=access)
@@ -94,11 +96,8 @@ class Topology:
     @classmethod
     def from_group_slots(cls, m: int, b: int, z: int, slots) -> "Topology":
         """Build from per-group, per-user lists of within-group cache slots."""
-        access = []
-        for i in range(1, m + 1):
-            for user_slots in slots[i - 1]:
-                access.append(tuple(sorted((i - 1) * b + s for s in user_slots)))
-        return cls(m=m, b=b, z=z, access=tuple(access))
+        return cls(m=m, b=b, z=z, access=tuple([tuple(sorted([(i - 1) * b + s for s in user]))
+                                                for i in range(1, m + 1) for user in slots[i - 1]]))
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,7 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
     tie-breaking and greedy assignments are kept whenever possible.
     """
     match_right = [0] * (n_right + 1)
+    seen = [0] * (n_right + 1)  # seen[v] == u: the search from root u has reached v
     seeded = [False] * len(adj)
     for u in range(1, len(adj)):
         for v in adj[u]:
@@ -146,7 +146,7 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
 
     for u in range(1, len(adj)):
         if not seeded[u]:
-            _augment(adj, match_right, u)
+            _augment(adj, match_right, u, seen)
 
     match_left = [0] * len(adj)
     for v in range(1, n_right + 1):
@@ -155,20 +155,20 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
     return match_left
 
 
-def _augment(adj: list[list[int]], match_right: list[int], root: int) -> bool:
+def _augment(adj: list[list[int]], match_right: list[int], root: int, seen: list[int]) -> bool:
     """Depth-first search for an augmenting path from ``root``; flips it if found.
 
     An explicit stack replaces recursion, so path length is not bounded by
     the interpreter's recursion limit; the visiting order is the recursive one.
+    It marks the right vertices it reaches with ``root`` in ``seen``, one list per matching.
     """
-    seen = [False] * len(match_right)
     stack = [(root, iter(adj[root]))]
     via: list[int] = []  # via[k]: right vertex that led from stack[k] to stack[k+1]
     while stack:
         for v in stack[-1][1]:
-            if seen[v]:
+            if seen[v] == root:
                 continue
-            seen[v] = True
+            seen[v] = root
             if match_right[v] == 0:
                 via.append(v)
                 for (u, _), w in zip(stack, via):
@@ -219,7 +219,7 @@ def validate(topology: Topology) -> TopologyReport:
             if len(slots) < len(caches):  # group_slots left out caches of other groups
                 c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
                        for c in caches if (c - 1) // b + 1 != i]
-            cells = {cell_of[s] for s in slots}
+            cells = set(map(cell_of.__getitem__, slots))
             if len(cells) < len(slots):
                 c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
             elif len(cells) < z:
@@ -260,7 +260,8 @@ def canonical_topology(m: int, b: int, z: int) -> Topology:
 
 def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
     """Seeded uniform choice of one cache per cell per user; each group is redrawn until
-    C3 holds, up to ``RANDOM_TRIES`` times."""
+    C3 holds, up to ``RANDOM_TRIES`` times.  The picks are ``rng.choice(cell)``'s: the first
+    r = ``getrandbits(k)`` below len(cell), k its bit length, is the top k bits of a word."""
     cells = cell_slots(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b
@@ -272,14 +273,24 @@ def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
                 f"accepted with probability b!/b^b = {10 ** (log10_rate - exponent):.3f}e"
                 f"{exponent}, so {RANDOM_TRIES} tries per group succeed with probability "
                 f"below 1e-9")
-    rng = random.Random(seed)
+    rng, n = random.Random(seed), min(2**14, b * z)
+    # getrandbits(32) words, n per read, lowest first; only their top bytes when every k <= 8
+    bits = 8 if len(cells[-1]) < 256 else 32  # the last cell is the largest
+    chunks = (rng.getrandbits(32 * n).to_bytes(4 * n, "little") for _ in repeat(None))
+    words = chain.from_iterable(raw[3::4] if bits == 8 else struct.unpack(f"<{n}I", raw)
+                                for raw in chunks)
+    draws = []
+    for cell in cells:
+        k = len(cell).bit_length()
+        table = [*cell, *[None] * (2**k - len(cell))]  # None: r is past the cell, draw again
+        draws.append(filter(None, map(table.__getitem__, map(rshift, words, repeat(bits - k)))))
     slots = []
     tries = 0
     for i in range(1, m + 1):
         for _ in range(RANDOM_TRIES):
             tries += 1
             # one slot per cell, cells ascending, so each user's slots come out ascending
-            group = [[rng.choice(cell) for cell in cells] for _ in range(b)]
+            group = [list(map(next, draws)) for _ in range(b)]
             match = _max_matching([[]] + group, b)
             if all(v != 0 for v in match[1:]):
                 slots.append(group)

@@ -777,6 +777,34 @@ def test_json_doc_check_catches_a_wrong_separator(monkeypatch):
     assert _doc_text(doc) != ORACLE.encode(doc) + "\n"
 
 
+def _row_lists():
+    """Lists of rows around the rows path's limits, each with the lengths of the row
+    lists that the path writes for it."""
+    cut = cli._SLICE
+    yield [[1, -2, 3]] * 5, [5]
+    yield [[0.5, -0.0, 1e300, float("inf"), float("nan")], [True, False], [None], [2**70]], [4]
+    yield [(1, 2), [3, 4, 5], (6,), [7]], [4]  # list and tuple rows
+    yield [list(range(cut))] * 3, [3]
+    yield [list(range(cut + 1))] * 3, []
+    yield [list(range(i % 7 + 1)) for i in range(3 * cut + 5)], [3 * cut + 5]
+    yield [[1, 2], [], [3]], []  # an empty row
+    yield [[1, "],\n  ["], [2]], []  # a str, spelled as a row boundary
+    yield [[1], ["],\n    ["]], []
+    yield [], []
+    yield {"classes": [[[1, 2], [3]], [[4, 5, 6]], [[7], [8, 9]]]}, [2, 1, 2]  # design blocks
+    yield {"a": {"b": [[[[1]], [[2, 3]]]]}}, [1, 1]
+
+
+def test_json_doc_writes_rows_of_numbers_a_slice_at_a_time(monkeypatch):
+    calls, rows = [], cli._rows
+    monkeypatch.setattr(cli, "_rows", lambda obj, *args: calls.append(len(obj)) or rows(obj, *args))
+    for doc, written in _row_lists():
+        for outer in (doc, {"x": doc}, [doc, 1]):
+            calls.clear()
+            assert _doc_text(outer) == ORACLE.encode(outer) + "\n", outer
+            assert calls == written, outer
+
+
 def _log_lines(schedule):
     payloads = itertools.chain.from_iterable(schedule.payloads or [])
     return [_log_line(n, coords, zip(users, files, subfiles),

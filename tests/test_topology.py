@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from macc import (
     validate,
 )
 from macc.analysis import json_default
-from macc.topology import _max_matching, cell_slots
+from macc.topology import RANDOM_TRIES, _max_matching, cell_slots
 
 
 def _cache_cell(j, b, z):
@@ -226,6 +227,45 @@ def test_random_topology_z1_fails_before_drawing_when_hopeless():
 # sha256 over the seeded draws (or failure messages) below; the early refusal at
 # z = 1 must leave every draw that can succeed as it was
 RANDOM_Z1_GOLDEN = "1ef933f7ff6e640d7a00dda3b12ee7cb3a2b761df2b19a605dd143d99270b2b9"
+
+
+def _choice_topology(m, b, z, seed):
+    """``random_topology`` drawn pick by pick with ``rng.choice``: the access lists, or
+    the GenerationError text, that its bulk draws must reproduce."""
+    cells = cell_slots(b, z)
+    rng = random.Random(seed)
+    slots, tries = [], 0
+    for i in range(1, m + 1):
+        for _ in range(RANDOM_TRIES):
+            tries += 1
+            group = [[rng.choice(cell) for cell in cells] for _ in range(b)]
+            if all(_max_matching([[]] + group, b)[1:]):
+                slots.append(group)
+                break
+        else:
+            return (f"no C3-satisfying draw for group {i} in {RANDOM_TRIES} tries; {len(slots)} "
+                    f"of {tries} draws accepted, acceptance rate {len(slots) / tries:.3g}")
+    return Topology.from_group_slots(m, b, z, slots).access
+
+
+@pytest.mark.parametrize("m, b, z, seeds", [
+    (2, 6, 6, 4), (1, 9, 9, 4),  # one-slot cells: k = 1, half the words dropped
+    (2, 16, 4, 4), (2, 24, 3, 4), (3, 8, 4, 4),  # cells of 4, 8 and 2 slots
+    (1, 200, 13, 2), (2, 47, 5, 4),  # uneven last cells: 20 after 15s, 11 after 9s
+    (3, 6, 1, 4), (2, 9, 1, 6),  # z = 1; at b = 9 some seeds fail, some do not
+    (1, 2304, 9, 1),  # cells of 256 slots: 9 bits, read from whole words
+])
+def test_random_topology_draws_as_choice_does(m, b, z, seeds):
+    outcomes = []
+    for seed in range(seeds):
+        try:
+            got = random_topology(m, b, z, seed=seed).access
+        except GenerationError as exc:
+            got = str(exc)
+        assert got == _choice_topology(m, b, z, seed), (m, b, z, seed)
+        outcomes.append(type(got))
+    if (m, b, z) == (2, 9, 1):
+        assert set(outcomes) == {str, tuple}
 
 
 def test_random_topology_z1_draws_are_unchanged():
