@@ -23,7 +23,12 @@ report lists 128 000 beneficiary counts, and `design` at (2, 100)); random `topo
 the benchmark's nine shapes, m = 3, b in {200, 300, 400} and z = b // cell for cell in
 {10, 15, 20}, of which (200, 13) and (400, 26) have an uneven last cell; `design` at the
 benchmark's other shapes (3, 16), (4, 8), (3, 14) and (5, 5), and at (3, 10) with mu = 2;
-and one run of each subcommand whose output file cannot be opened.
+one run of each subcommand whose output file cannot be opened; and `simulate --topology
+FILE` with 8-byte payloads on five seeded valid topologies whose JSON rows are shuffled and
+repeat ids, which the CLI reads as sorted rows without repeats (the script writes each file
+from `random_topology` at the run's --seed, and the digest leaves it out).
+
+:func:`lines` yields the output; a tier-1 test pins one sha256 over it.
 """
 
 import contextlib
@@ -31,15 +36,18 @@ import hashlib
 import io
 import itertools
 import json
+import random
+import sys
 import tempfile
 from pathlib import Path
 
-from macc import cli
+from macc import cli, topology
 
 TMP = "TMP"
 SIMULATE_VARIANTS = ([], ["--payload", "8"],
                      ["--topology", "random", "--placement", "seeded", "--seed", "7"])
 DEMANDS = f"{TMP}/demands.json"
+SHUFFLED = f"{TMP}/shuffled.json"
 
 
 def sweep() -> list[list[str]]:
@@ -79,24 +87,44 @@ def sweep() -> list[list[str]]:
              ["simulate", "--m", "2", "--b", "2", "--z", "1", "--t", "1", "--log", missing],
              ["simulate", "--m", "2", "--b", "2", "--z", "1", "--t", "1", "--report", missing],
              ["compare", "--K", "4", "--z", "1", "--json", missing]]
+    runs += [["simulate", "--m", str(m), "--b", str(b), "--z", str(z), "--t", str(t),
+              "--topology", SHUFFLED, "--seed", str(seed), "--payload", "8",
+              "--log", f"{TMP}/tx.jsonl", "--report", f"{TMP}/report.json"]
+             for m, b, z, t, seed in ((1, 5, 1, 2, 1), (2, 4, 2, 1, 2), (2, 6, 3, 1, 3),
+                                      (3, 5, 2, 2, 4), (3, 6, 6, 1, 5))]
     return runs
+
+
+def write_shuffled(path: Path, m: int, b: int, z: int, seed: int) -> None:
+    """The JSON of ``random_topology(m, b, z, seed)`` with each row shuffled after
+    repeating some of its ids, seeded by ``seed``."""
+    rng, rows = random.Random(seed), []
+    for row in topology.random_topology(m, b, z, seed).access:
+        row = [*row, *rng.sample(row, rng.randint(0, len(row)))]
+        rng.shuffle(row)
+        rows.append(row)
+    path.write_text(json.dumps({"m": m, "b": b, "z": z, "access": rows}))
 
 
 def digest(argv: list[str], tmp: Path) -> str:
     """sha256 of one in-process run's exit code, stdout, stderr and written files;
     ``tmp`` is an empty directory that stands for TMP and is left empty again.  A run
-    with --demands reads a file of shared demands written here first."""
+    with --demands reads a file of shared demands written here first, and a run on
+    SHUFFLED a topology file written by :func:`write_shuffled`."""
+    inputs = [arg.replace(TMP, str(tmp)) for arg in (DEMANDS, SHUFFLED) if arg in argv]
     argv = [arg.replace(TMP, str(tmp)) for arg in argv]
-    demands = None
-    if "--demands" in argv:
+    if inputs:
         args = cli.build_parser().parse_args(argv)
-        demands = Path(args.demands)
-        demands.write_text(json.dumps([u % args.files + 1 for u in range(args.m * args.b)]))
+        if args.demands:
+            Path(args.demands).write_text(
+                json.dumps([u % args.files + 1 for u in range(args.m * args.b)]))
+        if args.source in inputs:
+            write_shuffled(Path(args.source), args.m, args.b, args.z, args.seed)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    if demands is not None:
-        demands.unlink()
+    for path in inputs:
+        Path(path).unlink()
     written = []
     for path in sorted(tmp.iterdir()):
         written.append((path.name, path.read_bytes()))
@@ -105,10 +133,15 @@ def digest(argv: list[str], tmp: Path) -> str:
     return hashlib.sha256(run.encode()).hexdigest()
 
 
-def main() -> None:
+def lines():
+    """One ``sha256  argv`` line, newline included, per run of the sweep, in its order."""
     with tempfile.TemporaryDirectory() as tmp:
         for argv in sweep():
-            print(f"{digest(argv, Path(tmp))}  {' '.join(argv)}")
+            yield f"{digest(argv, Path(tmp))}  {' '.join(argv)}\n"
+
+
+def main() -> None:
+    sys.stdout.writelines(lines())
 
 
 if __name__ == "__main__":

@@ -306,9 +306,13 @@ def cmd_compare(args) -> int:
     check_compare_cost(args.K, args.z, args.grid)
     grid = _parse_grid(args.grid, args.K, args.z)
     rows = analysis.comparison_table(args.K, args.z, grid)
+    try:  # the JSON before the CSV, so that a refusal writes no file
+        chunks = [*analysis.rows_to_json(rows), "\n"] if args.json else None
+    except ValueError:  # int-to-str conversion refuses a rate's terms past that many digits
+        raise ValueError(f"--json: an exact rate has more than {MAX_GRID_DIGITS} digits") from None
     _emit(analysis.rows_to_csv(rows), args.out)
-    if args.json:
-        _emit([*analysis.rows_to_json(rows), "\n"], args.json)
+    if chunks:
+        _emit(chunks, args.json)
     return 0
 
 

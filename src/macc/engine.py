@@ -50,7 +50,7 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
 
 def user_terms(m: int, b: int, z: int) -> tuple[dict[str, int], dict[str, int]]:
     """Steps and held bytes of the K = m*b users' graph and work, after the shape checks; a
-    user's 5*b steps price place's pool and the C3 matching's b-entry visited list."""
+    user's 5*b steps price place's pool and stand for the C3 matching's successful searches."""
     achievable_rate(b, m, z, 1)  # the shape checks: m >= 1, then 1 <= z <= b
     return ({"user work K*(250+20*z+5*b)": m * b * (250 + 20 * z + 5 * b)},
             {"user data K*(800+80*z+8*b)": m * b * (800 + 80 * z + 8 * b)})
@@ -155,11 +155,10 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
 
     rng = None if seed is None else random.Random(seed)
     cells = list(map(list, cell_slots(params.b, params.z)))  # every row shares each slot's int
-    cache_rows, missing_rows = [], []
-    for i in range(1, params.m + 1):
-        row, gaps = [], []  # gaps[j-1]: the blocks of c(i,j)'s cell that it does not store
-        # cells ascending, then slots ascending: the order of the seeded draws
-        for cell in cells:
+    cache_rows, gaps = [], [()]  # gaps[c]: the blocks of cache c's cell that it does not store
+    for _ in range(params.m):
+        row = []
+        for cell in cells:  # cells, then slots, ascending, as the seeded draws and the cache ids go
             quota = min(params.t, len(cell))
             for j in cell:
                 pool = [s for s in cell if s != j]
@@ -168,12 +167,11 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
                 row.append(tuple(sorted(stored)))
                 gaps.append(tuple(s for s in cell if s not in stored))
         cache_rows.append(tuple(row))
-        # the cells are contiguous, so ascending slots chain their gaps in ascending order
-        missing_rows.append(tuple(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots))
-                                  for slots in topology.group_slots(i)))
-
-    return Placement(topology=topology, params=params,
-                     cache_blocks=tuple(cache_rows), missing=tuple(missing_rows))
+    # the cells are contiguous, so a user's ascending caches chain their gaps in ascending order
+    missing = (tuple(itertools.chain.from_iterable(map(gaps.__getitem__, row)))
+               for row in topology.access)
+    return Placement(topology=topology, params=params, cache_blocks=tuple(cache_rows),
+                     missing=tuple(tuple(itertools.islice(missing, params.b)) for _ in cache_rows))
 
 
 def build_demand_graph(placement: Placement, matchings: MatchingAssignment):

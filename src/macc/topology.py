@@ -62,23 +62,16 @@ class Topology:
     def __post_init__(self):
         if self.m < 1 or not 1 <= self.z <= self.b:
             raise ValueError("need m >= 1 and 1 <= z <= b")
+        object.__setattr__(self, "access", tuple(map(tuple, map(sorted, self.access))))  # any rows
         k = self.m * self.b
         if len(self.access) != k:
             raise ValueError(f"need {k} access lists, got {len(self.access)}")
-        rows = list(filter(None, self.access))
-        if rows and (min(map(min, rows)) < 1 or max(map(max, rows)) > k):
+        if any(row and (row[0] < 1 or row[-1] > k) for row in self.access):  # rows ascend
             raise ValueError("cache id out of range")
 
     def user_access(self, i: int, j: int) -> tuple[int, ...]:
         """Global cache ids read by user k(i,j)."""
         return self.access[(i - 1) * self.b + j - 1]
-
-    def group_slots(self, i: int) -> list[list[int]]:
-        """The within-group view of group i: entry j-1 lists, ascending, the cache slots
-        user k(i,j) reads in group i; caches of other groups are left out."""
-        first, last = (i - 1) * self.b, i * self.b
-        return [sorted([c - first for c in caches if first < c <= last])
-                for caches in self.access[first:last]]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
@@ -90,14 +83,13 @@ class Topology:
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
                 and set(map(type, chain.from_iterable(rows))) <= {int}):
             raise ValueError("topology field 'access' must be a list of lists of integer cache ids")
-        access = tuple(tuple(sorted(set(row))) for row in rows)
-        return cls(m=doc["m"], b=doc["b"], z=doc["z"], access=access)
+        return cls(m=doc["m"], b=doc["b"], z=doc["z"], access=map(set, rows))
 
     @classmethod
     def from_group_slots(cls, m: int, b: int, z: int, slots) -> "Topology":
         """Build from per-group, per-user lists of within-group cache slots."""
-        return cls(m=m, b=b, z=z, access=tuple([tuple(sorted([(i - 1) * b + s for s in user]))
-                                                for i in range(1, m + 1) for user in slots[i - 1]]))
+        return cls(m=m, b=b, z=z, access=(map(((i - 1) * b).__add__, user)
+                                          for i in range(1, m + 1) for user in slots[i - 1]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
     tie-breaking and greedy assignments are kept whenever possible.
     """
     match_right = [0] * (n_right + 1)
-    seen = [0] * (n_right + 1)  # seen[v] == u: the search from root u has reached v
+    seen = [0] * (n_right + 1)  # seen[v] == stamp: a search since the last augmentation met v
     seeded = [False] * len(adj)
     for u in range(1, len(adj)):
         for v in adj[u]:
@@ -144,9 +136,10 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
                 seeded[u] = True
                 break
 
+    stamp = 1  # kept through a failed search: it changes nothing and meets no free vertex
     for u in range(1, len(adj)):
         if not seeded[u]:
-            _augment(adj, match_right, u, seen)
+            stamp += _augment(adj, match_right, u, seen, stamp)
 
     match_left = [0] * len(adj)
     for v in range(1, n_right + 1):
@@ -155,20 +148,20 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
     return match_left
 
 
-def _augment(adj: list[list[int]], match_right: list[int], root: int, seen: list[int]) -> bool:
+def _augment(adj: list, match_right: list[int], root: int, seen: list[int], stamp: int) -> bool:
     """Depth-first search for an augmenting path from ``root``; flips it if found.
 
     An explicit stack replaces recursion, so path length is not bounded by
     the interpreter's recursion limit; the visiting order is the recursive one.
-    It marks the right vertices it reaches with ``root`` in ``seen``, one list per matching.
+    It marks the right vertices it reaches with ``stamp`` in ``seen``, one list per matching.
     """
     stack = [(root, iter(adj[root]))]
     via: list[int] = []  # via[k]: right vertex that led from stack[k] to stack[k+1]
     while stack:
         for v in stack[-1][1]:
-            if seen[v] == root:
+            if seen[v] == stamp:
                 continue
-            seen[v] = root
+            seen[v] = stamp
             if match_right[v] == 0:
                 via.append(v)
                 for (u, _), w in zip(stack, via):
@@ -199,6 +192,16 @@ class TopologyReport:
         return f"{status}: C1={self.c1_ok} C2={self.c2_ok} C3={self.c3_ok}"
 
 
+def _own_rows(topology: Topology) -> list:
+    """Matching adjacency (entry 0 unused): user u's row, cut to its own group's caches (C1)."""
+    b, adj = topology.b, [(), *topology.access]
+    for u in range(1, len(adj)):
+        first, row = (u - 1) // b * b, adj[u]
+        if row and (row[0] <= first or row[-1] > first + b):
+            adj[u] = [c for c in row if first < c <= first + b]
+    return adj
+
+
 def validate(topology: Topology) -> TopologyReport:
     """Check C1, C2 (exactly one cache per cell), and C3 independently.
 
@@ -209,24 +212,22 @@ def validate(topology: Topology) -> TopologyReport:
     m, b, z = topology.m, topology.b, topology.z
     c1: list[str] = []
     c2: list[str] = []
-    c3: list[str] = []
     warnings: list[str] = []
-    cell_of = {s: l for l, cell in enumerate(cell_slots(b, z)) for s in cell}
-    for i in range(1, m + 1):
-        group = topology.group_slots(i)
-        for j, slots in enumerate(group, start=1):
-            caches = topology.user_access(i, j)
-            if len(slots) < len(caches):  # group_slots left out caches of other groups
-                c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
-                       for c in caches if (c - 1) // b + 1 != i]
-            cells = set(map(cell_of.__getitem__, slots))
-            if len(cells) < len(slots):
-                c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
-            elif len(cells) < z:
-                warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
-        size = sum(1 for v in _max_matching([[]] + group, b) if v)
-        if size != b:
-            c3.append(f"C3: group {i} has maximum matching {size} < {b}")
+    cell_of = [0] + [l for l, cell in enumerate(cell_slots(b, z)) for _ in cell] * m  # by cache id
+    adj = _own_rows(topology)
+    for u, caches in enumerate(topology.access, start=1):
+        i, j, row = (u - 1) // b + 1, (u - 1) % b + 1, adj[u]
+        if len(row) < len(caches):  # _own_rows cut the caches of other groups
+            c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
+                   for c in caches if (c - 1) // b + 1 != i]
+        cells = set(map(cell_of.__getitem__, row))
+        if len(cells) < len(row):
+            c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
+        elif len(cells) < z:
+            warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
+    match = _max_matching(adj, m * b)  # groups share no cache, so it splits into theirs
+    short = [match[first + 1:first + b + 1].count(0) for first in range(0, m * b, b)]  # unmatched
+    c3 = [f"C3: group {i} has maximum matching {b - n} < {b}" for i, n in enumerate(short, 1) if n]
 
     c2_at_most_ok = not c2
     return TopologyReport(
@@ -242,13 +243,12 @@ def validate(topology: Topology) -> TopologyReport:
 
 def extract_matchings(topology: Topology) -> MatchingAssignment:
     """Deterministic perfect matching per group (lowest-index tie-breaking)."""
-    rows = []
-    for i in range(1, topology.m + 1):
-        match = _max_matching([[]] + topology.group_slots(i), topology.b)
-        if any(v == 0 for v in match[1:]):
-            raise MatchingError(f"group {i} admits no perfect matching (C3)")
-        rows.append(tuple(match[1:]))
-    return MatchingAssignment(m=topology.m, b=topology.b, to_cache=tuple(rows))
+    m, b = topology.m, topology.b
+    match = _max_matching(_own_rows(topology), m * b)
+    if 0 in match[1:]:  # the first unmatched user's group
+        raise MatchingError(f"group {-(-match.index(0, 1) // b)} admits no perfect matching (C3)")
+    return MatchingAssignment(m=m, b=b, to_cache=tuple(
+        tuple(v - first for v in match[first + 1:first + b + 1]) for first in range(0, m * b, b)))
 
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:

@@ -311,6 +311,19 @@ def test_compare_refuses_grid_entries_the_csv_cannot_print(capsys, grid):
     assert err == f"error: --grid: '{grid}' has more digits than the CSV prints (4300)\n"
 
 
+def test_compare_json_refuses_rates_past_the_digit_limit_before_writing(capsys, tmp_path):
+    # the entry fits MAX_GRID_DIGITS, but an interpolated rate's denominator is the entry's
+    # times a few more digits, past what int-to-str conversion prints
+    csv, rows = tmp_path / "rows.csv", tmp_path / "rows.json"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare", "--K", "200", "--z", "1", "--grid",
+                             "1/" + "7" * 4298, "--out", str(csv), "--json", str(rows))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --json: an exact rate has more than {MAX_GRID_DIGITS} digits\n"
+    assert not csv.exists() and not rows.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["topology", "--m", "2", "--b", "4", "--z", "2", "--source", "FILE"],
     ["simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1", "--topology", "FILE"],
@@ -488,8 +501,9 @@ def test_topology_refuses_coverage_above_budget(capsys):
 
 def test_topology_matches_the_largest_one_cache_file_in_time(capsys, tmp_path):
     # every user of the largest accepted group at z = 1 reads cache 1, so the greedy pass
-    # leaves b - 1 users to the C3 matching, each with a b-entry visited list: the 5*b
-    # steps a user of the user work term price that
+    # leaves b - 1 users to the C3 matching, whose searches all fail at cache 1 and keep
+    # its mark; the 5*b steps a user of the user work term, which price place's pool in
+    # simulate and stand for the matching's successful searches, set this edge
     b = 3437
     check_graph_cost(1, b, 1)
     with pytest.raises(PointBudgetError):

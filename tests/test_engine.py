@@ -70,8 +70,8 @@ def user_coords(b, user):
 
 def covered_blocks(placement, i, j):
     """The class-i block slots that the caches user k(i,j) reads store."""
-    return {block for slot in placement.topology.group_slots(i)[j - 1]
-            for block in placement.cache_blocks[i - 1][slot - 1]}
+    return {block for c in placement.topology.user_access(i, j)
+            for block in placement.cache_blocks[i - 1][(c - 1) % placement.params.b]}
 
 
 def cached_subfiles(placement, i, j):

@@ -16,6 +16,8 @@ WORKED_EXAMPLES_GOLDEN = "f4289cebf1c06073835cde3f59e842fc51af19d4044881b87627af
 # sha256 of scripts/comparison_data.py's stdout (its output directory written as OUT) and
 # of the CSV and JSON it writes, for the default run and for --K 12 --z 7
 COMPARISON_DATA_GOLDEN = "db05e2cb40260e30b332e0c5a897de454fa434f568cf4c734cbbb9cce4e1be9c"
+# sha256 of scripts/cli_digests.py's output: one digest line per run of its sweep
+CLI_DIGESTS_GOLDEN = "daefb4499142bb032772f01589fa3dda87bc9d33e7d41fac828a156d02a97c42"
 
 
 def _run(*argv):
@@ -23,6 +25,14 @@ def _run(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _load_script(name):
+    """The module scripts/<name>.py, loaded in-process."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_worked_examples_script():
@@ -45,18 +55,18 @@ def test_comparison_data_script(tmp_path):
 
 
 def test_cli_digests_sweep_and_temporary_paths(tmp_path):
-    script = ROOT / "scripts" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", script)
-    cli_digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_digests)
+    cli_digests = _load_script("cli_digests")
     runs = cli_digests.sweep()
     assert len(runs) >= 2000
-    # one run that writes two files, one that reads shared demands the script writes, and
-    # one whose error names its output path
+    # one run that writes two files, one that reads shared demands and one that reads a
+    # shuffled topology, both written by the script, and one whose error names its output path
     picked = [["simulate", "--m", "2", "--b", "3", "--z", "2", "--t", "1", "--payload", "8",
                "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
               ["simulate", "--m", "2", "--b", "3", "--z", "2", "--t", "1", "--files", "2",
                "--demands", "TMP/demands.json", "--payload", "8",
+               "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
+              ["simulate", "--m", "2", "--b", "4", "--z", "2", "--t", "1",
+               "--topology", "TMP/shuffled.json", "--seed", "2", "--payload", "8",
                "--log", "TMP/tx.jsonl", "--report", "TMP/report.json"],
               ["design", "--m", "2", "--b", "2", "--out", "TMP/missing/out"]]
     short, long = tmp_path / "a", tmp_path / "a-longer-directory"
@@ -68,14 +78,20 @@ def test_cli_digests_sweep_and_temporary_paths(tmp_path):
     assert not any(short.iterdir()) and not any(long.iterdir())
 
 
+def test_cli_digests_sweep_output_is_pinned():
+    # every byte each swept run writes, in-process; a change to any of them fails here
+    cli_digests = _load_script("cli_digests")
+    digest = hashlib.sha256()
+    for line in cli_digests.lines():
+        digest.update(line.encode())
+    assert digest.hexdigest() == CLI_DIGESTS_GOLDEN
+
+
 def test_budget_edges_refused_runs_exit_2_fast(tmp_path, capsys):
     # only the refused edges, in-process; the accepted ones take seconds each.  The
     # modelled edges are searched by the script, so each refusal names the term it was
     # searched for, one step past the largest accepted value
-    script = ROOT / "scripts" / "budget_edges.py"
-    spec = importlib.util.spec_from_file_location("budget_edges", script)
-    budget_edges = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(budget_edges)
+    budget_edges = _load_script("budget_edges")
     edges = budget_edges.edges()
     assert len(edges) == len(budget_edges.MODELLED) + len(budget_edges.HAND)
     refused = [(argv, message) for _, _, argv, message in edges]

@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 from macc import (
     GenerationError,
+    MatchingAssignment,
     MatchingError,
+    SchemeParams,
     Topology,
+    TopologyReport,
     canonical_topology,
     cell_sizes,
     count_topologies,
     extract_matchings,
+    place,
     random_topology,
     validate,
 )
@@ -167,6 +171,18 @@ def test_matching_agrees_with_recursive_reference(data):
     neighbours = st.sets(st.integers(1, n_right), max_size=n_right).map(sorted)
     adj = [[]] + data.draw(st.lists(neighbours, min_size=n_left, max_size=n_left))
     assert _max_matching(adj, n_right) == _recursive_matching(adj, n_right)
+
+
+def test_failed_searches_keep_their_marks_in_time():
+    # every user reads the first slot of each two-slot cell, so greedy seeding matches b/2
+    # users and each of the other b/2 searches fails over the same b/2 caches: walked once
+    # with kept marks, about z^3/2 steps if every failed search walked them again
+    b = 1544
+    top = Topology(m=1, b=b, z=b // 2, access=[tuple(range(1, b + 1, 2))] * b)
+    start = time.perf_counter()
+    report = validate(top)
+    assert time.perf_counter() - start < 1
+    assert report.violations == (f"C3: group 1 has maximum matching {b // 2} < {b}",)
 
 
 def test_extract_matchings_raises_without_c3():
@@ -334,3 +350,123 @@ def test_random_topologies_validate_and_match(data):
     assert validate(top).passed
     match = extract_matchings(top)
     assert match.is_valid_for(top)
+
+
+def _group_slots(top, i):
+    """The within-group view the graph was once read through: entry j-1 lists, ascending,
+    the cache slots user k(i,j) reads in group i; caches of other groups are left out."""
+    first, last = (i - 1) * top.b, i * top.b
+    return [sorted([c - first for c in caches if first < c <= last])
+            for caches in top.access[first:last]]
+
+
+def _reference_validate(top):
+    """``validate`` as it read each group through :func:`_group_slots`, with one recursive
+    matching per group."""
+    m, b, z = top.m, top.b, top.z
+    c1, c2, c3, warnings = [], [], [], []
+    cell_of = {s: l for l, cell in enumerate(cell_slots(b, z)) for s in cell}
+    for i in range(1, m + 1):
+        group = _group_slots(top, i)
+        for j, slots in enumerate(group, start=1):
+            caches = top.user_access(i, j)
+            if len(slots) < len(caches):
+                c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
+                       for c in caches if (c - 1) // b + 1 != i]
+            cells = {cell_of[s] for s in slots}
+            if len(cells) < len(slots):
+                c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
+            elif len(cells) < z:
+                warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
+        size = sum(1 for v in _recursive_matching([[]] + group, b) if v)
+        if size != b:
+            c3.append(f"C3: group {i} has maximum matching {size} < {b}")
+    return TopologyReport(c1_ok=not c1, c2_ok=not c2 and not warnings, c2_at_most_ok=not c2,
+                          c3_ok=not c3, passed=not (c1 or c2 or c3 or warnings),
+                          violations=tuple(c1 + c2 + c3), warnings=tuple(warnings))
+
+
+def _reference_matchings(top):
+    """``extract_matchings`` as it matched each group's :func:`_group_slots` on its own:
+    the matching, or the MatchingError text."""
+    rows = []
+    for i in range(1, top.m + 1):
+        match = _recursive_matching([[]] + _group_slots(top, i), top.b)
+        if not all(match[1:]):
+            return f"group {i} admits no perfect matching (C3)"
+        rows.append(tuple(match[1:]))
+    return MatchingAssignment(m=top.m, b=top.b, to_cache=tuple(rows))
+
+
+def _reference_missing(placement):
+    """``Placement.missing`` as each user's slots in :func:`_group_slots` chained the gaps
+    their caches leave in their cells."""
+    top = placement.topology
+    missing = []
+    for i, stored in enumerate(placement.cache_blocks, start=1):
+        gaps = [[s for s in cell if s not in stored[j - 1]]
+                for cell in cell_slots(top.b, top.z) for j in cell]
+        missing.append(tuple(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots))
+                             for slots in _group_slots(top, i)))
+    return tuple(missing)
+
+
+def _faulty_rows(rng, m, b, z):
+    """Access rows of a valid topology with zero to three seeded faults, each row shuffled:
+    an id repeated, a cache of another group, an empty row, a missed cell, a group whose
+    users all read one row (no perfect matching) or random ids."""
+    try:
+        rows = [list(row) for row in random_topology(m, b, z, seed=rng.randrange(100)).access]
+    except GenerationError:
+        rows = [list(row) for row in canonical_topology(m, b, z).access]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        u = rng.randrange(m * b)
+        kind = rng.randrange(6)
+        if kind == 0 and rows[u]:
+            rows[u].append(rng.choice(rows[u]))
+        elif kind == 1 and m > 1:
+            other = rng.choice([g for g in range(m) if g != u // b])
+            rows[u].insert(rng.randrange(len(rows[u]) + 1), other * b + rng.randint(1, b))
+        elif kind == 2:
+            rows[u] = []
+        elif kind == 3 and rows[u]:
+            rows[u].pop(rng.randrange(len(rows[u])))
+        elif kind == 4:
+            first = u // b * b
+            rows[first:first + b] = [list(rows[u]) for _ in range(b)]
+        else:
+            rows[u] = [rng.randint(1, m * b) for _ in range(rng.randint(0, z + 1))]
+    for row in rows:
+        rng.shuffle(row)
+    return rows
+
+
+def test_one_graph_form_matches_the_group_view_reference():
+    # validate, extract_matchings and place read Topology.access as stored; the
+    # references read it through the within-group view they replaced
+    kinds = set()
+    for n in range(600):
+        rng = random.Random(n)
+        m, b = rng.randint(1, 3), rng.randint(1, 6)
+        z = rng.randint(1, b)
+        rows = _faulty_rows(rng, m, b, z)
+        top = Topology(m=m, b=b, z=z, access=(tuple(row) for row in rows))
+        assert top.access == tuple(tuple(sorted(row)) for row in rows)
+        report = validate(top)
+        assert report == _reference_validate(top), n
+        try:
+            got = extract_matchings(top)
+        except MatchingError as exc:
+            got = str(exc)
+        assert got == _reference_matchings(top), n
+        kinds.add((report.c1_ok, report.c2_at_most_ok, report.c2_ok, report.c3_ok, type(got)))
+        if report.passed:
+            params = SchemeParams(m=m, b=b, z=z, t=rng.randint(1, b), n_files=m * b)
+            for seed in (None, n):
+                placement = place(top, params, seed=seed)
+                assert placement.missing == _reference_missing(placement), (n, seed)
+    # valid graphs; C1, C2, the missed-cell warning and C3 each failing alone; all at once
+    matched = MatchingAssignment
+    assert {(True, True, True, True, matched), (False, True, True, True, matched),
+            (True, False, False, True, matched), (True, True, False, True, matched),
+            (True, True, True, False, str), (False, False, False, False, str)} <= kinds
