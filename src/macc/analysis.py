@@ -1,10 +1,10 @@
 """Rate/memory trade-off analysis and comparisons against rival schemes.
 
 Every scheme is reduced to one corner map, from each exactly-achievable memory
-M/N to its (rate, subpacketization): :func:`our_corners` and
-:func:`rival_corners`.  Intermediate memory sizes are served by memory sharing,
-i.e. the lower convex envelope of the (M/N, rate) pairs, which one rule builds
-from any scheme's map.  All arithmetic is exact (Fraction / big int); floats
+M/N, keyed by the integer j = K*M/N, to its (rate, subpacketization):
+:func:`our_corners` and :func:`rival_corners`.  Intermediate memory sizes are served
+by memory sharing, i.e. the lower convex envelope of the (M/N, rate) pairs, which one
+rule builds from any scheme's map.  All arithmetic is exact (Fraction / big int); floats
 appear only in CSV/log10 output.
 
 Rival schemes are keyed RK, NT, SICPS, SPE, SR1, SR2, MR.  ``rival_corner``
@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .engine import achievable_rate
-from .topology import cell_sizes
 
 SCHEME_ORDER = ("ours", "RK", "NT", "SICPS", "SPE", "SR1", "SR2", "MR")
 RATE_SCHEMES = ("RK", "NT", "SR1", "SR2", "MR")
@@ -38,6 +37,13 @@ class ApplicabilityError(ValueError):
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _check_users(k_users: int, z: int) -> None:
+    """K users reading z caches each need K >= 1 and 1 <= z <= K; a plain ValueError,
+    which no per-corner ``ApplicabilityError`` handler swallows."""
+    if not 1 <= z <= k_users:
+        raise ValueError(f"need K >= 1 and 1 <= z <= K, got K={k_users}, z={z}")
 
 
 def divisors(n: int) -> list[int]:
@@ -111,26 +117,27 @@ def _hull(scale: int, points) -> Curve:
 
 
 def our_corners(k_users: int, z: int) -> dict:
-    """Memory t/b -> (rate, b**m) of our corners for K users: every group shape m*b = K
-    with b >= z, every integer t up to the zero-rate threshold.  At one memory the
-    lowest rate wins, and among equal rates the smallest b; that tie-break is a FOUND
-    line of CHANGES.md (ROADMAP item 1): the smallest b**m should win."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    corners: dict[int, tuple[Fraction, int]] = {}  # keyed by j = K*t/b = m*t
+    """j = K*t/b = m*t -> (rate, b**m) of our corners for K users, j ascending: every
+    group shape m*b = K with b >= z, every integer t up to the first zero rate.  At one
+    memory the lowest rate wins, and among equal rates the smallest b; that tie-break is
+    a FOUND line of CHANGES.md (ROADMAP item 1): the smallest b**m should win."""
+    _check_users(k_users, z)
+    corners: dict[int, tuple[Fraction, int]] = {}
     for b in divisors(k_users):
         if b < z:
             continue
         m = k_users // b
-        for t in range(1, cell_sizes(b, z)[-1] + 1):  # the last cell's size: rate 0 there
+        for t in itertools.count(1):
             rate = achievable_rate(b, m, z, t)
             if m * t not in corners or rate < corners[m * t][0]:
                 corners[m * t] = (rate, b**m)
-    return {Fraction(j, k_users): corner for j, corner in sorted(corners.items())}
+            if not rate:
+                break
+    return dict(sorted(corners.items()))
 
 
 def our_envelope(k_users: int, z: int) -> Curve:
-    return _curve("ours", k_users, z, _on_lattice(k_users, our_corners(k_users, z)))
+    return _curve("ours", k_users, z, our_corners(k_users, z))
 
 
 def rival_corner(scheme: str, k_users: int, z: int, tparam: int, choose=comb):
@@ -140,6 +147,7 @@ def rival_corner(scheme: str, k_users: int, z: int, tparam: int, choose=comb):
     The subpacketization is an int or Fraction, or for SR1 the interval
     (K, K**2) it is known to lie in; RK, SICPS and NT read their one binomial from
     ``choose``.  Raises ``ApplicabilityError`` where the scheme has no corner at tparam."""
+    _check_users(k_users, z)
     k, t = k_users, tparam
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
@@ -202,22 +210,18 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
 
 
 def rival_corners(scheme: str, k_users: int, z: int, tparams=None, choose=comb) -> dict:
-    """Memory t''/K -> ``rival_corner`` at each t'' of ``tparams`` (default
+    """j = t'' (memory t''/K) -> ``rival_corner`` at each t'' of ``tparams`` (default
     1..floor(K/z)) where it applies, RK, SICPS and NT's C(n, r) taken from ``choose``."""
+    _check_users(k_users, z)
     if tparams is None:
         tparams = range(1, k_users // z + 1)
     corners = {}
     for t in tparams:
         try:
-            corners[Fraction(t, k_users)] = rival_corner(scheme, k_users, z, t, choose)
+            corners[t] = rival_corner(scheme, k_users, z, t, choose)
         except ApplicabilityError:
             pass
     return corners
-
-
-def _on_lattice(k: int, corners: dict) -> dict:
-    """A corner map re-keyed from memory M/N to the whole j = K*M/N."""
-    return {mem.numerator * (k // mem.denominator): v for mem, v in corners.items()}
 
 
 def _curve(scheme: str, k: int, z: int, corners: dict) -> Curve | None:
@@ -236,7 +240,7 @@ def _curve(scheme: str, k: int, z: int, corners: dict) -> Curve | None:
 def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
     if scheme not in RATE_SCHEMES:
         raise ApplicabilityError(f"no rate corners for scheme {scheme!r}")
-    return _curve(scheme, k_users, z, _on_lattice(k_users, rival_corners(scheme, k_users, z)))
+    return _curve(scheme, k_users, z, rival_corners(scheme, k_users, z))
 
 
 @dataclass(frozen=True)
@@ -408,15 +412,15 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     t = 1..floor(K/z) and each whole j of the grid.  Each envelope is read in one walk
     over the grid, sorted once.  A row takes its subpacketization from the map, and is
     a "corner" when the envelope meets that corner's rate."""
+    _check_users(k_users, z)
     k = k_users
     grid = [Fraction(mem) for mem in grid]
     axis = [(mem.numerator * k, mem.denominator) for mem in grid]  # M/N at j = p/q
     lattice = [p // q if p % q == 0 else None for p, q in axis]
     tparams = sorted(set(range(1, k // z + 1)) | {j for j in lattice if j is not None})
     choose = functools.cache(comb)  # one C(n, r) per t', shared by RK, SICPS and NT
-    corners = {"ours": _on_lattice(k, our_corners(k, z))} | {
-        scheme: _on_lattice(k, rival_corners(scheme, k, z, tparams, choose))
-        for scheme in SCHEME_ORDER[1:]}
+    corners = {"ours": our_corners(k, z)} | {
+        scheme: rival_corners(scheme, k, z, tparams, choose) for scheme in SCHEME_ORDER[1:]}
     order = sorted(range(len(grid)), key=lambda i: axis[i][0] // axis[i][1])
     walks = {scheme: curve._walk(axis[i] for i in order) for scheme in SCHEME_ORDER
              if (curve := _curve(scheme, k, z, corners[scheme])) is not None}

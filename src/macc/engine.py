@@ -177,8 +177,8 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
 def build_demand_graph(placement: Placement, matchings: MatchingAssignment):
     """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the
     class-i block slots that the user matched to cache c(i,j) does not cover."""
-    return tuple(tuple(row[u - 1] for u in matchings.inverse(i))
-                 for i, row in enumerate(placement.missing, start=1))
+    return tuple(tuple(row[u - 1] for u in to_user)
+                 for row, to_user in zip(placement.missing, matchings.to_user))
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
@@ -223,7 +223,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     # their files are the same in every round, each a lookup of a small shared int
     cells = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
     # user_of[i-1][c]: the user of group i matched to its cache slot c
-    user_of = [[0] + [i * b + u for u in matchings.inverse(i + 1)] for i in range(m)]
+    user_of = [[0] + [i * b + u for u in to_user] for i, to_user in enumerate(matchings.to_user)]
     users = [list(map(table.__getitem__, column)) for table, column in zip(user_of, cells)]
     file_of = [0, *demands]
     files = [list(map(file_of.__getitem__, column)) for column in users]
@@ -331,11 +331,14 @@ def check_payloads(schedule: Schedule, contents) -> bool:
         raise ValueError("checking contents needs a schedule with payloads")
     if list(map(len, schedule.payloads)) != [len(schedule.cells[0])] * len(schedule.rounds):
         raise ValueError("payload columns do not match the schedule's rounds and cells")
-    return not any(functools.reduce(xor, map(contents.__getitem__, zip(files, subfiles)),
-                                    int.from_bytes(payload, "big"))
-                   for column, summands in zip(schedule.payloads, schedule.rounds)
-                   for payload, files, subfiles in zip(column, zip(*schedule.files), zip(*summands),
-                                                       strict=True))
+    try:
+        return not any(functools.reduce(xor, map(contents.__getitem__, zip(files, subfiles)),
+                                        int.from_bytes(payload, "big"))
+                       for column, summands in zip(schedule.payloads, schedule.rounds)
+                       for payload, files, subfiles in zip(column, zip(*schedule.files),
+                                                           zip(*summands), strict=True))
+    except KeyError as missing:
+        raise ValueError(f"contents lack (file, subfile) {missing.args[0]}") from None
 
 
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:
@@ -343,9 +346,12 @@ def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOA
     blocks of b"file:subfile:counter", keyed by the seed as 8 signed big-endian bytes."""
     if size < 1:
         raise ValueError("payload size must be >= 1")
+    try:
+        key = seed.to_bytes(8, "big", signed=True)
+    except OverflowError:
+        raise ValueError("seed must lie in the signed 64-bit range -2**63..2**63-1") from None
     # every block hashes the same key and prefix, so each copies one state that has them
-    state = hashlib.blake2b(b"%d:%d:" % (file, subfile), key=seed.to_bytes(8, "big", signed=True),
-                            digest_size=64)
+    state = hashlib.blake2b(b"%d:%d:" % (file, subfile), key=key, digest_size=64)
     blocks = []
     for counter in range(-(-size // 64)):
         block = state.copy()

@@ -94,32 +94,26 @@ class Topology:
 
 @dataclass(frozen=True)
 class MatchingAssignment:
-    """Per group, a bijection user slot -> cache slot drawn from the access sets."""
+    """Per group, a bijection cache slot -> user slot drawn from the access sets:
+    ``to_user[i-1][c-1]`` is the user slot of group i matched to its cache slot c."""
 
     m: int
     b: int
-    to_cache: tuple[tuple[int, ...], ...]
-
-    def inverse(self, i: int) -> list[int]:
-        """inverse(i)[cache_slot - 1] = user slot matched to that cache."""
-        inv = [0] * self.b
-        for j, c in enumerate(self.to_cache[i - 1], start=1):
-            inv[c - 1] = j
-        return inv
+    to_user: tuple[tuple[int, ...], ...]
 
     def is_valid_for(self, topology: Topology) -> bool:
         for i in range(1, self.m + 1):
-            row = self.to_cache[i - 1]
+            row = self.to_user[i - 1]
             if sorted(row) != list(range(1, self.b + 1)):
                 return False
-            for j, c in enumerate(row, start=1):
+            for c, j in enumerate(row, start=1):
                 if (i - 1) * self.b + c not in topology.user_access(i, j):
                     return False
         return True
 
 
 def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
-    """Kuhn augmenting-path matching; returns right-side owner per left vertex (0 = none).
+    """Kuhn augmenting-path matching; returns the left owner per right vertex (0 = none).
 
     A greedy seeding pass hands every left vertex its lowest free neighbour,
     then augmenting passes (in ascending left order, neighbours ascending)
@@ -140,12 +134,7 @@ def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
     for u in range(1, len(adj)):
         if not seeded[u]:
             stamp += _augment(adj, match_right, u, seen, stamp)
-
-    match_left = [0] * len(adj)
-    for v in range(1, n_right + 1):
-        if match_right[v]:
-            match_left[match_right[v]] = v
-    return match_left
+    return match_right
 
 
 def _augment(adj: list, match_right: list[int], root: int, seen: list[int], stamp: int) -> bool:
@@ -245,10 +234,10 @@ def extract_matchings(topology: Topology) -> MatchingAssignment:
     """Deterministic perfect matching per group (lowest-index tie-breaking)."""
     m, b = topology.m, topology.b
     match = _max_matching(_own_rows(topology), m * b)
-    if 0 in match[1:]:  # the first unmatched user's group
+    if 0 in match[1:]:  # the first unmatched cache's group: it has as many unmatched users
         raise MatchingError(f"group {-(-match.index(0, 1) // b)} admits no perfect matching (C3)")
-    return MatchingAssignment(m=m, b=b, to_cache=tuple(
-        tuple(v - first for v in match[first + 1:first + b + 1]) for first in range(0, m * b, b)))
+    return MatchingAssignment(m=m, b=b, to_user=tuple(
+        tuple(u - first for u in match[first + 1:first + b + 1]) for first in range(0, m * b, b)))
 
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:

@@ -38,13 +38,16 @@ def rate_on(hull, memory) -> Fraction:
 
 def oracle_table(k: int, z: int, grid) -> list[tuple]:
     """(memory, scheme, rate, kind, subpacketization) per grid entry and scheme, from
-    `Fraction`-keyed corner maps and a per-point evaluation of each scheme's hull."""
+    the corner maps re-keyed from j = K*M/N to `Fraction` memory j/K and a per-point
+    evaluation of each scheme's hull."""
     grid = [Fraction(mem) for mem in grid]
     tparams = sorted(set(range(1, k // z + 1))
                      | {int(mem * k) for mem in grid if (mem * k).denominator == 1})
-    corners = {"ours": analysis.our_corners(k, z)} | {
+    by_j = {"ours": analysis.our_corners(k, z)} | {
         scheme: analysis.rival_corners(scheme, k, z, tparams)
         for scheme in analysis.SCHEME_ORDER[1:]}
+    corners = {scheme: {Fraction(j, k): corner for j, corner in cmap.items()}
+               for scheme, cmap in by_j.items()}
     hulls = {}
     for scheme in ("ours", *analysis.RATE_SCHEMES):
         pts = [(Fraction(0), Fraction(k))] + [(mem, rate) for mem, (rate, _) in

@@ -22,7 +22,7 @@ def example_a():
 @pytest.fixture
 def example_a_matching():
     """The matching used in the worked example's printed transmissions."""
-    return MatchingAssignment(m=2, b=4, to_cache=((1, 2, 4, 3), (4, 3, 2, 1)))
+    return MatchingAssignment(m=2, b=4, to_user=((1, 2, 4, 3), (4, 3, 2, 1)))
 
 
 @pytest.fixture
@@ -37,5 +37,5 @@ def example_b():
 @pytest.fixture
 def example_b_identity_matching():
     return MatchingAssignment(
-        m=2, b=7, to_cache=(tuple(range(1, 8)), tuple(range(1, 8)))
+        m=2, b=7, to_user=(tuple(range(1, 8)), tuple(range(1, 8)))
     )

@@ -35,7 +35,7 @@ F = Fraction
 
 
 def _corner_rates(k, z):
-    return {(mem, rate) for mem, (rate, _) in our_corners(k, z).items()}
+    return {(F(j, k), rate) for j, (rate, _) in our_corners(k, z).items()}
 
 
 def test_corner_points_k100():
@@ -58,8 +58,23 @@ def test_corner_point_full_access():
 @pytest.mark.xfail(strict=True, reason="ties at one memory go to the smallest b, not the "
                    "smallest b**m: the tie-break FOUND line in CHANGES.md, ROADMAP item 1")
 def test_our_corners_break_rate_ties_by_subpacketization():
-    # m = 1, b = 12, t = 6 reaches rate 0 at M/N = 1/2 with 12 subfiles; m = 6, b = 2 needs 64
-    assert our_corners(12, 2)[F(1, 2)] == (0, 12)
+    # m = 1, b = 12, t = 6 reaches rate 0 at M/N = 1/2 (j = 6) with 12 subfiles; m = 6,
+    # b = 2 needs 64
+    assert our_corners(12, 2)[6] == (0, 12)
+
+
+def test_impossible_user_counts_are_plain_value_errors():
+    # K < 1, z < 1 or z > K: no per-corner ApplicabilityError, no ZeroDivisionError, no rows
+    calls = [lambda: comparison_table(10, 0, [F(1, 2)]), lambda: comparison_table(0, 1, [F(1, 2)]),
+             lambda: comparison_table(3, 4, []), lambda: rival_corners("RK", 10, 0),
+             lambda: rival_envelope("RK", 10, 0), lambda: rival_corner("MR", 3, 4, 1),
+             lambda: rival_corner("SR1", 10, 0, 3), lambda: our_envelope(0, 1),
+             lambda: our_corners(3, 4), lambda: our_corners(10, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^need K >= 1 and 1 <= z <= K, got K=") as info:
+            call()
+        assert type(info.value) is ValueError
+    assert rival_corner("MR", 4, 4, 1) == (0, 4) and our_corners(4, 4) == {1: (0, 4)}
 
 
 def test_envelope_vertices_k100():
@@ -226,11 +241,11 @@ def test_rival_corner_points_match_the_papers_conditions():
                 assert curve.points[0] == (0, k)
                 assert curve.points[-1] == (F(-(-k // z), k), 0)
                 want = [t for t in range(1, k // z + 1) if applies(k, z, t)]
-                assert [mem * k for mem in corners] == want, (scheme, k, z)
+                assert list(corners) == want, (scheme, k, z)
                 assert [rate for rate, _ in corners.values()] == [
                     corner_rate(scheme, k, z, t) for t in want]
-                for mem, (rate, _) in corners.items():
-                    assert curve.rate_at(mem) <= rate, (scheme, k, z, mem)
+                for j, (rate, _) in corners.items():
+                    assert curve.rate_at(F(j, k)) <= rate, (scheme, k, z, j)
     for scheme in ("SPE", "SICPS", "XX"):
         with pytest.raises(ApplicabilityError, match="no rate corners"):
             rival_envelope(scheme, 12, 2)
@@ -528,10 +543,10 @@ def test_three_way_rate_agreement():
     for k in range(1, 61):
         for z in range(1, k + 1):
             corners = our_corners(k, z)
-            assert corners == _brute_our_corners(k, z), (k, z)
+            assert {F(j, k): c for j, c in corners.items()} == _brute_our_corners(k, z), (k, z)
             assert list(corners) == sorted(corners)
             for mem, rate in our_envelope(k, z).points[1:]:
-                assert corners[mem][0] == rate, (k, z, mem)
+                assert corners[mem * k][0] == rate, (k, z, mem)
 
 
 def test_simulated_rate_meets_envelope_corner(example_a):

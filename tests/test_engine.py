@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from design_oracles import point_at
 from macc import (
+    MatchingAssignment,
     PointBudgetError,
     SchemeParams,
+    Topology,
     achievable_rate,
     build_demand_graph,
     canonical_topology,
@@ -258,7 +260,7 @@ def _brute_schedule(placement, matchings, demands):
         for coords in itertools.product(range(1, b + 1), repeat=m):
             row = []
             for i in range(1, m + 1):
-                slot = matchings.inverse(i)[coords[i - 1] - 1]
+                slot = matchings.to_user[i - 1][coords[i - 1] - 1]
                 user = (i - 1) * b + slot
                 gaps = sorted(set(range(1, b + 1)) - covered_blocks(placement, i, slot))
                 (subfile,) = point_at(design, coords[: i - 1] + (gaps[n - 1],) + coords[i:])
@@ -390,8 +392,8 @@ def test_schedule_fields_are_per_group_columns_of_ints(m, b, z, t):
     for i in range(1, m + 1):
         assert schedule.cells[i - 1] == class_blocks(m, b, i)[1:]
         # group i's user at cell k is the one of group i matched to the cache of its block
-        assert [((u - 1) // b + 1, matchings.to_cache[i - 1][(u - 1) % b])
-                for u in schedule.users[i - 1]] == [(i, c) for c in schedule.cells[i - 1]]
+        assert schedule.users[i - 1] == [(i - 1) * b + matchings.to_user[i - 1][c - 1]
+                                         for c in schedule.cells[i - 1]]
         assert schedule.files[i - 1] == [demands[u - 1] for u in schedule.users[i - 1]]
         for column in (schedule.cells[i - 1], schedule.users[i - 1], schedule.files[i - 1]):
             assert type(column) is list and all(type(x) is int for x in column)
@@ -424,6 +426,28 @@ def test_deliver_validates_demands(example_a, example_a_matching):
         deliver(placement, example_a_matching, [0] + [1] * 7)
     with pytest.raises(ValueError):
         deliver(placement, example_a_matching, [9] + [1] * 7)
+
+
+def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
+    # users 1, 2 and 3 read caches 2, 3 and 1, so caches 1, 2 and 3 serve users 3, 1 and 2:
+    # a matching that is not its own inverse, so one read transposed shows
+    top = Topology.from_group_slots(1, 3, 1, [[[2], [3], [1]]])
+    placement = place(top, SchemeParams(m=1, b=3, z=1, t=1, n_files=3))
+    matchings = extract_matchings(top)
+    assert matchings.to_user == ((3, 1, 2),) and matchings.is_valid_for(top)
+    schedule = deliver(placement, matchings, range(1, 4))
+    assert len(schedule) == 6 and all(_complete(placement, decode(placement, schedule, [1, 2, 3])))
+    for cache, user in zip(schedule.cells[0], schedule.users[0]):
+        assert cache in top.access[user - 1], (cache, user)
+    # a pair whose user does not read the cache, the transposed matching, and (in example A,
+    # where users read two caches) a row whose every pair is an edge but that repeats users
+    top_a, params_a = example_a
+    for graph, wrong in ((placement, ((1, 2, 3),)), (placement, ((2, 3, 1),)),
+                         (place(top_a, params_a), ((1, 2, 1, 2), (4, 3, 2, 1)))):
+        matching = MatchingAssignment(m=graph.params.m, b=graph.params.b, to_user=wrong)
+        assert not matching.is_valid_for(graph.topology), wrong
+        with pytest.raises(ValueError, match="^matchings do not fit the placement's topology$"):
+            deliver(graph, matching, range(1, graph.params.num_users + 1))
 
 
 def test_decode_single_transmission(example_a, example_a_matching):
@@ -739,6 +763,19 @@ def test_subfile_bytes_matches_keyed_blake2b():
     assert subfile_bytes(5, 7, 11, 2 * 10**6) == want(5, 7, 11, 2 * 10**6)
     with pytest.raises(ValueError, match="^payload size must be >= 1$"):
         subfile_bytes(0, 7, 11, 0)
+
+
+def test_out_of_range_seeds_and_missing_contents_are_value_errors():
+    assert len(subfile_bytes(-2**63, 1, 1, 8)) == len(subfile_bytes(2**63 - 1, 1, 1, 8)) == 8
+    for seed in (2**63, -2**63 - 1, 10**30):
+        with pytest.raises(ValueError, match=r"^seed must lie in the signed 64-bit range"):
+            subfile_bytes(seed, 1, 1, 8)
+    top, params = canonical_topology(2, 4, 2), SchemeParams(m=2, b=4, z=2, t=1, n_files=8)
+    with pytest.raises(ValueError, match=r"^seed must lie in the signed 64-bit range"):
+        simulate(top, params, payload_size=8, seed=2**63)
+    schedule = simulate(top, params, payload_size=8).transmissions
+    with pytest.raises(ValueError, match=r"^contents lack \(file, subfile\) \(1, 5\)$"):
+        check_payloads(schedule, {})
 
 
 def test_simulate_hashes_each_distinct_summand_once(monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import time
@@ -76,6 +77,12 @@ def test_cli_digests_sweep_and_temporary_paths(tmp_path):
         assert argv in runs
         assert cli_digests.digest(argv, short) == cli_digests.digest(argv, long)
     assert not any(short.iterdir()) and not any(long.iterdir())
+
+
+def test_readme_quotes_the_sweep_size():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (quoted,) = re.findall(r"sweep\s+of\s+(\d+)\s+argvs", readme)
+    assert int(quoted) == len(_load_script("cli_digests").sweep())
 
 
 def test_cli_digests_sweep_output_is_pinned():

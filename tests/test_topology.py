@@ -98,7 +98,7 @@ def test_extract_matchings_example_a(example_a):
     match = extract_matchings(top)
     assert match.is_valid_for(top)
     for i in (1, 2):
-        assert sorted(match.to_cache[i - 1]) == [1, 2, 3, 4]
+        assert sorted(match.to_user[i - 1]) == [1, 2, 3, 4]
 
 
 def test_extract_matchings_example_b(example_b):
@@ -108,7 +108,7 @@ def test_extract_matchings_example_b(example_b):
     # the identity assignment is also valid for this graph
     from macc import MatchingAssignment
 
-    ident = MatchingAssignment(m=2, b=7, to_cache=(tuple(range(1, 8)),) * 2)
+    ident = MatchingAssignment(m=2, b=7, to_user=(tuple(range(1, 8)),) * 2)
     assert ident.is_valid_for(top)
 
 
@@ -117,21 +117,22 @@ def test_extract_matchings_identity_tie_break():
     # lowest-index rule settles on the identity
     top = Topology.from_group_slots(1, 4, 2, [[[1, 3], [2, 4], [3, 1], [4, 2]]])
     match = extract_matchings(top)
-    assert match.to_cache == ((1, 2, 3, 4),)
+    assert match.to_user == ((1, 2, 3, 4),)
 
 
 def test_extract_matchings_long_augmenting_chain():
     # caches 1..n form cell 1 and n+1..2n cell 2.  Greedy seeding gives
     # user A_j cache j and user B_j cache n+j, leaving X unmatched; its only
-    # augmenting path runs X, A_1, B_1, A_2, ..., B_(n-1), A_n: 2n users deep
+    # augmenting path runs X, A_1, B_1, A_2, ..., B_(n-1), A_n: 2n users deep.  Flipping it
+    # gives cache 1 to X, cache j+1 to B_j and cache n+j to A_j
     n = 2500
     group = [[j, n + j] for j in range(1, n + 1)]  # A_j
     group += [[j + 1, n + j] for j in range(1, n)]  # B_j
     group.append([1, n + 1])  # X
     top = Topology.from_group_slots(1, 2 * n, 2, [group])
     assert validate(top).passed
-    expected = tuple(range(n + 1, 2 * n + 1)) + tuple(range(2, n + 1)) + (1,)
-    assert extract_matchings(top).to_cache == (expected,)
+    expected = (2 * n,) + tuple(range(n + 1, 2 * n)) + tuple(range(1, n + 1))
+    assert extract_matchings(top).to_user == (expected,)
 
 
 def _recursive_matching(adj, n_right):
@@ -156,11 +157,7 @@ def _recursive_matching(adj, n_right):
     for u in range(1, len(adj)):
         if not seeded[u]:
             try_augment(u, [False] * (n_right + 1))
-    match_left = [0] * len(adj)
-    for v in range(1, n_right + 1):
-        if match_right[v]:
-            match_left[match_right[v]] = v
-    return match_left
+    return match_right
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,7 +392,7 @@ def _reference_matchings(top):
         if not all(match[1:]):
             return f"group {i} admits no perfect matching (C3)"
         rows.append(tuple(match[1:]))
-    return MatchingAssignment(m=top.m, b=top.b, to_cache=tuple(rows))
+    return MatchingAssignment(m=top.m, b=top.b, to_user=tuple(rows))
 
 
 def _reference_missing(placement):
