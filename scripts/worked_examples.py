@@ -24,7 +24,7 @@ def run(name, top, params, show=4):
     report_v = validate(top)
     print("topology:", report_v.summary())
     matching = extract_matchings(top)
-    print("matching per group:", matching.to_user)
+    print("matching per group:", matching)
     placement = place(top, params)
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])

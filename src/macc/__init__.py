@@ -9,7 +9,6 @@ from .designs import (
 )
 from .topology import (
     GenerationError,
-    MatchingAssignment,
     MatchingError,
     Topology,
     TopologyReport,

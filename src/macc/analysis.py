@@ -74,9 +74,9 @@ class Curve:
         js, rates, hi = self.js, self.rates, 0
         for p, q in positions:
             hi = bisect.bisect_right(js, p // q, hi)  # js[hi - 1] <= p/q < js[hi]
-            if hi == 0:
-                raise ValueError(f"memory {Fraction(p, q * self.scale)} below curve domain "
-                                 f"start {Fraction(js[0], self.scale)}")
+            if hi == 0 or p > q * self.scale:
+                raise ValueError(f"memory {Fraction(p, q * self.scale)} outside curve domain "
+                                 f"[{Fraction(js[0], self.scale)}, 1]")
             j0, r0 = js[hi - 1], rates[hi - 1]
             if hi == len(js) or p == j0 * q:
                 yield r0
@@ -213,6 +213,8 @@ def rival_corners(scheme: str, k_users: int, z: int, tparams=None, choose=comb) 
     """j = t'' (memory t''/K) -> ``rival_corner`` at each t'' of ``tparams`` (default
     1..floor(K/z)) where it applies, RK, SICPS and NT's C(n, r) taken from ``choose``."""
     _check_users(k_users, z)
+    if scheme not in SCHEME_ORDER[1:]:  # or each t'' would swallow rival_corner's refusal
+        raise ApplicabilityError(f"unknown scheme {scheme!r}")
     if tparams is None:
         tparams = range(1, k_users // z + 1)
     corners = {}

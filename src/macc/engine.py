@@ -29,7 +29,7 @@ from operator import add, getitem, xor
 from typing import NamedTuple
 
 from .designs import check_terms, point_count
-from .topology import MatchingAssignment, Topology, cell_slots, extract_matchings, validate
+from .topology import Topology, cell_slots, extract_matchings, validate
 
 DEFAULT_PAYLOAD_SIZE = 64
 
@@ -174,11 +174,11 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
                      missing=tuple(tuple(itertools.islice(missing, params.b)) for _ in cache_rows))
 
 
-def build_demand_graph(placement: Placement, matchings: MatchingAssignment):
-    """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the
-    class-i block slots that the user matched to cache c(i,j) does not cover."""
+def build_demand_graph(placement: Placement, matchings):
+    """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the class-i block
+    slots that user ``matchings[i-1][j-1]`` of group i (see :func:`deliver`) does not cover."""
     return tuple(tuple(row[u - 1] for u in to_user)
-                 for row, to_user in zip(placement.missing, matchings.to_user))
+                 for row, to_user in zip(placement.missing, matchings))
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
@@ -200,20 +200,25 @@ def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
     return demands
 
 
-def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Schedule:
+def deliver(placement: Placement, matchings, demands) -> Schedule:
     """The schedule of all transmissions, in canonical (n, coords) lexicographic order.
 
+    ``matchings[i-1][c-1]`` is the user slot of group i that cache slot c serves, as in
+    :func:`extract_matchings`; rows not m permutations along edges are a ValueError.
     For each round n and each coordinate tuple, group i contributes the
     subfile at the intersection of the chosen blocks with coordinate i
     swapped for the n-th block its matched user misses.  Repeated demands
     are allowed; the schedule never inspects them.
     """
-    params = placement.params
-    if not matchings.is_valid_for(placement.topology):
+    params, access = placement.params, placement.topology.access
+    m, b = params.m, params.b
+    # every row is a permutation of 1..b before any of its slots indexes access
+    if len(matchings) != m or any(sorted(row) != [*range(1, b + 1)] for row in matchings) or any(
+            i * b + c not in access[i * b + j - 1]
+            for i, row in enumerate(matchings) for c, j in enumerate(row, start=1)):
         raise ValueError("matchings do not fit the placement's topology")
     demands = _check_demands(demands, params)
 
-    m, b = params.m, params.b
     r = params.missing_count
     if r == 0:
         return Schedule(*([[] for _ in range(m)] for _ in range(3)), [])
@@ -223,7 +228,7 @@ def deliver(placement: Placement, matchings: MatchingAssignment, demands) -> Sch
     # their files are the same in every round, each a lookup of a small shared int
     cells = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
     # user_of[i-1][c]: the user of group i matched to its cache slot c
-    user_of = [[0] + [i * b + u for u in to_user] for i, to_user in enumerate(matchings.to_user)]
+    user_of = [[0] + [i * b + u for u in to_user] for i, to_user in enumerate(matchings)]
     users = [list(map(table.__getitem__, column)) for table, column in zip(user_of, cells)]
     file_of = [0, *demands]
     files = [list(map(file_of.__getitem__, column)) for column in users]

@@ -69,10 +69,6 @@ class Topology:
         if any(row and (row[0] < 1 or row[-1] > k) for row in self.access):  # rows ascend
             raise ValueError("cache id out of range")
 
-    def user_access(self, i: int, j: int) -> tuple[int, ...]:
-        """Global cache ids read by user k(i,j)."""
-        return self.access[(i - 1) * self.b + j - 1]
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
         """Build from the JSON form; a field of the wrong type raises ValueError naming it."""
@@ -90,26 +86,6 @@ class Topology:
         """Build from per-group, per-user lists of within-group cache slots."""
         return cls(m=m, b=b, z=z, access=(map(((i - 1) * b).__add__, user)
                                           for i in range(1, m + 1) for user in slots[i - 1]))
-
-
-@dataclass(frozen=True)
-class MatchingAssignment:
-    """Per group, a bijection cache slot -> user slot drawn from the access sets:
-    ``to_user[i-1][c-1]`` is the user slot of group i matched to its cache slot c."""
-
-    m: int
-    b: int
-    to_user: tuple[tuple[int, ...], ...]
-
-    def is_valid_for(self, topology: Topology) -> bool:
-        for i in range(1, self.m + 1):
-            row = self.to_user[i - 1]
-            if sorted(row) != list(range(1, self.b + 1)):
-                return False
-            for c, j in enumerate(row, start=1):
-                if (i - 1) * self.b + c not in topology.user_access(i, j):
-                    return False
-        return True
 
 
 def _max_matching(adj: list[list[int]], n_right: int) -> list[int]:
@@ -230,14 +206,15 @@ def validate(topology: Topology) -> TopologyReport:
     )
 
 
-def extract_matchings(topology: Topology) -> MatchingAssignment:
-    """Deterministic perfect matching per group (lowest-index tie-breaking)."""
+def extract_matchings(topology: Topology) -> tuple[tuple[int, ...], ...]:
+    """Deterministic perfect matching per group (lowest-index tie-breaking), as m rows of
+    b user slots: ``to_user[i-1][c-1]`` is the user slot of group i that cache slot c serves."""
     m, b = topology.m, topology.b
     match = _max_matching(_own_rows(topology), m * b)
     if 0 in match[1:]:  # the first unmatched cache's group: it has as many unmatched users
         raise MatchingError(f"group {-(-match.index(0, 1) // b)} admits no perfect matching (C3)")
-    return MatchingAssignment(m=m, b=b, to_user=tuple(
-        tuple(u - first for u in match[first + 1:first + b + 1]) for first in range(0, m * b, b)))
+    return tuple(tuple(u - first for u in match[first + 1:first + b + 1])
+                 for first in range(0, m * b, b))
 
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:

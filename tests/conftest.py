@@ -2,7 +2,7 @@
 
 import pytest
 
-from macc import MatchingAssignment, SchemeParams, Topology
+from macc import SchemeParams, Topology
 
 
 @pytest.fixture
@@ -21,8 +21,8 @@ def example_a():
 
 @pytest.fixture
 def example_a_matching():
-    """The matching used in the worked example's printed transmissions."""
-    return MatchingAssignment(m=2, b=4, to_user=((1, 2, 4, 3), (4, 3, 2, 1)))
+    """The matching used in the worked example's printed transmissions, as ``to_user`` rows."""
+    return ((1, 2, 4, 3), (4, 3, 2, 1))
 
 
 @pytest.fixture
@@ -36,6 +36,4 @@ def example_b():
 
 @pytest.fixture
 def example_b_identity_matching():
-    return MatchingAssignment(
-        m=2, b=7, to_user=(tuple(range(1, 8)), tuple(range(1, 8)))
-    )
+    return (tuple(range(1, 8)), tuple(range(1, 8)))

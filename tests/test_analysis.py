@@ -123,6 +123,25 @@ def test_envelope_refuses_points_off_the_plane(point, message):
         envelope([(F(0), F(1)), point])
 
 
+def test_curves_refuse_memory_outside_their_domain():
+    # the envelopes hold memory in [0, 1]; past 1 a curve would read its last rate
+    ours, curve = our_envelope(10, 2), envelope([(F(1, 4), F(3)), (F(1, 2), F(1))])
+    calls = {"-1": lambda: ours.rate_at(F(-1)), "3": lambda: ours.rate_at(F(3)),
+             "11/10": lambda: ours.rate_at(F(11, 10)),
+             "2": lambda: comparison_table(10, 2, [F(2)]),
+             "-1/2": lambda: comparison_table(10, 2, [F(1, 2), F(-1, 2)]),
+             "101/100": lambda: comparison_table(10, 2, [F(1, 2), F(101, 100), F(1, 3)])}
+    for memory, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^memory {memory} outside curve domain \[0, 1\]$"):
+            call()
+    with pytest.raises(ValueError, match=r"^memory 1/8 outside curve domain \[1/4, 1\]$"):
+        curve.rate_at(F(1, 8))
+    with pytest.raises(ValueError, match=r"^memory 5/4 outside curve domain \[1/4, 1\]$"):
+        curve.rate_at(F(5, 4))
+    assert ours.rate_at(F(1)) == 0 and curve.rate_at(F(1)) == 1  # 1 is inside; 1/2's rate holds
+    assert [r.rate for r in comparison_table(10, 2, [F(1)])][:2] == [0, 0]
+
+
 def corner_rate(scheme, k, z, t):
     return rival_corner(scheme, k, z, t)[0]
 
@@ -204,6 +223,9 @@ def test_rival_rate_unknown_scheme():
     for scheme in ("ours", "XX"):
         with pytest.raises(ApplicabilityError, match=f"unknown scheme '{scheme}'"):
             rival_corner(scheme, 100, 5, 10)
+        # refused once for the whole map, not swallowed at each t'' into an empty one
+        with pytest.raises(ApplicabilityError, match=f"unknown scheme '{scheme}'"):
+            rival_corners(scheme, 100, 5)
 
 
 def test_rival_subpacketization():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from design_oracles import point_at
 from macc import (
-    MatchingAssignment,
     PointBudgetError,
     SchemeParams,
     Topology,
@@ -72,8 +71,9 @@ def user_coords(b, user):
 
 def covered_blocks(placement, i, j):
     """The class-i block slots that the caches user k(i,j) reads store."""
-    return {block for c in placement.topology.user_access(i, j)
-            for block in placement.cache_blocks[i - 1][(c - 1) % placement.params.b]}
+    b = placement.params.b
+    return {block for c in placement.topology.access[(i - 1) * b + j - 1]
+            for block in placement.cache_blocks[i - 1][(c - 1) % b]}
 
 
 def cached_subfiles(placement, i, j):
@@ -260,7 +260,7 @@ def _brute_schedule(placement, matchings, demands):
         for coords in itertools.product(range(1, b + 1), repeat=m):
             row = []
             for i in range(1, m + 1):
-                slot = matchings.to_user[i - 1][coords[i - 1] - 1]
+                slot = matchings[i - 1][coords[i - 1] - 1]
                 user = (i - 1) * b + slot
                 gaps = sorted(set(range(1, b + 1)) - covered_blocks(placement, i, slot))
                 (subfile,) = point_at(design, coords[: i - 1] + (gaps[n - 1],) + coords[i:])
@@ -392,7 +392,7 @@ def test_schedule_fields_are_per_group_columns_of_ints(m, b, z, t):
     for i in range(1, m + 1):
         assert schedule.cells[i - 1] == class_blocks(m, b, i)[1:]
         # group i's user at cell k is the one of group i matched to the cache of its block
-        assert schedule.users[i - 1] == [(i - 1) * b + matchings.to_user[i - 1][c - 1]
+        assert schedule.users[i - 1] == [(i - 1) * b + matchings[i - 1][c - 1]
                                          for c in schedule.cells[i - 1]]
         assert schedule.files[i - 1] == [demands[u - 1] for u in schedule.users[i - 1]]
         for column in (schedule.cells[i - 1], schedule.users[i - 1], schedule.files[i - 1]):
@@ -434,7 +434,7 @@ def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
     top = Topology.from_group_slots(1, 3, 1, [[[2], [3], [1]]])
     placement = place(top, SchemeParams(m=1, b=3, z=1, t=1, n_files=3))
     matchings = extract_matchings(top)
-    assert matchings.to_user == ((3, 1, 2),) and matchings.is_valid_for(top)
+    assert matchings == ((3, 1, 2),)
     schedule = deliver(placement, matchings, range(1, 4))
     assert len(schedule) == 6 and all(_complete(placement, decode(placement, schedule, [1, 2, 3])))
     for cache, user in zip(schedule.cells[0], schedule.users[0]):
@@ -442,12 +442,17 @@ def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
     # a pair whose user does not read the cache, the transposed matching, and (in example A,
     # where users read two caches) a row whose every pair is an edge but that repeats users
     top_a, params_a = example_a
-    for graph, wrong in ((placement, ((1, 2, 3),)), (placement, ((2, 3, 1),)),
-                         (place(top_a, params_a), ((1, 2, 1, 2), (4, 3, 2, 1)))):
-        matching = MatchingAssignment(m=graph.params.m, b=graph.params.b, to_user=wrong)
-        assert not matching.is_valid_for(graph.topology), wrong
+    cases = [(placement, ((1, 2, 3),)), (placement, ((2, 3, 1),)),
+             (place(top_a, params_a), ((1, 2, 1, 2), (4, 3, 2, 1)))]
+    # on two groups of 3: one row, three rows, a second row that is empty, and rows of
+    # b + 1 slots, whose last slot would index past the users if read before the refusal
+    two = place(canonical_topology(2, 3, 1), SchemeParams(m=2, b=3, z=1, t=1, n_files=6))
+    cases += [(two, ((1, 2, 3),)), (two, ((1, 2, 3),) * 3), (two, ((1, 2, 3), ())),
+              (two, ((1, 2, 3, 4),) * 2)]
+    for graph, wrong in cases:
         with pytest.raises(ValueError, match="^matchings do not fit the placement's topology$"):
-            deliver(graph, matching, range(1, graph.params.num_users + 1))
+            deliver(graph, wrong, range(1, graph.params.num_users + 1))
+    assert len(deliver(two, ((1, 2, 3),) * 2, range(1, 7))) == 2 * 3**2  # r * b**m
 
 
 def test_decode_single_transmission(example_a, example_a_matching):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from macc import (
     GenerationError,
-    MatchingAssignment,
     MatchingError,
     SchemeParams,
     Topology,
@@ -27,6 +26,20 @@ from macc import (
 )
 from macc.analysis import json_default
 from macc.topology import RANDOM_TRIES, _max_matching, cell_slots
+
+
+def _reads(top, i, j):
+    """Global cache ids read by user k(i,j)."""
+    return top.access[(i - 1) * top.b + j - 1]
+
+
+def _fits(matchings, top):
+    """Reference check of ``to_user`` rows on ``top``: m rows, each a permutation of the
+    user slots 1..b, and user ``row[c-1]`` of group i reads that group's cache slot c."""
+    return len(matchings) == top.m and all(
+        sorted(row) == list(range(1, top.b + 1))
+        and all((i - 1) * top.b + c in _reads(top, i, j) for c, j in enumerate(row, start=1))
+        for i, row in enumerate(matchings, start=1))
 
 
 def _cache_cell(j, b, z):
@@ -96,20 +109,17 @@ def test_validate_flags_two_caches_in_one_cell(example_a):
 def test_extract_matchings_example_a(example_a):
     top, _ = example_a
     match = extract_matchings(top)
-    assert match.is_valid_for(top)
+    assert _fits(match, top)
     for i in (1, 2):
-        assert sorted(match.to_user[i - 1]) == [1, 2, 3, 4]
+        assert sorted(match[i - 1]) == [1, 2, 3, 4]
 
 
 def test_extract_matchings_example_b(example_b):
     top, _ = example_b
     match = extract_matchings(top)
-    assert match.is_valid_for(top)
+    assert _fits(match, top)
     # the identity assignment is also valid for this graph
-    from macc import MatchingAssignment
-
-    ident = MatchingAssignment(m=2, b=7, to_user=(tuple(range(1, 8)),) * 2)
-    assert ident.is_valid_for(top)
+    assert _fits((tuple(range(1, 8)),) * 2, top)
 
 
 def test_extract_matchings_identity_tie_break():
@@ -117,7 +127,7 @@ def test_extract_matchings_identity_tie_break():
     # lowest-index rule settles on the identity
     top = Topology.from_group_slots(1, 4, 2, [[[1, 3], [2, 4], [3, 1], [4, 2]]])
     match = extract_matchings(top)
-    assert match.to_user == ((1, 2, 3, 4),)
+    assert match == ((1, 2, 3, 4),)
 
 
 def test_extract_matchings_long_augmenting_chain():
@@ -132,7 +142,7 @@ def test_extract_matchings_long_augmenting_chain():
     top = Topology.from_group_slots(1, 2 * n, 2, [group])
     assert validate(top).passed
     expected = (2 * n,) + tuple(range(n + 1, 2 * n)) + tuple(range(1, n + 1))
-    assert extract_matchings(top).to_user == (expected,)
+    assert extract_matchings(top) == (expected,)
 
 
 def _recursive_matching(adj, n_right):
@@ -191,17 +201,17 @@ def test_extract_matchings_raises_without_c3():
 def test_canonical_topology_offset_rule():
     top = canonical_topology(2, 4, 2)
     # derived from the offset rule: odd users read {1,3}, even read {2,4}
-    assert top.user_access(1, 1) == (1, 3)
-    assert top.user_access(1, 2) == (2, 4)
-    assert top.user_access(1, 3) == (1, 3)
-    assert top.user_access(1, 4) == (2, 4)
-    assert top.user_access(2, 1) == (5, 7)
+    assert _reads(top, 1, 1) == (1, 3)
+    assert _reads(top, 1, 2) == (2, 4)
+    assert _reads(top, 1, 3) == (1, 3)
+    assert _reads(top, 1, 4) == (2, 4)
+    assert _reads(top, 2, 1) == (5, 7)
     assert validate(top).passed
 
 
 def test_canonical_topology_z1_identity_like():
     top = canonical_topology(1, 3, 1)
-    assert [top.user_access(1, j) for j in (1, 2, 3)] == [(1,), (2,), (3,)]
+    assert [_reads(top, 1, j) for j in (1, 2, 3)] == [(1,), (2,), (3,)]
     assert validate(top).passed
 
 
@@ -320,7 +330,7 @@ def test_json_round_trip(example_a):
 def test_global_cache_id_encoding(example_b):
     top, _ = example_b
     # group 2 user 7 reads caches (2,2), (2,3), (2,7) -> global 9, 10, 14
-    assert top.user_access(2, 7) == (9, 10, 14)
+    assert _reads(top, 2, 7) == (9, 10, 14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,7 +343,7 @@ def test_canonical_always_validates(data):
     report = validate(top)
     assert report.passed
     match = extract_matchings(top)
-    assert match.is_valid_for(top)
+    assert _fits(match, top)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,7 +356,7 @@ def test_random_topologies_validate_and_match(data):
     top = random_topology(m, b, z, seed=seed)
     assert validate(top).passed
     match = extract_matchings(top)
-    assert match.is_valid_for(top)
+    assert _fits(match, top)
 
 
 def _group_slots(top, i):
@@ -366,7 +376,7 @@ def _reference_validate(top):
     for i in range(1, m + 1):
         group = _group_slots(top, i)
         for j, slots in enumerate(group, start=1):
-            caches = top.user_access(i, j)
+            caches = _reads(top, i, j)
             if len(slots) < len(caches):
                 c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
                        for c in caches if (c - 1) // b + 1 != i]
@@ -392,7 +402,7 @@ def _reference_matchings(top):
         if not all(match[1:]):
             return f"group {i} admits no perfect matching (C3)"
         rows.append(tuple(match[1:]))
-    return MatchingAssignment(m=top.m, b=top.b, to_user=tuple(rows))
+    return tuple(rows)
 
 
 def _reference_missing(placement):
@@ -463,7 +473,7 @@ def test_one_graph_form_matches_the_group_view_reference():
                 placement = place(top, params, seed=seed)
                 assert placement.missing == _reference_missing(placement), (n, seed)
     # valid graphs; C1, C2, the missed-cell warning and C3 each failing alone; all at once
-    matched = MatchingAssignment
+    matched = tuple
     assert {(True, True, True, True, matched), (False, True, True, True, matched),
             (True, False, False, True, matched), (True, True, False, True, matched),
             (True, True, True, False, str), (False, False, False, False, str)} <= kinds
