@@ -17,13 +17,12 @@ emitted as "external".  SR1's subpacketization is only known to lie in
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .engine import achievable_rate
 
@@ -140,21 +139,27 @@ def our_envelope(k_users: int, z: int) -> Curve:
     return _curve("ours", k_users, z, our_corners(k_users, z))
 
 
-def rival_corner(scheme: str, k_users: int, z: int, tparam: int, choose=comb):
+def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
     """(rate, subpacketization) of a rival scheme at its own corner M/N = tparam/K.
 
-    The rate is exact, or None for SICPS and SPE, whose rates are external.
-    The subpacketization is an int or Fraction, or for SR1 the interval
-    (K, K**2) it is known to lie in; RK, SICPS and NT read their one binomial from
-    ``choose``.  Raises ``ApplicabilityError`` where the scheme has no corner at tparam."""
+    The rate is exact, or None for SICPS and SPE, whose rates are external.  The
+    subpacketization is an int or Fraction, or for SR1 the interval (K, K**2) it is known
+    to lie in.  Raises ``ApplicabilityError`` where the scheme has no corner at tparam."""
     _check_users(k_users, z)
-    k, t = k_users, tparam
+    return _rival_corner(scheme, k_users, z, tparam, [1])
+
+
+def _rival_corner(scheme: str, k: int, z: int, t: int, walk: list[int]):
+    """:func:`rival_corner` with walk[u - 1] = C(K - uz + u - 1, u - 1), extended up to u = t."""
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
-        binomial = choose(k - t * z + t - 1, t - 1)
+        for u in range(len(walk) + 1, t + 1):  # C(n, r) -> C(n - z + 1, r + 1), exactly
+            g = k - u * z  # n = g + u - 1 and r = u - 1 at t' = u
+            walk.append(walk[-1] * math.prod(range(g + 1, g + z + 1))
+                        // math.prod(range(g + u, g + u + z - 1), start=u - 1))
         if scheme == "NT":  # C(K - t'z + t', t') = C(K - t'z + t' - 1, t' - 1) (K - t'z + t')/t'
-            return Fraction(k - t * z, t + 1), k * (binomial * (k - t * z + t) // t)
-        sub = _whole(Fraction(k, t) * binomial)
+            return Fraction(k - t * z, t + 1), k * (walk[t - 1] * (k - t * z + t) // t)
+        sub = _whole(Fraction(k, t) * walk[t - 1])
         return (Fraction((k - t * z) ** 2, k) if scheme == "RK" else None), sub
     if scheme == "SPE":
         _require(t == 2, "SPE is fixed at M/N = 2/K")
@@ -209,18 +214,18 @@ def sr1_lower_bound(k_users: int, z: int, tparam: int) -> Fraction:
     return Fraction(g * (g + 2), 2 * (k_users + 2))
 
 
-def rival_corners(scheme: str, k_users: int, z: int, tparams=None, choose=comb) -> dict:
+def rival_corners(scheme: str, k_users: int, z: int, tparams=None) -> dict:
     """j = t'' (memory t''/K) -> ``rival_corner`` at each t'' of ``tparams`` (default
-    1..floor(K/z)) where it applies, RK, SICPS and NT's C(n, r) taken from ``choose``."""
+    1..floor(K/z)) where it applies; RK, SICPS and NT share one walk of their binomials."""
     _check_users(k_users, z)
     if scheme not in SCHEME_ORDER[1:]:  # or each t'' would swallow rival_corner's refusal
         raise ApplicabilityError(f"unknown scheme {scheme!r}")
     if tparams is None:
         tparams = range(1, k_users // z + 1)
-    corners = {}
+    corners, walk = {}, [1]
     for t in tparams:
         try:
-            corners[t] = rival_corner(scheme, k_users, z, t, choose)
+            corners[t] = _rival_corner(scheme, k_users, z, t, walk)
         except ApplicabilityError:
             pass
     return corners
@@ -373,21 +378,16 @@ class TableRow:
     scheme: str
     rate: Fraction | None
     kind: str  # corner | interpolated | external
-    subpacketization: object | None = None  # int | Fraction | (lo, hi) interval
-
-    def log10_subpacketization(self) -> float | None:
-        s = self.subpacketization
-        return None if s is None or isinstance(s, tuple) else log10_of(s)
+    subpacketization: object | None  # int | Fraction | (lo, hi) interval
+    log10_subpacketization: float | None  # None for None or an interval
 
     def to_json_dict(self) -> dict:
         """The row for :func:`json_default`; an SR1 interval goes in its own key."""
         s = self.subpacketization
-        interval = isinstance(s, tuple)
         doc = {"mn": self.memory, "scheme": self.scheme, "kind": self.kind, "rate": self.rate,
-               "subpacketization": None if interval else s,
-               "log10_subpacketization": self.log10_subpacketization()}
-        if interval:
-            doc["subpacketization_interval"] = s
+               "subpacketization": s, "log10_subpacketization": self.log10_subpacketization}
+        if isinstance(s, tuple):
+            doc["subpacketization"], doc["subpacketization_interval"] = None, s
         return doc
 
 
@@ -420,9 +420,8 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
     axis = [(mem.numerator * k, mem.denominator) for mem in grid]  # M/N at j = p/q
     lattice = [p // q if p % q == 0 else None for p, q in axis]
     tparams = sorted(set(range(1, k // z + 1)) | {j for j in lattice if j is not None})
-    choose = functools.cache(comb)  # one C(n, r) per t', shared by RK, SICPS and NT
     corners = {"ours": our_corners(k, z)} | {
-        scheme: rival_corners(scheme, k, z, tparams, choose) for scheme in SCHEME_ORDER[1:]}
+        scheme: rival_corners(scheme, k, z, tparams) for scheme in SCHEME_ORDER[1:]}
     order = sorted(range(len(grid)), key=lambda i: axis[i][0] // axis[i][1])
     walks = {scheme: curve._walk(axis[i] for i in order) for scheme in SCHEME_ORDER
              if (curve := _curve(scheme, k, z, corners[scheme])) is not None}
@@ -434,8 +433,9 @@ def comparison_table(k_users: int, z: int, grid) -> list[TableRow]:
             rate = next(walks[scheme]) if scheme in walks else None
             kind = ("external" if rate is None
                     else "corner" if corner_rate == rate else "interpolated")
+            log_s = None if sub is None or isinstance(sub, tuple) else log10_of(sub)
             rows[i].append(TableRow(memory=grid[i], scheme=scheme, rate=rate, kind=kind,
-                                    subpacketization=sub))
+                                    subpacketization=sub, log10_subpacketization=log_s))
     return [row for block in rows for row in block]
 
 
@@ -447,7 +447,7 @@ def rows_to_csv(rows) -> list[str]:
     lines = [CSV_HEADER + "\n"]
     for r in rows:
         rate = "" if r.rate is None else f"{float(r.rate):.6f}"
-        log_s = "" if (s := r.log10_subpacketization()) is None else f"{s:.6f}"
+        log_s = "" if (s := r.log10_subpacketization) is None else f"{s:.6f}"
         lines.append(f"{r.memory.numerator},{r.memory.denominator},{r.scheme},{rate},{log_s}\n")
     return lines
 

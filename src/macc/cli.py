@@ -289,7 +289,8 @@ def check_compare_cost(k: int, z: int, grid: str | None) -> None:
     """Refuse z outside 1..K, then price in O(1): 8 table rows per grid entry (commas + 1),
     ours' sigma(K)/z < K*(1+bitlen(K))/z corners (whose term also covers the divisor scan)
     and the big integers, a binomial per t' <= K/z and 3 per entry, each of at most about
-    K*bitlen(z)/z bits, on which comb and int-to-str take about bits^2/6144 steps."""
+    K*bitlen(z)/z bits, on which int-to-str and log10_of take about bits^2/6144 steps,
+    deliberately not refit for the binomials' linear walk, so each argv keeps its exit code."""
     if not 1 <= z <= k:
         raise ValueError(f"need 1 <= --z <= --K, got --z {z} and --K {k}")
     entries = -(-k // z) + 1 if grid is None else grid.count(",") + 1

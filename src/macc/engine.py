@@ -38,6 +38,8 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
     """Broadcast rate in file units: the blocks per group that no user covers; exact.  A
     user reads one cache in each cell of :func:`~macc.topology.cell_slots`, z - 1 cells of
     x = floor(b/z) slots and one of b - (z-1)x, and a cache stores min(t, |cell|) blocks."""
+    if any(type(v) is not int for v in (b, m, z, t)):
+        raise ValueError(f"b, m, z and t must be ints, got {b!r}, {m!r}, {z!r}, {t!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if t < 1:
@@ -192,7 +194,9 @@ def class_blocks(m: int, b: int, i: int) -> list[int]:
 
 
 def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
-    demands = tuple(int(d) for d in demands)
+    demands = tuple(demands)
+    if any(type(d) is not int for d in demands):
+        raise ValueError("demands must be int file indices")
     if len(demands) != params.num_users:
         raise ValueError(f"need {params.num_users} demands, got {len(demands)}")
     if any(not 1 <= d <= params.n_files for d in demands):
@@ -213,7 +217,8 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
     params, access = placement.params, placement.topology.access
     m, b = params.m, params.b
     # every row is a permutation of 1..b before any of its slots indexes access
-    if len(matchings) != m or any(sorted(row) != [*range(1, b + 1)] for row in matchings) or any(
+    if len(matchings) != m or any({*map(type, row)} != {int} or sorted(row) != [*range(1, b + 1)]
+                                  for row in matchings) or any(
             i * b + c not in access[i * b + j - 1]
             for i, row in enumerate(matchings) for c, j in enumerate(row, start=1)):
         raise ValueError("matchings do not fit the placement's topology")

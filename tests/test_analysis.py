@@ -228,6 +228,23 @@ def test_rival_rate_unknown_scheme():
             rival_corners(scheme, 100, 5)
 
 
+def test_rival_binomial_walk_matches_comb():
+    # every t' of every (K, z) with K <= 120, then t' in {1, 2, floor(K/z)/2, floor(K/z)} at
+    # the cost model's edges, whose binomials have thousands of bits
+    shapes = [(k, z, range(1, k // z + 1)) for k in range(1, 121) for z in range(1, k + 1)]
+    shapes += [(k, z, (1, 2, k // z // 2, k // z)) for k, z in ((5449, 1), (6975, 2), (17728, 8))]
+    for k, z, tparams in shapes:
+        walk = [1]
+        for t in tparams:
+            analysis._rival_corner("RK", k, z, t, walk)
+            assert walk[t - 1] == comb(k - t * z + t - 1, t - 1), (k, z, t)
+    # a map over t'' in any order reads the walk it shares as a lone corner reads its own
+    for scheme in ("RK", "NT", "SICPS"):
+        tparams = [9, 1, 33, 4, 32, 4]  # 33 > floor(97/3) has no corner
+        assert rival_corners(scheme, 97, 3, tparams) == {
+            t: rival_corner(scheme, 97, 3, t) for t in tparams if t <= 97 // 3}
+
+
 def test_rival_subpacketization():
     assert corner_sub("SR2", 100, 5, 20) == 100
     assert corner_sub("MR", 100, 5, 1) == 100
@@ -506,6 +523,15 @@ def test_log10_of_big_values():
         sys.set_int_max_str_digits(limit)
     with pytest.raises(ValueError, match="log10 needs a positive value"):
         log10_of(0)
+
+
+def test_log10_of_runs_once_per_table_row(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "log10_of", lambda x: calls.append(x) or log10_of(x))
+    rows = comparison_table(60, 2, [F(j, 120) for j in range(121)])
+    analysis.rows_to_csv(rows), analysis.rows_to_json(rows)
+    assert calls == [row.subpacketization for row in rows
+                     if isinstance(row.subpacketization, (int, F))]
 
 
 @settings(max_examples=200, deadline=None)

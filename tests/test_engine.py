@@ -93,6 +93,13 @@ def test_achievable_rate_examples():
         achievable_rate(4, 2, 2, 0)
     with pytest.raises(ValueError, match="^need 1 <= z <= b, got z=5, b=4$"):
         achievable_rate(4, 2, 5, 1)
+    # a float or a bool reads as a number in the formula, but a float t breaks simulate's slices
+    for shape in [(6, 2, 2, 1.5), (6.0, 2, 2, 1), (6, 2.0, 2, 1), (6, 2, True, 1),
+                  (6, 2, 2, True), (6, 2, 2, "1")]:
+        with pytest.raises(ValueError, match="^b, m, z and t must be ints, got "):
+            achievable_rate(*shape)
+    with pytest.raises(ValueError, match="^b, m, z and t must be ints, got 6, 2, 2, 1.5$"):
+        simulate(canonical_topology(2, 6, 2), SchemeParams(2, 6, 2, 1.5, 12))
 
 
 def test_achievable_rate_equals_quota_form():
@@ -428,6 +435,15 @@ def test_deliver_validates_demands(example_a, example_a_matching):
         deliver(placement, example_a_matching, [9] + [1] * 7)
 
 
+def test_simulate_refuses_demands_that_are_not_ints():
+    # a float or a bool is no file index, though it compares as one (1.5 lies in 1..N)
+    top, params = canonical_topology(2, 3, 1), SchemeParams(2, 3, 1, 1, 6)
+    for demands in ([1.5] * 6, [True] * 6, [1] * 5 + [2.0]):
+        with pytest.raises(ValueError, match="^demands must be int file indices$"):
+            simulate(top, params, demands=demands)
+    assert simulate(top, params, demands=[1] * 6).all_complete()
+
+
 def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
     # users 1, 2 and 3 read caches 2, 3 and 1, so caches 1, 2 and 3 serve users 3, 1 and 2:
     # a matching that is not its own inverse, so one read transposed shows
@@ -449,6 +465,9 @@ def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
     two = place(canonical_topology(2, 3, 1), SchemeParams(m=2, b=3, z=1, t=1, n_files=6))
     cases += [(two, ((1, 2, 3),)), (two, ((1, 2, 3),) * 3), (two, ((1, 2, 3), ())),
               (two, ((1, 2, 3, 4),) * 2)]
+    # slots that sort equal to 1..b but are no int indices: a float, a bool, a string
+    cases += [(two, ((1.0, 2, 3), (1, 2, 3))), (two, ((1, 2, 3), (True, 2, 3))),
+              (two, (("1", 2, 3), (1, 2, 3)))]
     for graph, wrong in cases:
         with pytest.raises(ValueError, match="^matchings do not fit the placement's topology$"):
             deliver(graph, wrong, range(1, graph.params.num_users + 1))
