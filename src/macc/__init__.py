@@ -34,7 +34,6 @@ from .engine import (
 )
 from .analysis import (
     ApplicabilityError,
-    ComparisonCheck,
     Curve,
     TableRow,
     comparison_table,

@@ -11,7 +11,8 @@ Rival schemes are keyed RK, NT, SICPS, SPE, SR1, SR2, MR.  ``rival_corner``
 states each one's corner at M/N = t/K once: where it applies, its rate and
 its subpacketization.  SPE and SICPS rates come from outside formulas and are
 emitted as "external".  SR1's subpacketization is only known to lie in
-[K, K**2] and is reported as that interval.
+[K, K**2] and is reported as that interval.  The paper's five comparison claims are the
+predicates ``check_*``: None where a claim does not apply, else whether its threshold holds.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _check_users(k_users: int, z: int) -> None:
-    """K users reading z caches each need K >= 1 and 1 <= z <= K; a plain ValueError,
-    which no per-corner ``ApplicabilityError`` handler swallows."""
-    if not 1 <= z <= k_users:
-        raise ValueError(f"need K >= 1 and 1 <= z <= K, got K={k_users}, z={z}")
+    """Ints K >= 1 and 1 <= z <= K, else a ValueError no ``ApplicabilityError`` handler swallows."""
+    if type(k_users) is not int or type(z) is not int or not 1 <= z <= k_users:
+        raise ValueError(f"need K >= 1 and 1 <= z <= K, got K={k_users!r}, z={z!r} (ints only)")
 
 
 def divisors(n: int) -> list[int]:
@@ -151,6 +151,8 @@ def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
 
 def _rival_corner(scheme: str, k: int, z: int, t: int, walk: list[int]):
     """:func:`rival_corner` with walk[u - 1] = C(K - uz + u - 1, u - 1), extended up to u = t."""
+    if type(t) is not int:  # a plain ValueError, which rival_corners does not swallow
+        raise ValueError(f"t' must be an int, got {t!r}")
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
         for u in range(len(walk) + 1, t + 1):  # C(n, r) -> C(n - z + 1, r + 1), exactly
@@ -250,126 +252,50 @@ def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
     return _curve(scheme, k_users, z, rival_corners(scheme, k_users, z))
 
 
-@dataclass(frozen=True)
-class ComparisonCheck:
-    """One claimed rate/subpacketization advantage, evaluated exactly.
-
-    ``applicable``: the claim's parameter preconditions hold.
-    ``satisfied``: its threshold inequality holds (None when not applicable).
-    ``ours`` / ``rival``: the two compared values.
-    ``confirmed``: direct comparison of the two values agrees with the claim.
-    """
-
-    name: str
-    applicable: bool
-    satisfied: bool | None = None
-    ours: Fraction | None = None
-    rival: Fraction | None = None
-    confirmed: bool | None = None
-    note: str = ""
-
-
-def check_rk_rate(k_users: int, z: int, m: int, b: int, t: int) -> ComparisonCheck:
-    """Ours beats RK on rate when M/N = t/b = t'/K is below all three thresholds."""
+def check_rk_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
+    """The RK rate claim at M/N = t/b = t'/K, t' = mt: ours is strictly lower below floor(b/z)/b,
+    floor(K/z)/K and (K - b)/(Kz).  None unless K = mb, b >= z >= 1, 1 <= t' <= floor(K/z)."""
     k = k_users
-    applicable = k == m * b and b >= z >= 1 and t >= 1 and 1 <= m * t <= k // z
-    if not applicable:
-        return ComparisonCheck("rk_rate", False)
-    mem = Fraction(t, b)
-    satisfied = mem < min(
-        Fraction(b // z, b), Fraction(k // z, k), Fraction(k - b, k * z)
-    )
-    ours = achievable_rate(b, m, z, t)
-    rk = rival_corner("RK", k, z, m * t)[0]
-    return ComparisonCheck(
-        "rk_rate", True, satisfied, ours, rk, confirmed=ours < rk if satisfied else None
-    )
+    if not (k == m * b and b >= z >= 1 and t >= 1 and 1 <= m * t <= k // z):
+        return None
+    return Fraction(t, b) < min(Fraction(b // z, b), Fraction(k // z, k), Fraction(k - b, k * z))
 
 
-def check_subpacketization(k_users: int, z: int, m: int, b: int) -> ComparisonCheck:
-    """At M/N = 1/b, ours needs fewer subfiles than RK/NT/SICPS once b is large
-    enough ((b-1)^2 >= K(z-1), b > z, m <= floor(K/z)).  Needs m >= 2: with a
-    single group both sides equal K."""
+def check_subpacketization(k_users: int, z: int, m: int, b: int) -> bool | None:
+    """The subpacketization claim at M/N = 1/b: b**m lies below RK's (so SICPS's) and NT's
+    once (b - 1)**2 >= K(z - 1).  None unless K = mb, b > z >= 1 and 2 <= m <= floor(K/z):
+    with a single group both sides equal K."""
+    applicable = k_users == m * b and b > z >= 1 and 2 <= m <= k_users // z
+    return (b - 1) ** 2 >= k_users * (z - 1) if applicable else None
+
+
+def check_sr1_rate(k_users: int, z: int, tpp: int) -> bool | None:
+    """The SR1 rate claim at M/N = t''/K: sharing memory between two of our t = 1 corners
+    (m/K, K/m - z), K/m >= z, reaches at most SR1's closed-form lower bound; K/m - z is convex,
+    so the best pair straddles t'': read it off their envelope.  None where gcd(t'', K) != 1,
+    t''z = K - 1, t''z is outside 1..K, or no two group counts straddle t''."""
     k = k_users
-    applicable = k == m * b and b > z >= 1 and 2 <= m <= k // z
-    if not applicable:
-        return ComparisonCheck("subpacketization", False)
-    satisfied = (b - 1) ** 2 >= k * (z - 1)
-    ours = Fraction(b**m)
-    rk = Fraction(rival_corner("RK", k, z, m)[1])
-    nt = Fraction(rival_corner("NT", k, z, m)[1])
-    confirmed = (ours < rk and ours < nt) if satisfied else None
-    return ComparisonCheck(
-        "subpacketization", True, satisfied, ours, min(rk, nt),
-        confirmed=confirmed, note=f"RK/SICPS={rk}, NT={nt}",
-    )
+    ms = [m for m in divisors(k) if k // m >= z] if 1 <= tpp * z <= k else []
+    if gcd(tpp, k) != 1 or tpp * z == k - 1 or len(ms) < 2 or tpp > ms[-1]:
+        return None
+    shared = _hull(k, [(m, Fraction(k // m - z)) for m in ms]).rate_at(Fraction(tpp, k))
+    return shared <= sr1_lower_bound(k, z, tpp)
 
 
-def check_sr1_rate(k_users: int, z: int, tpp: int, pair=None) -> ComparisonCheck:
-    """Memory-sharing two of our corners (1/b1, 1/b2) beats SR1 at M/N = t''/K
-    whenever the shared rate is at most SR1's closed-form lower bound."""
-    k = k_users
-    if gcd(tpp, k) != 1 or tpp * z == k - 1 or not 1 <= tpp * z <= k:
-        return ComparisonCheck("sr1_rate", False)
-    divs = [m for m in divisors(k) if k // m >= z]  # group counts with b = K/m >= z
-    pairs = itertools.combinations(divs, 2) if pair is None else [tuple(pair)]
-    best = None
-    for m1, m2 in pairs:
-        if m1 not in divs or m2 not in divs or m1 >= m2 or not m1 <= tpp <= m2:
-            continue
-        b1, b2 = k // m1, k // m2
-        lam = Fraction(tpp - m1, m2 - m1)
-        shared = b1 + lam * (b2 - b1)
-        if best is None or shared < best[0]:
-            best = (shared, m1, m2)
-    if best is None:
-        return ComparisonCheck("sr1_rate", False)
-    shared, m1, m2 = best
-    bound = sr1_lower_bound(k, z, tpp) + z
-    satisfied = shared <= bound
-    ours = shared - z
-    sr1 = rival_corner("SR1", k, z, tpp)[0]
-    return ComparisonCheck(
-        "sr1_rate", True, satisfied, ours, sr1,
-        confirmed=ours <= sr1 if satisfied else None,
-        note=f"pair m1={m1}, m2={m2}",
-    )
+def check_sr2_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
+    """The SR2 rate claim at matching corners M/N = t/b = t''/K, t'' = mt: ours is at most
+    SR2's rate once M/N <= (m - 2)/(m(z - 1)).  None unless K = mb >= 1, z >= 2, 1 <= t <=
+    floor(b/z), and both t and b - tz + t divide b."""
+    applicable = (k_users == m * b >= 1 and z >= 2 and 1 <= t <= b // z and b % t == 0
+                  and b % (b - t * z + t) == 0)
+    return Fraction(t, b) <= Fraction(m - 2, m * (z - 1)) if applicable else None
 
 
-def check_sr2_rate(k_users: int, z: int, m: int, b: int, t: int) -> ComparisonCheck:
-    """Ours beats SR2 at matching corners when M/N <= (m-2)/(m(z-1))."""
-    k = k_users
-    applicable = (
-        k == m * b
-        and z >= 2
-        and t >= 1
-        and t <= b // z
-        and b % t == 0
-        and (b - t * z + t) > 0
-        and b % (b - t * z + t) == 0
-    )
-    if not applicable:
-        return ComparisonCheck("sr2_rate", False)
-    satisfied = Fraction(t, b) <= Fraction(m - 2, m * (z - 1))
-    ours = achievable_rate(b, m, z, t)
-    sr2 = rival_corner("SR2", k, z, m * t)[0]
-    return ComparisonCheck(
-        "sr2_rate", True, satisfied, ours, sr2,
-        confirmed=ours <= sr2 if satisfied else None,
-    )
-
-
-def check_mr_rate(k_users: int, z: int, m: int, b: int) -> ComparisonCheck:
-    """Ours beats MR's memory-shared curve at M/N = 1/b for three or more
-    groups.  Needs b > z: at b = z both schemes already sit at rate zero."""
-    k = k_users
-    applicable = k == m * b and b > z >= 1 and m >= 3
-    if not applicable:
-        note = "rates coincide at m = 2" if k == m * b and m == 2 else ""
-        return ComparisonCheck("mr_rate", False, note=note)
-    ours = achievable_rate(b, m, z, 1)
-    mr = rival_envelope("MR", k, z).rate_at(Fraction(1, b))
-    return ComparisonCheck("mr_rate", True, True, ours, mr, confirmed=ours < mr)
+def check_mr_rate(k_users: int, z: int, m: int, b: int) -> bool | None:
+    """The MR rate claim at M/N = 1/b: with three or more groups ours lies strictly below
+    MR's memory-shared curve, with no threshold.  None unless K = mb, b > z >= 1 and m >= 3:
+    at m = 2 the rates can coincide (K = 100, z = 5: both 45), and at b = z both are 0."""
+    return True if k_users == m * b and b > z >= 1 and m >= 3 else None
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,11 @@ def check_terms(command: str, steps: dict[str, int], held: dict[str, int]) -> No
 
 
 def point_count(m: int, b: int, mu: int = 1) -> int:
-    """mu * b**m, refused once b**m >= 2**64, before the power is computed."""
+    """mu * b**m for positive ints, refused once b**m >= 2**64, before the power is computed."""
+    if any(type(v) is not int for v in (m, b, mu)):
+        raise ValueError(f"m, b and mu must be ints, got {m!r}, {b!r}, {mu!r}")
+    if m < 1 or b < 1 or mu < 1:
+        raise ValueError("m, b, mu must be positive")
     if m * (b.bit_length() - 1) >= 64:
         raise PointBudgetError(f"b^m = {b}^{m} points is 2^64 or more")
     return mu * b**m
@@ -75,11 +79,9 @@ class Design:
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if self.m < 1 or self.b < 1 or self.mu < 1:
-            raise ValueError("m, b, mu must be positive")
+        n = self.num_points  # m, b and mu are positive ints, b**m is below 2**64
         if len(self.blocks) != self.m or any(len(cls) != self.b for cls in self.blocks):
             raise ValueError("blocks must be an m x b family")
-        n = self.num_points
         blocks = [*itertools.chain.from_iterable(self.blocks)]
         for kind in set(map(type, itertools.chain.from_iterable(blocks))) - {int}:
             raise ValueError(f"points must be of type int, got {kind.__name__}")
@@ -100,8 +102,6 @@ def construct_mcrd(m: int, b: int, mu: int) -> Design:
     most significant), each vector repeated mu times contiguously.  Block
     (i, l+1) collects the columns whose row-i entry equals l.
     """
-    if m < 1 or b < 1 or mu < 1:
-        raise ValueError("m, b, mu must be positive")
     n = check_design_cost(m, b, mu)
 
     # block (i, l+1) is the b**(i-1) runs of mu*b**(m-i) columns that start at l*run,

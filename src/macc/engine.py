@@ -86,6 +86,8 @@ class SchemeParams:
     n_files: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.n_files) is not int:  # b, z, t: achievable_rate
+            raise ValueError(f"m and n_files must be ints, got {self.m!r}, {self.n_files!r}")
         if self.m < 1 or self.n_files < 1:
             raise ValueError("m and n_files must be >= 1")
         check_cost(self.m, self.b, self.z, self.t)
@@ -354,6 +356,8 @@ def check_payloads(schedule: Schedule, contents) -> bool:
 def subfile_bytes(seed: int, file: int, subfile: int, size: int = DEFAULT_PAYLOAD_SIZE) -> bytes:
     """Deterministic content of a subfile, the byte oracle's ground truth: keyed BLAKE2b-512
     blocks of b"file:subfile:counter", keyed by the seed as 8 signed big-endian bytes."""
+    if not (type(seed) is type(file) is type(subfile) is type(size) is int):
+        raise ValueError(f"seed, file, subfile and size must be ints: {seed, file, subfile, size}")
     if size < 1:
         raise ValueError("payload size must be >= 1")
     try:

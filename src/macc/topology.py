@@ -38,8 +38,8 @@ RANDOM_TRIES = 1000  # draws per group before random_topology gives up
 def cell_slots(b: int, z: int) -> list[range]:
     """The z cells as ranges of cache slots: floor(b/z) slots for cells 1..z-1, the rest
     for cell z.  :func:`~macc.engine.achievable_rate` sums over these sizes in closed form."""
-    if not 1 <= z <= b:
-        raise ValueError(f"need 1 <= z <= b, got z={z}, b={b}")
+    if type(b) is not int or type(z) is not int or not 1 <= z <= b:
+        raise ValueError(f"need ints b and z with 1 <= z <= b, got z={z!r}, b={b!r}")
     x = b // z
     starts = [l * x + 1 for l in range(z)] + [b + 1]
     return [range(start, end) for start, end in zip(starts, starts[1:])]
@@ -60,9 +60,17 @@ class Topology:
     access: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for name in (n for n in ("m", "b", "z") if type(getattr(self, n)) is not int):
+            raise ValueError(f"topology field {name!r} must be an integer")
         if self.m < 1 or not 1 <= self.z <= self.b:
             raise ValueError("need m >= 1 and 1 <= z <= b")
-        object.__setattr__(self, "access", tuple(map(tuple, map(sorted, self.access))))  # any rows
+        rows = []
+        for row in map(list, self.access):  # any rows, one at a time
+            if not {int}.issuperset(map(type, row)):
+                raise ValueError("every cache id of an access row must be an int")
+            row.sort()
+            rows.append(tuple(row))
+        object.__setattr__(self, "access", tuple(rows))
         k = self.m * self.b
         if len(self.access) != k:
             raise ValueError(f"need {k} access lists, got {len(self.access)}")
@@ -72,12 +80,9 @@ class Topology:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Topology":
         """Build from the JSON form; a field of the wrong type raises ValueError naming it."""
-        for name in ("m", "b", "z"):
-            if type(doc[name]) is not int:
-                raise ValueError(f"topology field {name!r} must be an integer")
         rows = doc["access"]
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-                and set(map(type, chain.from_iterable(rows))) <= {int}):
+                and set(map(type, chain.from_iterable(rows))) <= {int}):  # before set() hashes
             raise ValueError("topology field 'access' must be a list of lists of integer cache ids")
         return cls(m=doc["m"], b=doc["b"], z=doc["z"], access=map(set, rows))
 
@@ -219,6 +224,8 @@ def extract_matchings(topology: Topology) -> tuple[tuple[int, ...], ...]:
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:
     """Fixed valid topology: in each cell, user j reads the cache at offset (j-1) mod cellsize."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, got {m!r}")
     cells = cell_slots(b, z)
     group = [[cell[(j - 1) % len(cell)] for cell in cells] for j in range(1, b + 1)]
     return Topology.from_group_slots(m, b, z, [group] * m)
@@ -228,6 +235,8 @@ def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
     """Seeded uniform choice of one cache per cell per user; each group is redrawn until
     C3 holds, up to ``RANDOM_TRIES`` times.  The picks are ``rng.choice(cell)``'s: the first
     r = ``getrandbits(k)`` below len(cell), k its bit length, is the top k bits of a word."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, got {m!r}")
     cells = cell_slots(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b
@@ -270,6 +279,6 @@ def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
 
 def count_topologies(m: int, b: int, z: int) -> int:
     """Number of graphs satisfying C1 and C2 (C3 not filtered); exact."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"need an int m >= 1, got {m!r}")
     return math.prod(cell_sizes(b, z)) ** (b * m)  # one cache per cell, per user

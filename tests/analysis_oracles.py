@@ -1,12 +1,16 @@
 """Per-point readings of the comparison table, for the tests: a lower convex hull
 built and evaluated in `Fraction` memory, one bisection per grid entry, and the table
-that :func:`macc.comparison_table` must reproduce from them row for row."""
+that :func:`macc.comparison_table` must reproduce from them row for row.  Also the SR1
+claim's memory sharing searched pair by pair, which :func:`macc.analysis.check_sr1_rate`
+reads off an envelope instead."""
 
 import bisect
+import itertools
 import operator
 from fractions import Fraction
+from math import gcd
 
-from macc import analysis
+from macc import achievable_rate, analysis
 
 
 def fraction_hull(points) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -65,3 +69,21 @@ def oracle_table(k: int, z: int, grid) -> list[tuple]:
                     else "corner" if corner_rate == rate else "interpolated")
             rows.append((mem, scheme, rate, kind, sub))
     return rows
+
+
+def sr1_best_pair(k: int, z: int, tpp: int):
+    """(rate, m1, m2): the lowest rate at M/N = t''/K on a chord between two of our t = 1
+    corners (m/K, achievable_rate(K/m, m, z, 1)), over every pair of group counts
+    m1 < m2 with K/m >= z and m1 <= t'' <= m2; None where the SR1 claim does not apply
+    (gcd(t'', K) != 1, t''z = K - 1, t''z outside 1..K) or no pair reaches t''."""
+    if gcd(tpp, k) != 1 or tpp * z == k - 1 or not 1 <= tpp * z <= k:
+        return None
+    ms = [m for m in analysis.divisors(k) if k // m >= z]
+    best = None
+    for m1, m2 in itertools.combinations(ms, 2):
+        if m1 <= tpp <= m2:
+            r1, r2 = achievable_rate(k // m1, m1, z, 1), achievable_rate(k // m2, m2, z, 1)
+            shared = r1 + Fraction(tpp - m1, m2 - m1) * (r2 - r1)
+            if best is None or shared < best[0]:
+                best = (shared, m1, m2)
+    return best

@@ -24,6 +24,7 @@ from macc import (
     our_envelope,
     place,
     random_topology,
+    rival_corner,
     rival_envelope,
     simulate,
     verify_mcrd,
@@ -108,13 +109,14 @@ def test_criterion_5_comparison_table_values():
 
 
 def test_criterion_6_comparison_examples():
-    sr2 = check_sr2_rate(120, 5, 5, 24, 3)
-    assert sr2.applicable and sr2.satisfied and sr2.confirmed
-    assert sr2.ours == 9 and sr2.rival == F(45, 4)
+    assert check_sr2_rate(120, 5, 5, 24, 3) is True
+    assert achievable_rate(24, 5, 5, 3) == 9 and rival_corner("SR2", 120, 5, 15)[0] == F(45, 4)
 
-    sr1 = check_sr1_rate(100, 5, 7, pair=(4, 10))
-    assert sr1.applicable and sr1.satisfied and sr1.confirmed
-    assert sr1.ours == F(25, 2) and sr1.rival == 32
+    # the published SR1 pair (m1, m2) = (4, 10): a chord of our t = 1 corners at M/N = 7/100
+    assert check_sr1_rate(100, 5, 7) is True
+    r4, r10 = achievable_rate(25, 4, 5, 1), achievable_rate(10, 10, 5, 1)
+    assert r4 + F(7 - 4, 10 - 4) * (r10 - r4) == F(25, 2)
+    assert rival_corner("SR1", 100, 5, 7)[0] == 32
     # the full envelope does even better at that memory
     assert our_envelope(100, 5).rate_at(F(7, 100)) == 11 <= 32
     _ok(6, "SR2 example 9 vs 11.25 exact; SR1 example 12.5 vs 32 exact")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analysis_oracles import fraction_hull, oracle_table, rate_on
+from analysis_oracles import fraction_hull, oracle_table, rate_on, sr1_best_pair
 from macc import (
     ApplicabilityError,
     achievable_rate,
@@ -393,55 +393,68 @@ def test_rk_subpacketization_fraction_when_tp_misses_k():
 
 
 def test_check_rk_rate():
-    chk = check_rk_rate(100, 5, 2, 50, 1)
-    assert chk.applicable and chk.satisfied
-    assert chk.ours == 45 and chk.rival == 81
-    assert chk.confirmed
+    assert check_rk_rate(100, 5, 2, 50, 1) is True
+    assert achievable_rate(50, 2, 5, 1) == 45 < rival_corner("RK", 100, 5, 2)[0] == 81
 
 
 def test_check_subpacketization():
-    chk = check_subpacketization(100, 5, 4, 25)
-    assert chk.applicable and chk.satisfied
-    assert chk.ours == 25**4
-    assert chk.confirmed
+    assert check_subpacketization(100, 5, 4, 25) is True
+    assert our_corners(100, 5)[4] == (20, 25**4)
+    assert 25**4 < rival_corner("RK", 100, 5, 4)[1]
+    assert 25**4 < rival_corner("NT", 100, 5, 4)[1]
 
 
 def test_check_sr1_rate_published_pair():
-    chk = check_sr1_rate(100, 5, 7, pair=(4, 10))
-    assert chk.applicable and chk.satisfied
-    assert chk.ours == F(25, 2)
-    assert chk.rival == 32
-    assert chk.confirmed
-    # a given pair passes the search's filter: 0 and 3 are not group counts of K = 100
-    for pair in ((0, 10), (3, 10)):
-        assert not check_sr1_rate(100, 5, 7, pair=pair).applicable
+    # the paper's pair (m1, m2) = (4, 10): the chord between our t = 1 corners at M/N = 1/25
+    # and 1/10, read at 7/100, lies under SR1's closed-form bound and SR1's own rate
+    assert check_sr1_rate(100, 5, 7) is True
+    r4, r10 = achievable_rate(25, 4, 5, 1), achievable_rate(10, 10, 5, 1)
+    shared = r4 + F(7 - 4, 10 - 4) * (r10 - r4)
+    assert shared == F(25, 2) <= sr1_lower_bound(100, 5, 7)
+    assert rival_corner("SR1", 100, 5, 7)[0] == 32
 
 
 def test_check_sr1_rate_best_pair_search():
-    chk = check_sr1_rate(100, 5, 7)
-    assert chk.applicable and chk.satisfied and chk.confirmed
-    # the search finds the (m1=5, m2=10) chord, below the published pair's 12.5
-    assert chk.ours == 11
+    # the best chord is the (m1=5, m2=10) one, below the published pair's 12.5
+    assert check_sr1_rate(100, 5, 7) is True
+    assert sr1_best_pair(100, 5, 7) == (11, 5, 10)
+    r5, r10 = achievable_rate(20, 5, 5, 1), achievable_rate(10, 10, 5, 1)
+    assert r5 + F(7 - 5, 10 - 5) * (r10 - r5) == 11 <= rival_corner("SR1", 100, 5, 7)[0]
 
 
 def test_check_sr1_not_applicable_on_gcd():
-    chk = check_sr1_rate(100, 5, 16)
-    assert not chk.applicable
+    assert check_sr1_rate(100, 5, 16) is None
+    with pytest.raises(ApplicabilityError, match="gcd"):
+        rival_corner("SR1", 100, 5, 16)
+
+
+def test_check_sr1_rate_matches_pair_search():
+    # the predicate reads the chord between the group counts on either side of t'' off
+    # an envelope; the oracle tries every pair of group counts
+    applicable = 0
+    for k in range(1, 121):
+        for z in range(1, k + 1):
+            for tpp in range(0, k // z + 2):
+                best, verdict = sr1_best_pair(k, z, tpp), check_sr1_rate(k, z, tpp)
+                want = None if best is None else best[0] <= sr1_lower_bound(k, z, tpp)
+                assert verdict is want, (k, z, tpp, best, verdict)
+                applicable += best is not None
+    assert applicable == 10045
 
 
 def test_check_sr2_rate_published_example():
-    chk = check_sr2_rate(120, 5, 5, 24, 3)
-    assert chk.applicable and chk.satisfied
-    assert chk.ours == 9 and chk.rival == F(45, 4)
-    assert chk.confirmed
+    assert check_sr2_rate(120, 5, 5, 24, 3) is True
+    assert achievable_rate(24, 5, 5, 3) == 9
+    assert rival_corner("SR2", 120, 5, 15)[0] == F(45, 4)
 
 
 def test_check_mr_rate():
-    not_app = check_mr_rate(100, 5, 2, 50)
-    assert not not_app.applicable
-    chk = check_mr_rate(100, 5, 4, 25)
-    assert chk.applicable and chk.confirmed
-    assert chk.ours == 20 and chk.rival == 40
+    # at m = 2 the claim does not apply: there the two rates coincide
+    assert check_mr_rate(100, 5, 2, 50) is None
+    mr = rival_envelope("MR", 100, 5)
+    assert achievable_rate(50, 2, 5, 1) == mr.rate_at(F(1, 50)) == 45
+    assert check_mr_rate(100, 5, 4, 25) is True
+    assert achievable_rate(25, 4, 5, 1) == 20 < mr.rate_at(F(1, 25)) == 40
 
 
 def test_sr2_envelope_is_straight_line_for_k100():
@@ -607,20 +620,34 @@ def test_simulated_rate_meets_envelope_corner(example_a):
 
 
 def test_checks_never_contradict_direct_comparison():
-    # whenever a claim is applicable and its threshold holds, the direct
-    # numeric comparison must agree, over a broad parameter sweep
+    # wherever a claim's predicate holds, the direct comparison of the two schemes' own
+    # rates or subpacketizations agrees, over a broad parameter sweep
+    held = dict.fromkeys(("rk", "sub", "sr1", "sr2", "mr"), 0)
     for k in (12, 24, 36, 60, 100):
         for z in (2, 3, 5):
-            for m in [d for d in range(1, k + 1) if k % d == 0]:
+            mr = rival_envelope("MR", k, z)
+            for m in analysis.divisors(k):
                 b = k // m
                 if b < z:
                     continue
+                if check_subpacketization(k, z, m, b):
+                    held["sub"] += 1
+                    rk, nt = rival_corner("RK", k, z, m)[1], rival_corner("NT", k, z, m)[1]
+                    assert b**m < rk and b**m < nt, (k, z, m, b)
+                if check_mr_rate(k, z, m, b):
+                    held["mr"] += 1
+                    assert achievable_rate(b, m, z, 1) < mr.rate_at(F(1, b)), (k, z, m, b)
                 for t in range(1, b // z + 1):
-                    for chk in (check_rk_rate(k, z, m, b, t), check_sr2_rate(k, z, m, b, t),
-                                check_subpacketization(k, z, m, b), check_mr_rate(k, z, m, b)):
-                        if chk.applicable and chk.satisfied:
-                            assert chk.confirmed, (k, z, m, b, t, chk)
+                    ours = achievable_rate(b, m, z, t)
+                    if check_rk_rate(k, z, m, b, t):
+                        held["rk"] += 1
+                        assert ours < rival_corner("RK", k, z, m * t)[0], (k, z, m, b, t)
+                    if check_sr2_rate(k, z, m, b, t):
+                        held["sr2"] += 1
+                        assert ours <= rival_corner("SR2", k, z, m * t)[0], (k, z, m, b, t)
             for tpp in range(1, k // z + 1):
-                chk = check_sr1_rate(k, z, tpp)
-                if chk.applicable and chk.satisfied:
-                    assert chk.confirmed, (k, z, tpp, chk)
+                if check_sr1_rate(k, z, tpp):
+                    held["sr1"] += 1
+                    shared = sr1_best_pair(k, z, tpp)[0]
+                    assert shared <= rival_corner("SR1", k, z, tpp)[0], (k, z, tpp)
+    assert held == {"rk": 156, "sub": 33, "sr1": 50, "sr2": 32, "mr": 57}
