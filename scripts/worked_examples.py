@@ -6,6 +6,7 @@ block of memory per cache (t=1).  Example B: K=14, b=7, z=3, t=2.  Both
 print the placement, a few transmissions, and the decode summary.
 """
 
+from fractions import Fraction
 from itertools import islice
 
 from macc import (
@@ -20,14 +21,15 @@ from macc import (
 
 def run(name, top, params, show=4):
     print(f"=== {name}: K={params.num_users} z={params.z} t={params.t} "
-          f"M/N={params.memory_fraction} F={params.subpacketization}")
+          f"M/N={Fraction(params.t, params.b)} F={params.subpacketization}")
     report_v = validate(top)
     print("topology:", report_v.summary())
     matching = extract_matchings(top)
     print("matching per group:", matching)
     placement = place(top, params)
+    b = params.b
     for i in range(1, params.m + 1):
-        print(f"cache blocks, group {i}:", placement.cache_blocks[i - 1])
+        print(f"cache blocks, group {i}:", placement.cache_blocks[(i - 1) * b:i * b])
     report = simulate(top, params, payload_size=64, seed=0)
     schedule = report.transmissions
     # the first broadcasts of round 1: one subfile per group at each cell's coords

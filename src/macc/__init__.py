@@ -13,7 +13,6 @@ from .topology import (
     Topology,
     TopologyReport,
     canonical_topology,
-    cell_sizes,
     count_topologies,
     extract_matchings,
     random_topology,
@@ -24,7 +23,6 @@ from .engine import (
     SchemeParams,
     SimulationReport,
     achievable_rate,
-    build_demand_graph,
     check_payloads,
     decode,
     deliver,

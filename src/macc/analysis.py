@@ -45,6 +45,11 @@ def _check_users(k_users: int, z: int) -> None:
         raise ValueError(f"need K >= 1 and 1 <= z <= K, got K={k_users!r}, z={z!r} (ints only)")
 
 
+def _ints(*values) -> None:
+    if any(type(v) is not int for v in values):  # bools too: True would pass as a count of 1
+        raise ValueError(f"the claim predicates take ints only, got {values}")
+
+
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
     return sorted(set(out + [n // d for d in out]))
@@ -255,7 +260,7 @@ def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
 def check_rk_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
     """The RK rate claim at M/N = t/b = t'/K, t' = mt: ours is strictly lower below floor(b/z)/b,
     floor(K/z)/K and (K - b)/(Kz).  None unless K = mb, b >= z >= 1, 1 <= t' <= floor(K/z)."""
-    k = k_users
+    _ints(k := k_users, z, m, b, t)
     if not (k == m * b and b >= z >= 1 and t >= 1 and 1 <= m * t <= k // z):
         return None
     return Fraction(t, b) < min(Fraction(b // z, b), Fraction(k // z, k), Fraction(k - b, k * z))
@@ -265,6 +270,7 @@ def check_subpacketization(k_users: int, z: int, m: int, b: int) -> bool | None:
     """The subpacketization claim at M/N = 1/b: b**m lies below RK's (so SICPS's) and NT's
     once (b - 1)**2 >= K(z - 1).  None unless K = mb, b > z >= 1 and 2 <= m <= floor(K/z):
     with a single group both sides equal K."""
+    _ints(k_users, z, m, b)
     applicable = k_users == m * b and b > z >= 1 and 2 <= m <= k_users // z
     return (b - 1) ** 2 >= k_users * (z - 1) if applicable else None
 
@@ -274,7 +280,7 @@ def check_sr1_rate(k_users: int, z: int, tpp: int) -> bool | None:
     (m/K, K/m - z), K/m >= z, reaches at most SR1's closed-form lower bound; K/m - z is convex,
     so the best pair straddles t'': read it off their envelope.  None where gcd(t'', K) != 1,
     t''z = K - 1, t''z is outside 1..K, or no two group counts straddle t''."""
-    k = k_users
+    _ints(k := k_users, z, tpp)
     ms = [m for m in divisors(k) if k // m >= z] if 1 <= tpp * z <= k else []
     if gcd(tpp, k) != 1 or tpp * z == k - 1 or len(ms) < 2 or tpp > ms[-1]:
         return None
@@ -286,6 +292,7 @@ def check_sr2_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
     """The SR2 rate claim at matching corners M/N = t/b = t''/K, t'' = mt: ours is at most
     SR2's rate once M/N <= (m - 2)/(m(z - 1)).  None unless K = mb >= 1, z >= 2, 1 <= t <=
     floor(b/z), and both t and b - tz + t divide b."""
+    _ints(k_users, z, m, b, t)
     applicable = (k_users == m * b >= 1 and z >= 2 and 1 <= t <= b // z and b % t == 0
                   and b % (b - t * z + t) == 0)
     return Fraction(t, b) <= Fraction(m - 2, m * (z - 1)) if applicable else None
@@ -295,6 +302,7 @@ def check_mr_rate(k_users: int, z: int, m: int, b: int) -> bool | None:
     """The MR rate claim at M/N = 1/b: with three or more groups ours lies strictly below
     MR's memory-shared curve, with no threshold.  None unless K = mb, b > z >= 1 and m >= 3:
     at m = 2 the rates can coincide (K = 100, z = 5: both 45), and at b = z both are 0."""
+    _ints(k_users, z, m, b)
     return True if k_users == m * b and b > z >= 1 and m >= 3 else None
 
 

@@ -11,8 +11,8 @@ an exact rational; no floats on correctness paths.
 
 Subfiles are numbered as the points of ``construct_mcrd(m, b, 1)``: subfile
 s is mixed-radix coordinate number s - 1 of its blocks.  :func:`class_blocks`
-states that labelling: :func:`deliver` reads it there, and :func:`decode` lays
-out its per-user subfile table by it; the engine takes no design object.
+states that labelling: :func:`deliver` reads it there, and :func:`decode` tiles
+its per-user subfile table with the same strides; the engine takes no design object.
 File indices run 1..N, subfile indices 1..b**m, users and caches are
 addressed as in :mod:`macc.topology`.
 """
@@ -102,10 +102,6 @@ class SchemeParams:
         return int(achievable_rate(self.b, self.m, self.z, self.t))
 
     @property
-    def memory_fraction(self) -> Fraction:
-        return Fraction(self.t, self.b)
-
-    @property
     def num_users(self) -> int:
         return self.m * self.b
 
@@ -129,18 +125,18 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Placement:
-    """Block slots stored per cache and the blocks each user misses.
+    """Block slots stored per cache and the blocks each user misses, by global id.
 
-    ``cache_blocks[i-1][j-1]`` lists the class-i block slots cache c(i,j)
-    stores; ``missing[i-1][j-1]`` lists, ascending, the r class-i block slots
-    that none of user k(i,j)'s caches stores.  Caches in different cells of a
-    group never share blocks.
+    ``cache_blocks[c-1]`` lists the class-i block slots that cache c = (i-1)*b + j
+    stores; ``missing[u-1]`` lists, ascending, the r class-i block slots that none
+    of user u's caches stores, u in group i.  Caches in different cells of a group
+    never share blocks.
     """
 
     topology: Topology
     params: SchemeParams
-    cache_blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    missing: tuple[tuple[tuple[int, ...], ...], ...]
+    cache_blocks: tuple[tuple[int, ...], ...]
+    missing: tuple[tuple[int, ...], ...]
 
 
 def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> Placement:
@@ -158,31 +154,21 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
         raise ValueError(f"topology invalid: {report.summary()}")
 
     rng = None if seed is None else random.Random(seed)
-    cells = list(map(list, cell_slots(params.b, params.z)))  # every row shares each slot's int
-    cache_rows, gaps = [], [()]  # gaps[c]: the blocks of cache c's cell that it does not store
-    for _ in range(params.m):
-        row = []
-        for cell in cells:  # cells, then slots, ascending, as the seeded draws and the cache ids go
-            quota = min(params.t, len(cell))
-            for j in cell:
-                pool = [s for s in cell if s != j]
-                extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
-                stored = {j, *extra}
-                row.append(tuple(sorted(stored)))
-                gaps.append(tuple(s for s in cell if s not in stored))
-        cache_rows.append(tuple(row))
+    cells = list(map(list, cell_slots(params.b, params.z)))  # every group shares each slot's int
+    cache_blocks, gaps = [], [()]  # gaps[c]: the blocks of cache c's cell that it does not store
+    for cell in cells * params.m:  # groups, cells, slots ascending, as seeded draws and ids go
+        quota = min(params.t, len(cell))
+        for j in cell:
+            pool = [s for s in cell if s != j]
+            extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
+            stored = {j, *extra}
+            cache_blocks.append(tuple(sorted(stored)))
+            gaps.append(tuple(s for s in cell if s not in stored))
     # the cells are contiguous, so a user's ascending caches chain their gaps in ascending order
-    missing = (tuple(itertools.chain.from_iterable(map(gaps.__getitem__, row)))
-               for row in topology.access)
-    return Placement(topology=topology, params=params, cache_blocks=tuple(cache_rows),
-                     missing=tuple(tuple(itertools.islice(missing, params.b)) for _ in cache_rows))
-
-
-def build_demand_graph(placement: Placement, matchings):
-    """The demand graph's edges: ``missing[i-1][j-1]`` lists, ascending, the class-i block
-    slots that user ``matchings[i-1][j-1]`` of group i (see :func:`deliver`) does not cover."""
-    return tuple(tuple(row[u - 1] for u in to_user)
-                 for row, to_user in zip(placement.missing, matchings))
+    missing = tuple(tuple(itertools.chain.from_iterable(map(gaps.__getitem__, row)))
+                    for row in topology.access)
+    return Placement(topology=topology, params=params, cache_blocks=tuple(cache_blocks),
+                     missing=missing)
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
@@ -230,7 +216,6 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
     if r == 0:
         return Schedule(*([[] for _ in range(m)] for _ in range(3)), [])
 
-    missing = build_demand_graph(placement, matchings)
     # cell k has coordinate number k, so it is subfile k + 1; the addressed users and
     # their files are the same in every round, each a lookup of a small shared int
     cells = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
@@ -248,8 +233,8 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
         for i in range(1, m + 1):
             # moving coordinate i from c to the n-th missing block shifts the coordinate number
             stride = b ** (m - i)
-            shift = [0] + [(gap[n - 1] - c) * stride
-                           for c, gap in enumerate(missing[i - 1], start=1)]
+            shift = [0] + [(placement.missing[u - 1][n - 1] - c) * stride
+                           for c, u in enumerate(user_of[i - 1][1:], start=1)]
             summands.append([subfile[k + shift[c]] for k, c in enumerate(cells[i - 1])])
         rounds.append(summands)
     return Schedule(cells, users, files, rounds)
@@ -284,7 +269,7 @@ def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
     # 0, and 2 once v decodes s; the rows tile v's b+1 coverage row with the stride of
     # class_blocks.  The last row is a reader that covers everything, so it never decodes
     table = []
-    for v, blocks in enumerate(itertools.chain.from_iterable(placement.missing)):
+    for v, blocks in enumerate(placement.missing):
         g = v // b
         stride = b ** (m - 1 - g)
         period = bytearray(b"\1") * (b * stride)

@@ -45,11 +45,6 @@ def cell_slots(b: int, z: int) -> list[range]:
     return [range(start, end) for start, end in zip(starts, starts[1:])]
 
 
-def cell_sizes(b: int, z: int) -> list[int]:
-    """Sizes of the z cells of :func:`cell_slots`."""
-    return [len(cell) for cell in cell_slots(b, z)]
-
-
 @dataclass(frozen=True)
 class Topology:
     """Access lists for all m*b users; entry u is a sorted tuple of global cache ids."""
@@ -65,11 +60,14 @@ class Topology:
         if self.m < 1 or not 1 <= self.z <= self.b:
             raise ValueError("need m >= 1 and 1 <= z <= b")
         rows = []
-        for row in map(list, self.access):  # any rows, one at a time
-            if not {int}.issuperset(map(type, row)):
-                raise ValueError("every cache id of an access row must be an int")
-            row.sort()
-            rows.append(tuple(row))
+        try:
+            for row in map(list, self.access):  # any rows, one at a time
+                if not {int}.issuperset(map(type, row)):
+                    raise ValueError("every cache id of an access row must be an int")
+                row.sort()
+                rows.append(tuple(row))
+        except TypeError:  # access, or one of its rows, is not iterable
+            raise ValueError("access must be rows of int cache ids") from None
         object.__setattr__(self, "access", tuple(rows))
         k = self.m * self.b
         if len(self.access) != k:
@@ -281,4 +279,4 @@ def count_topologies(m: int, b: int, z: int) -> int:
     """Number of graphs satisfying C1 and C2 (C3 not filtered); exact."""
     if type(m) is not int or m < 1:
         raise ValueError(f"need an int m >= 1, got {m!r}")
-    return math.prod(cell_sizes(b, z)) ** (b * m)  # one cache per cell, per user
+    return math.prod(map(len, cell_slots(b, z))) ** (b * m)  # one cache per cell, per user

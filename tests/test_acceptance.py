@@ -16,8 +16,6 @@ from pathlib import Path
 from macc import (
     SchemeParams,
     achievable_rate,
-    build_demand_graph,
-    cell_sizes,
     construct_mcrd,
     count_topologies,
     extract_matchings,
@@ -59,7 +57,7 @@ def test_criterion_2_second_example_regression(example_b):
     start = time.perf_counter()
     placement = place(top, params)
     expected = ((1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (5, 6), (5, 7))
-    assert placement.cache_blocks == (expected, expected)
+    assert placement.cache_blocks == expected * 2
     report = simulate(top, params)
     elapsed = time.perf_counter() - start
     assert report.transmission_count == 49
@@ -162,11 +160,12 @@ def _check_config(m, b, z, t, seed, payload_size=16):
             for j2 in range(j1 + 1, b + 1):
                 if cell_of[j1] != cell_of[j2]:
                     assert not (
-                        set(placement.cache_blocks[i - 1][j1 - 1])
-                        & set(placement.cache_blocks[i - 1][j2 - 1])
+                        set(placement.cache_blocks[(i - 1) * b + j1 - 1])
+                        & set(placement.cache_blocks[(i - 1) * b + j2 - 1])
                     )
 
-    missing = build_demand_graph(placement, extract_matchings(top))
+    missing = [[placement.missing[i * b + u - 1] for u in row]
+               for i, row in enumerate(extract_matchings(top))]
     assert all(
         len(missing[i - 1][j - 1]) == params.missing_count
         for i in range(1, m + 1)
@@ -202,7 +201,7 @@ def test_criterion_8_brute_force_oracles():
         assert report.passed and report.measured_mu == mu, (m, b, mu)
 
     def enumerate_count(m, b, z):
-        sizes = cell_sizes(b, z)
+        sizes = [len(cell) for cell in cell_slots(b, z)]
         starts = [sum(sizes[:l]) for l in range(z)]
         per_user = [
             tuple(starts[l] + off + 1 for l, off in enumerate(choice))

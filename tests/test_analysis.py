@@ -98,6 +98,8 @@ def test_envelope_table_values():
 
 
 def test_envelope_drops_dominated_and_collinear():
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        envelope([])
     pts = [
         (F(0), F(10)),
         (F(1, 4), F(4)),
@@ -394,6 +396,8 @@ def test_rk_subpacketization_fraction_when_tp_misses_k():
 
 def test_check_rk_rate():
     assert check_rk_rate(100, 5, 2, 50, 1) is True
+    # t' = mt = 21 lies past floor(K/z) = 20, so the claim does not apply
+    assert check_rk_rate(100, 5, 1, 100, 21) is None
     assert achievable_rate(50, 2, 5, 1) == 45 < rival_corner("RK", 100, 5, 2)[0] == 81
 
 

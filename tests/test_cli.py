@@ -172,6 +172,7 @@ def test_simulate_rejects_non_topology_file(capsys, tmp_path):
     ({"m": 2, "b": 4, "z": 2, "access": [1, 2]}, "'access'"),
     ({"m": 2, "b": 4, "z": 2, "access": [[1, "3"]] * 8}, "'access'"),
     ({"m": None, "b": 4, "z": 2, "access": [[1, 3]] * 8}, "'m'"),
+    ({"m": 2, "b": 4, "z": 1, "access": [[1, 3]] * 8}, "does not match --m/--b/--z"),
 ])
 def test_simulate_rejects_malformed_topology_fields(capsys, tmp_path, doc, field):
     bad = tmp_path / "bad.json"
@@ -182,6 +183,35 @@ def test_simulate_rejects_malformed_topology_fields(capsys, tmp_path, doc, field
     )
     assert code == 2
     assert field in err
+
+
+ACCESS_REFUSAL = "topology field 'access' must be a list of lists of integer cache ids"
+
+
+# each a valid (2, 2, 1) topology document with one field changed (None drops it)
+@pytest.mark.parametrize("field, value, message", [
+    ("access", [[1.0], [2], [3], [4]], ACCESS_REFUSAL),
+    ("access", [[True], [2], [3], [4]], ACCESS_REFUSAL),
+    ("access", [["1"], [2], [3], [4]], ACCESS_REFUSAL),
+    ("access", [[[1]], [2], [3], [4]], ACCESS_REFUSAL),
+    ("access", [1, [2], [3], [4]], ACCESS_REFUSAL),
+    ("access", "[[1], [2], [3], [4]]", ACCESS_REFUSAL),
+    ("access", None, "{path} is not a topology JSON (need m, b, z, access)"),
+    ("m", "2", "topology field 'm' must be an integer"),
+], ids=["float-id", "bool-id", "string-id", "nested-list", "number-row", "string-access",
+        "no-access", "string-m"])
+def test_malformed_topology_files_are_refused_by_both_commands(capsys, tmp_path, field, value,
+                                                              message):
+    doc = {"m": 2, "b": 2, "z": 1, "access": [[1], [2], [3], [4]], field: value}
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps({key: v for key, v in doc.items() if v is not None}))
+    shape = ["--m", "2", "--b", "2", "--z", "1"]
+    for argv in (["topology", *shape, "--source", str(path)],
+                 ["simulate", *shape, "--t", "1", "--topology", str(path)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n"), argv
 
 
 @pytest.mark.parametrize("demands", [[None] + [1] * 7, {"1": 1}, [1.5] * 8, "1"])

@@ -151,6 +151,13 @@ def test_argument_and_budget_errors():
         kind = type(point).__name__
         with pytest.raises(ValueError, match=f"^points must be of type int, got {kind}$"):
             Design(1, 2, 1, (((1,), (point,)),))
+    # the blocks are checked against the declared shape and the point range 1..mu*b**m
+    for blocks in [(((1, 2), (3, 4)),), (((1, 2),), ((1, 3),))]:  # one class; one block each
+        with pytest.raises(ValueError, match="^blocks must be an m x b family$"):
+            Design(2, 2, 1, blocks)
+    for point in (0, 3):
+        with pytest.raises(ValueError, match="^point out of range 1..2$"):
+            Design(1, 2, 1, (((1,), (point,)),))
 
 
 @pytest.mark.parametrize("m, b, mu", [(1, 1, 20000), (2, 142, 1), (14, 2, 1)])

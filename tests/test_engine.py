@@ -19,7 +19,6 @@ from macc import (
     SchemeParams,
     Topology,
     achievable_rate,
-    build_demand_graph,
     canonical_topology,
     check_payloads,
     construct_mcrd,
@@ -73,7 +72,7 @@ def covered_blocks(placement, i, j):
     """The class-i block slots that the caches user k(i,j) reads store."""
     b = placement.params.b
     return {block for c in placement.topology.access[(i - 1) * b + j - 1]
-            for block in placement.cache_blocks[i - 1][(c - 1) % b]}
+            for block in placement.cache_blocks[c - 1]}
 
 
 def cached_subfiles(placement, i, j):
@@ -123,21 +122,21 @@ def test_achievable_rate_equals_quota_form():
 def test_place_single_block_per_cache(example_a):
     top, params = example_a
     placement = place(top, params)
-    assert placement.cache_blocks == (((1,), (2,), (3,), (4,)),) * 2
+    assert placement.cache_blocks == ((1,), (2,), (3,), (4,)) * 2
     # user k(1,1) reads caches 1 and 3, so covers blocks 1 and 3 and misses 2 and 4
-    assert placement.missing[0][0] == (2, 4)
+    assert placement.missing[0] == (2, 4)
 
 
 def test_place_matches_published_block_sets(example_b):
     top, params = example_b
     placement = place(top, params)
     expected = ((1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (5, 6), (5, 7))
-    assert placement.cache_blocks == (expected, expected)
+    assert placement.cache_blocks == expected * 2
     # every user but the last covers all blocks except block 7; the last misses block 6
     for i in (1, 2):
         for j in range(1, 7):
-            assert placement.missing[i - 1][j - 1] == (7,)
-        assert placement.missing[i - 1][6] == (6,)
+            assert placement.missing[(i - 1) * 7 + j - 1] == (7,)
+        assert placement.missing[(i - 1) * 7 + 6] == (6,)
 
 
 def test_place_full_cell_when_quota_saturates():
@@ -146,9 +145,9 @@ def test_place_full_cell_when_quota_saturates():
     placement = place(top, params)
     for i in (1, 2):
         for j in (1, 2):
-            assert placement.cache_blocks[i - 1][j - 1] == (1, 2)
+            assert placement.cache_blocks[(i - 1) * 4 + j - 1] == (1, 2)
         for j in (3, 4):
-            assert placement.cache_blocks[i - 1][j - 1] == (3, 4)
+            assert placement.cache_blocks[(i - 1) * 4 + j - 1] == (3, 4)
 
 
 def test_place_seeded_choice_is_deterministic_and_valid():
@@ -158,7 +157,7 @@ def test_place_seeded_choice_is_deterministic_and_valid():
     p2 = place(top, params, seed=5)
     assert p1.cache_blocks == p2.cache_blocks
     for j in range(1, 10):
-        blocks = p1.cache_blocks[0][j - 1]
+        blocks = p1.cache_blocks[j - 1]
         assert j in blocks and len(blocks) == 3
 
 
@@ -175,7 +174,7 @@ def test_place_missing_is_the_complement_of_read_caches():
             for top, seed in cases:
                 placement = place(top, params, seed=seed)
                 for i, j in itertools.product(range(1, m + 1), range(1, b + 1)):
-                    missing = placement.missing[i - 1][j - 1]
+                    missing = placement.missing[(i - 1) * b + j - 1]
                     assert list(missing) == sorted(set(missing))
                     assert len(missing) == params.missing_count
                     assert set(missing) == set(range(1, b + 1)) - covered_blocks(placement, i, j)
@@ -191,8 +190,8 @@ def test_place_cell_disjointness():
         for j1 in range(1, 8):
             for j2 in range(j1 + 1, 8):
                 if cell_of[j1] != cell_of[j2]:
-                    a = set(placement.cache_blocks[i - 1][j1 - 1])
-                    b = set(placement.cache_blocks[i - 1][j2 - 1])
+                    a = set(placement.cache_blocks[(i - 1) * 7 + j1 - 1])
+                    b = set(placement.cache_blocks[(i - 1) * 7 + j2 - 1])
                     assert not (a & b)
 
 
@@ -209,7 +208,9 @@ def test_place_rejects_bad_inputs(example_a):
 
 def test_demand_graph_example_a(example_a, example_a_matching):
     top, params = example_a
-    missing = build_demand_graph(place(top, params), example_a_matching)
+    by_user = place(top, params).missing
+    # the demand graph: missing[i-1][c-1] lists the blocks that cache slot c's matched user misses
+    missing = [[by_user[i * 4 + u - 1] for u in row] for i, row in enumerate(example_a_matching)]
     # cache (1,1) is matched to user k(1,1), which covers blocks 1 and 3
     assert missing[0][0] == (2, 4)
     for i in (1, 2):
@@ -219,7 +220,8 @@ def test_demand_graph_example_a(example_a, example_a_matching):
 
 def test_demand_graph_example_b(example_b, example_b_identity_matching):
     top, params = example_b
-    missing = build_demand_graph(place(top, params), example_b_identity_matching)
+    by_user = place(top, params).missing
+    missing = [[by_user[i * 7 + u - 1] for u in row] for i, row in enumerate(example_b_identity_matching)]
     for i in (1, 2):
         for j in range(1, 7):
             assert missing[i - 1][j - 1] == (7,)
@@ -229,7 +231,8 @@ def test_demand_graph_example_b(example_b, example_b_identity_matching):
 def test_demand_graph_empty_when_rate_zero():
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
-    missing = build_demand_graph(place(top, params), extract_matchings(top))
+    by_user = place(top, params).missing
+    missing = [[by_user[i * 4 + u - 1] for u in row] for i, row in enumerate(extract_matchings(top))]
     assert all(len(missing[i - 1][j - 1]) == 0 for i in (1, 2) for j in range(1, 5))
 
 
@@ -850,7 +853,7 @@ def test_placement_respects_memory_budget():
         top = canonical_topology(1, b, z)
         params = SchemeParams(m=1, b=b, z=z, t=t, n_files=b)
         placement = place(top, params, seed=1)
-        assert all(len(blocks) <= t for blocks in placement.cache_blocks[0])
+        assert all(len(blocks) <= t for blocks in placement.cache_blocks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,13 @@ from macc import (
     rival_corners,
     subfile_bytes,
 )
+from macc.analysis import (
+    check_mr_rate,
+    check_rk_rate,
+    check_sr1_rate,
+    check_sr2_rate,
+    check_subpacketization,
+)
 
 INTS = (-1, 0, 1, 2, 3, 4)
 NOT_INTS = (1.5, 3.0, True, False, "3", None)
@@ -35,6 +42,11 @@ ENTRY_POINTS = {
     "Topology": lambda m, b, z, c: Topology(m, b, z, [[c], [2], [3], [4]]),
     "SchemeParams": lambda m, b, z, t, n: SchemeParams(m, b, z, t, n),
     "subfile_bytes": lambda seed, f, s, size: subfile_bytes(seed, f, s, size),
+    "check_rk_rate": lambda k, z, m, b, t: check_rk_rate(k, z, m, b, t),
+    "check_subpacketization": lambda k, z, m, b: check_subpacketization(k, z, m, b),
+    "check_sr1_rate": lambda k, z, tpp: check_sr1_rate(k, z, tpp),
+    "check_sr2_rate": lambda k, z, m, b, t: check_sr2_rate(k, z, m, b, t),
+    "check_mr_rate": lambda k, z, m, b: check_mr_rate(k, z, m, b),
 }
 # the calls that ended in a TypeError or an AttributeError, or were accepted, before each
 # entry point refused what is not an int
@@ -45,7 +57,10 @@ NAMED = [lambda: our_corners(12.0, 2), lambda: comparison_table(10.0, 2, [0]),
          lambda: Topology(1, 2, 1, [[1.0], [2]]),
          lambda: Topology(2.0, 2, 1, [[1], [2], [3], [4]]),
          lambda: SchemeParams(2, 3, 1, 1, 6.5), lambda: SchemeParams(1, 1, 1, 1, True),
-         lambda: subfile_bytes(0, 1, 1, True), lambda: rival_corners("MR", 10, 2, [1.0])]
+         lambda: subfile_bytes(0, 1, 1, True), lambda: rival_corners("MR", 10, 2, [1.0]),
+         lambda: Topology(1, 1, 1, [5]), lambda: Topology(1, 1, 1, [None]),
+         lambda: Topology(1, 1, 1, 5), lambda: check_sr1_rate(100, 5, 7.0),
+         lambda: check_rk_rate(100.0, 5, 2, 50, 1), lambda: check_rk_rate(100, 5, 2.0, 50, 1)]
 
 
 def fuzz_calls(count: int = 300, seed: int = 18):

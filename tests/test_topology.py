@@ -17,7 +17,6 @@ from macc import (
     Topology,
     TopologyReport,
     canonical_topology,
-    cell_sizes,
     count_topologies,
     extract_matchings,
     place,
@@ -51,7 +50,7 @@ def _cache_cell(j, b, z):
 def test_cache_cell_partitions_slots():
     for b in range(1, 12):
         for z in range(1, b + 1):
-            sizes = cell_sizes(b, z)
+            sizes = [len(cell) for cell in cell_slots(b, z)]
             assert sum(sizes) == b
             counts = [0] * z
             for j in range(1, b + 1):
@@ -217,7 +216,7 @@ def test_canonical_topology_z1_identity_like():
 
 def test_canonical_topology_uneven_cells():
     top = canonical_topology(2, 7, 3)
-    assert cell_sizes(7, 3) == [2, 2, 3]
+    assert [len(cell) for cell in cell_slots(7, 3)] == [2, 2, 3]
     assert validate(top).passed
 
 
@@ -308,7 +307,7 @@ def test_count_topologies_values():
 
 
 def _enumerate_topologies(m, b, z):
-    sizes = cell_sizes(b, z)
+    sizes = [len(cell) for cell in cell_slots(b, z)]
     starts = [sum(sizes[:l]) for l in range(z)]
     per_user = [
         tuple(starts[l] + off + 1 for l, off in enumerate(choice))
@@ -325,6 +324,9 @@ def test_count_topologies_matches_enumeration(m, b, z):
 def test_json_round_trip(example_a):
     top, _ = example_a
     assert Topology.from_json_dict(json.loads(json.dumps(top, default=json_default))) == top
+    # the hook encodes Fractions and dataclasses only
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        json.dumps({"topology": top, "extra": object()}, default=json_default)
 
 
 def test_global_cache_id_encoding(example_b):
@@ -407,14 +409,15 @@ def _reference_matchings(top):
 
 def _reference_missing(placement):
     """``Placement.missing`` as each user's slots in :func:`_group_slots` chained the gaps
-    their caches leave in their cells."""
+    their caches leave in their cells, users in global id order."""
     top = placement.topology
     missing = []
-    for i, stored in enumerate(placement.cache_blocks, start=1):
+    for i in range(1, top.m + 1):
+        stored = placement.cache_blocks[(i - 1) * top.b:i * top.b]
         gaps = [[s for s in cell if s not in stored[j - 1]]
                 for cell in cell_slots(top.b, top.z) for j in cell]
-        missing.append(tuple(tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots))
-                             for slots in _group_slots(top, i)))
+        missing += (tuple(itertools.chain.from_iterable(gaps[s - 1] for s in slots))
+                    for slots in _group_slots(top, i))
     return tuple(missing)
 
 
