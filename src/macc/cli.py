@@ -166,21 +166,22 @@ def write_log(path: str, schedule: engine.Schedule) -> None:
 
     Each cell's fixed text is cut once into pieces around what changes by round: its
     coords head before n, the lead before group 1's subfile, the join between groups i
-    and i+1's subfiles and the close after group m's; equal pieces are one string.  The
-    pieces sit in one list, a line's worth per cell, and each round writes its n and its
-    subfiles into their slots, subfile strings taken from one table indexed by subfile
-    id.  Chunks of about 8 KB of lines are joined from the list; with payloads, each
-    chunk fills in its own hexes, so one chunk's hexes are held at a time.
+    and i+1's subfiles and the close after group m's.  A piece is formatted once per
+    distinct (user, file) key in it, and the cells of one key share that string.  The
+    pieces sit in one list, a line's worth per cell; each round writes its n and its
+    subfiles into their slots, from one string table indexed by subfile id.  Chunks of
+    about 8 KB of lines are joined from the list; with payloads, each chunk fills in its
+    own hexes, so one chunk's hexes are held at a time.
     """
     def chunks():
         if not len(schedule):
             return
         m = len(schedule.cells)
         paid = schedule.payloads is not None
-        shared = {}
 
         def pieces(form, *columns):
-            return [shared.setdefault(text, text) for text in map(form.__mod__, zip(*columns))]
+            text = {key: form % key for key in set(zip(*columns))}
+            return list(map(text.__getitem__, zip(*columns)))
 
         lead = ('", "summands": [' if paid else ', "summands": [') + '{"file": %d, "subfile": '
         fixed = [pieces(lead, schedule.files[0])]

@@ -158,12 +158,15 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
     cache_blocks, gaps = [], [()]  # gaps[c]: the blocks of cache c's cell that it does not store
     for cell in cells * params.m:  # groups, cells, slots ascending, as seeded draws and ids go
         quota = min(params.t, len(cell))
-        for j in cell:
-            pool = [s for s in cell if s != j]
-            extra = pool[: quota - 1] if rng is None else rng.sample(pool, quota - 1)
-            stored = {j, *extra}
-            cache_blocks.append(tuple(sorted(stored)))
-            gaps.append(tuple(s for s in cell if s not in stored))
+        for p, j in enumerate(cell):
+            if rng is None:  # keep j and the lowest quota - 1 others: cell[h] is j or cell[quota-1]
+                h = max(p, quota - 1)
+                cache_blocks.append((*cell[:quota - 1], cell[h]))
+                gaps.append((*cell[quota - 1:h], *cell[h + 1:]))
+            else:
+                stored = {j, *rng.sample([s for s in cell if s != j], quota - 1)}
+                cache_blocks.append(tuple(sorted(stored)))
+                gaps.append(tuple(s for s in cell if s not in stored))
     # the cells are contiguous, so a user's ascending caches chain their gaps in ascending order
     missing = tuple(tuple(itertools.chain.from_iterable(map(gaps.__getitem__, row)))
                     for row in topology.access)
@@ -203,7 +206,7 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
     are allowed; the schedule never inspects them.
     """
     params, access = placement.params, placement.topology.access
-    m, b = params.m, params.b
+    m, b, f = params.m, params.b, params.subpacketization
     # every row is a permutation of 1..b before any of its slots indexes access
     if len(matchings) != m or any({*map(type, row)} != {int} or sorted(row) != [*range(1, b + 1)]
                                   for row in matchings) or any(
@@ -226,17 +229,23 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
     files = [list(map(file_of.__getitem__, column)) for column in users]
     # subfile[k] is k + 1: the r*b^m entries of the rounds then share one int object
     # per subfile instead of each holding its own
-    subfile = list(range(1, len(cells[0]) + 1))
-    rounds = []
-    for n in range(1, r + 1):
-        summands = []
-        for i in range(1, m + 1):
-            # moving coordinate i from c to the n-th missing block shifts the coordinate number
-            stride = b ** (m - i)
-            shift = [0] + [(placement.missing[u - 1][n - 1] - c) * stride
-                           for c, u in enumerate(user_of[i - 1][1:], start=1)]
-            summands.append([subfile[k + shift[c]] for k, c in enumerate(cells[i - 1])])
-        rounds.append(summands)
+    subfile = list(range(1, f + 1))
+    rounds = [[] for _ in range(r)]
+    for i in range(1, m + 1):
+        # moving coordinate i from block c to block miss moves c's b^(i-1) runs of b^(m-i) cells
+        # by (miss - c)*stride: a slice per run or, if fewer, an extended slice per run cell;
+        # the copies start every skip cells over reach cells, each width cells at step
+        stride, span = b ** (m - i), b ** (m - i + 1)
+        reach, skip, width, step = (f, span, stride, 1) if i - 1 <= m - i else (stride, 1, f, span)
+        for n, summands in enumerate(rounds):
+            summands.append(column := [0] * f)  # exact length: equal-length copies never regrow it
+            if m == 1:  # each block is one cell, so the column is one gather
+                column[:] = [subfile[placement.missing[u - 1][n] - 1] for u in user_of[0][1:]]
+                continue
+            for c, u in enumerate(user_of[i - 1][1:]):
+                move = (placement.missing[u - 1][n] - 1 - c) * stride
+                for x in range(c * stride, c * stride + reach, skip):
+                    column[x:x + width:step] = subfile[x + move:x + move + width:step]
     return Schedule(cells, users, files, rounds)
 
 
@@ -300,18 +309,20 @@ def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
             # the unused slot 0), is refused here; an id above F fails its lookup below
             if len(summands) != m or any(len(c) != cells or min(c, default=1) < 1 for c in summands):
                 raise IndexError
-            for i, rows in readings:
-                # the reader must cover every summand's subfile but summand i's
-                hits = ones
-                for j, column in enumerate(summands):
-                    got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
-                    hits &= got ^ ones if j == i else got
-                if not hits:
-                    continue
-                hit = hits.to_bytes(cells, "big")
-                for row, s in itertools.compress(zip(rows, summands[i]), hit):
-                    row[s] = 2
-                counts = list(map(add, counts, hit))
+            for first in range(0, len(readings), 255):  # byte lanes, emptied before one reaches 256
+                lanes = 0
+                for i, rows in readings[first:first + 255]:
+                    # the reader must cover every summand's subfile but summand i's
+                    hits = ones
+                    for j, column in enumerate(summands):
+                        got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
+                        hits &= got ^ ones if j == i else got
+                    if hits:
+                        lanes += hits
+                        for row, s in itertools.compress(zip(rows, summands[i]),
+                                                         hits.to_bytes(cells, "big")):
+                            row[s] = 2
+                counts = list(map(add, counts, lanes.to_bytes(cells, "big")))
         except IndexError:
             raise ValueError(f"round {n} needs {m} columns of {cells} ids in 1..{f}") from None
         beneficiary_counts += counts

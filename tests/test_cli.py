@@ -881,6 +881,18 @@ def test_write_log_lines_match_sorted_key_json(monkeypatch, m, b, z, t, payload)
     assert "".join(writes) == "".join(want)
 
 
+@pytest.mark.parametrize("payload", [None, 16])
+def test_write_log_lines_match_with_repeated_demands_on_a_random_topology(monkeypatch, payload):
+    # 4 files among 18 users: each piece's (user, file) key recurs over many cells
+    demands = [u % 4 + 1 for u in range(18)]
+    report = simulate(random_topology(3, 6, 2, seed=3), SchemeParams(m=3, b=6, z=2, t=1, n_files=4),
+                      demands=demands, payload_size=payload, seed=2)
+    schedule = report.transmissions
+    assert report.transmission_count == 4 * 6**3
+    assert len(set(zip(schedule.users[0], schedule.files[1]))) < len(schedule.cells[0])
+    assert "".join(_written_log(monkeypatch, schedule)) == "".join(_log_lines(schedule))
+
+
 def test_write_log_reaches_subfile_ids_above_the_cell_count(monkeypatch):
     # one cell of a (2, 6) schedule, whose subfile ids run to 36
     report = simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),

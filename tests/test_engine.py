@@ -178,6 +178,10 @@ def test_place_missing_is_the_complement_of_read_caches():
                     assert list(missing) == sorted(set(missing))
                     assert len(missing) == params.missing_count
                     assert set(missing) == set(range(1, b + 1)) - covered_blocks(placement, i, j)
+                for i, cell in itertools.product(range(m), cell_slots(b, z) if seed is None else ()):
+                    for j in cell:  # deterministic: the lowest blocks of the cell besides j, and j
+                        want = {j, *[s for s in cell if s != j][:min(t, len(cell)) - 1]}
+                        assert placement.cache_blocks[i * b + j - 1] == tuple(sorted(want))
 
 
 def test_place_cell_disjointness():
@@ -293,6 +297,43 @@ def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
         demands = list(demands)
         assert rows(deliver(placement, matchings, demands)) == \
             _brute_schedule(placement, matchings, demands)
+
+
+def _per_cell_rounds(placement, matchings):
+    """Each round's summand columns one cell at a time: at cell k, whose class-i block is
+    c, group i sends subfile k + 1 + (miss - c)*b^(m-i), miss the n-th block that the user
+    matched to c misses."""
+    m, b = placement.params.m, placement.params.b
+    return [[[k + 1 + (placement.missing[(i - 1) * b + matchings[i - 1][c - 1] - 1][n] - c)
+              * b ** (m - i) for k, c in enumerate(class_blocks(m, b, i)[1:])]
+             for i in range(1, m + 1)]
+            for n in range(placement.params.missing_count)]
+
+
+def _deliver_cases():
+    """Every z and t <= b at m = 1..4 (b <= 7, 5, 4, 3), and shapes with F > 256 ids;
+    canonical and seeded random topologies, deterministic and seeded placement, and
+    demands shared by 3 users each."""
+    shapes = [(m, b, z, t) for m, top_b in ((1, 7), (2, 5), (3, 4), (4, 3))
+              for b in range(1, top_b + 1) for z in range(1, b + 1) for t in range(1, b + 1)]
+    for m, b, z, t in shapes + [(2, 20, 4, 1), (3, 8, 2, 1), (3, 7, 3, 2), (4, 5, 1, 2)]:
+        params = SchemeParams(m=m, b=b, z=z, t=t, n_files=m * b)
+        demands = [u // 3 + 1 for u in range(m * b)]
+        for top in (canonical_topology(m, b, z), random_topology(m, b, z, seed=b * z + t)):
+            for seed in (None, t):
+                yield place(top, params, seed=seed), extract_matchings(top), demands
+
+
+def test_deliver_matches_the_per_cell_formula():
+    for placement, matchings, demands in _deliver_cases():
+        f = placement.params.subpacketization
+        schedule = deliver(placement, matchings, demands)
+        assert schedule.rounds == _per_cell_rounds(placement, matchings)
+        # exact-length columns whose entries share one int object per subfile id: each
+        # guards the peak memory of a large schedule
+        columns = [column for summands in schedule.rounds for column in summands]
+        assert {sys.getsizeof(column) for column in columns} <= {sys.getsizeof([0] * f)}
+        assert len({id(s) for column in columns for s in column}) <= f
 
 
 def test_class_blocks_match_the_constructed_design():
@@ -646,6 +687,21 @@ def test_decode_matches_brute_force_sweep():
         placement = place(top, params, seed=5)
         schedule = deliver(placement, extract_matchings(top), demands)
         _assert_decode_matches_brute_force(placement, schedule, demands)
+
+
+def test_decode_counts_past_255_readers_of_one_broadcast():
+    # all 300 users want file 1, so each broadcast of round 1 has 300 readings, and 299 of
+    # its readers lack its one subfile: more than one byte lane can count
+    top = canonical_topology(1, 300, 1)
+    params = SchemeParams(m=1, b=300, z=1, t=1, n_files=1)
+    placement = place(top, params)
+    demands = [1] * 300
+    schedule = deliver(placement, extract_matchings(top), demands)
+    schedule = replace(schedule, rounds=schedule.rounds[:1])
+    counts = decode(placement, schedule, demands).beneficiary_counts
+    cached = [cached_subfiles(placement, 1, j) for j in range(1, 301)]
+    assert counts == tuple(sum(s not in got for got in cached) for s in schedule.rounds[0][0])
+    assert set(counts) == {299}
 
 
 def test_decode_ignores_what_a_reader_already_decoded(example_a):
