@@ -24,10 +24,11 @@ def run(name, top, params, show=4):
           f"M/N={Fraction(params.t, params.b)} F={params.subpacketization}")
     report_v = validate(top)
     print("topology:", report_v.summary())
-    matching = extract_matchings(top)
-    print("matching per group:", matching)
+    b, matching = params.b, extract_matchings(top)
+    # cache c serves user matching[c-1]; each group's slots, as the examples number them
+    print("matching per group:", tuple(tuple(u - first for u in matching[first:first + b])
+                                       for first in range(0, params.num_users, b)))
     placement = place(top, params)
-    b = params.b
     for i in range(1, params.m + 1):
         print(f"cache blocks, group {i}:", placement.cache_blocks[(i - 1) * b:i * b])
     report = simulate(top, params, payload_size=64, seed=0)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .designs import require_ints
 from .engine import achievable_rate
 
 SCHEME_ORDER = ("ours", "RK", "NT", "SICPS", "SPE", "SR1", "SR2", "MR")
@@ -43,11 +44,6 @@ def _check_users(k_users: int, z: int) -> None:
     """Ints K >= 1 and 1 <= z <= K, else a ValueError no ``ApplicabilityError`` handler swallows."""
     if type(k_users) is not int or type(z) is not int or not 1 <= z <= k_users:
         raise ValueError(f"need K >= 1 and 1 <= z <= K, got K={k_users!r}, z={z!r} (ints only)")
-
-
-def _ints(*values) -> None:
-    if any(type(v) is not int for v in values):  # bools too: True would pass as a count of 1
-        raise ValueError(f"the claim predicates take ints only, got {values}")
 
 
 def divisors(n: int) -> list[int]:
@@ -156,8 +152,7 @@ def rival_corner(scheme: str, k_users: int, z: int, tparam: int):
 
 def _rival_corner(scheme: str, k: int, z: int, t: int, walk: list[int]):
     """:func:`rival_corner` with walk[u - 1] = C(K - uz + u - 1, u - 1), extended up to u = t."""
-    if type(t) is not int:  # a plain ValueError, which rival_corners does not swallow
-        raise ValueError(f"t' must be an int, got {t!r}")
+    require_ints("t'", t)  # a plain ValueError, which rival_corners does not swallow
     if scheme in ("RK", "SICPS", "NT"):
         _require(1 <= t <= k // z, f"{scheme} needs 1 <= t' <= floor(K/z)")
         for u in range(len(walk) + 1, t + 1):  # C(n, r) -> C(n - z + 1, r + 1), exactly
@@ -260,7 +255,7 @@ def rival_envelope(scheme: str, k_users: int, z: int) -> Curve:
 def check_rk_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
     """The RK rate claim at M/N = t/b = t'/K, t' = mt: ours is strictly lower below floor(b/z)/b,
     floor(K/z)/K and (K - b)/(Kz).  None unless K = mb, b >= z >= 1, 1 <= t' <= floor(K/z)."""
-    _ints(k := k_users, z, m, b, t)
+    require_ints("K, z, m, b and t", k := k_users, z, m, b, t)
     if not (k == m * b and b >= z >= 1 and t >= 1 and 1 <= m * t <= k // z):
         return None
     return Fraction(t, b) < min(Fraction(b // z, b), Fraction(k // z, k), Fraction(k - b, k * z))
@@ -270,7 +265,7 @@ def check_subpacketization(k_users: int, z: int, m: int, b: int) -> bool | None:
     """The subpacketization claim at M/N = 1/b: b**m lies below RK's (so SICPS's) and NT's
     once (b - 1)**2 >= K(z - 1).  None unless K = mb, b > z >= 1 and 2 <= m <= floor(K/z):
     with a single group both sides equal K."""
-    _ints(k_users, z, m, b)
+    require_ints("K, z, m and b", k_users, z, m, b)
     applicable = k_users == m * b and b > z >= 1 and 2 <= m <= k_users // z
     return (b - 1) ** 2 >= k_users * (z - 1) if applicable else None
 
@@ -280,7 +275,7 @@ def check_sr1_rate(k_users: int, z: int, tpp: int) -> bool | None:
     (m/K, K/m - z), K/m >= z, reaches at most SR1's closed-form lower bound; K/m - z is convex,
     so the best pair straddles t'': read it off their envelope.  None where gcd(t'', K) != 1,
     t''z = K - 1, t''z is outside 1..K, or no two group counts straddle t''."""
-    _ints(k := k_users, z, tpp)
+    require_ints("K, z and t''", k := k_users, z, tpp)
     ms = [m for m in divisors(k) if k // m >= z] if 1 <= tpp * z <= k else []
     if gcd(tpp, k) != 1 or tpp * z == k - 1 or len(ms) < 2 or tpp > ms[-1]:
         return None
@@ -292,7 +287,7 @@ def check_sr2_rate(k_users: int, z: int, m: int, b: int, t: int) -> bool | None:
     """The SR2 rate claim at matching corners M/N = t/b = t''/K, t'' = mt: ours is at most
     SR2's rate once M/N <= (m - 2)/(m(z - 1)).  None unless K = mb >= 1, z >= 2, 1 <= t <=
     floor(b/z), and both t and b - tz + t divide b."""
-    _ints(k_users, z, m, b, t)
+    require_ints("K, z, m, b and t", k_users, z, m, b, t)
     applicable = (k_users == m * b >= 1 and z >= 2 and 1 <= t <= b // z and b % t == 0
                   and b % (b - t * z + t) == 0)
     return Fraction(t, b) <= Fraction(m - 2, m * (z - 1)) if applicable else None
@@ -302,7 +297,7 @@ def check_mr_rate(k_users: int, z: int, m: int, b: int) -> bool | None:
     """The MR rate claim at M/N = 1/b: with three or more groups ours lies strictly below
     MR's memory-shared curve, with no threshold.  None unless K = mb, b > z >= 1 and m >= 3:
     at m = 2 the rates can coincide (K = 100, z = 5: both 45), and at b = z both are 0."""
-    _ints(k_users, z, m, b)
+    require_ints("K, z, m and b", k_users, z, m, b)
     return True if k_users == m * b and b > z >= 1 and m >= 3 else None
 
 

@@ -42,10 +42,15 @@ def check_terms(command: str, steps: dict[str, int], held: dict[str, int]) -> No
                                    f"its largest term is {top} = {most}")
 
 
+def require_ints(names: str, *values) -> None:
+    """ValueError naming ``names`` unless each of ``values`` is exactly an int, not a bool."""
+    if not {int}.issuperset(map(type, values)):
+        raise ValueError(f"{names} must be ints, got {', '.join(map(repr, values))}")
+
+
 def point_count(m: int, b: int, mu: int = 1) -> int:
     """mu * b**m for positive ints, refused once b**m >= 2**64, before the power is computed."""
-    if any(type(v) is not int for v in (m, b, mu)):
-        raise ValueError(f"m, b and mu must be ints, got {m!r}, {b!r}, {mu!r}")
+    require_ints("m, b and mu", m, b, mu)
     if m < 1 or b < 1 or mu < 1:
         raise ValueError("m, b, mu must be positive")
     if m * (b.bit_length() - 1) >= 64:

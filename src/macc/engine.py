@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add, getitem, xor
 from typing import NamedTuple
 
-from .designs import check_terms, point_count
+from .designs import check_terms, point_count, require_ints
 from .topology import Topology, cell_slots, extract_matchings, validate
 
 DEFAULT_PAYLOAD_SIZE = 64
@@ -38,8 +38,7 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
     """Broadcast rate in file units: the blocks per group that no user covers; exact.  A
     user reads one cache in each cell of :func:`~macc.topology.cell_slots`, z - 1 cells of
     x = floor(b/z) slots and one of b - (z-1)x, and a cache stores min(t, |cell|) blocks."""
-    if any(type(v) is not int for v in (b, m, z, t)):
-        raise ValueError(f"b, m, z and t must be ints, got {b!r}, {m!r}, {z!r}, {t!r}")
+    require_ints("b, m, z and t", b, m, z, t)
     if m < 1:
         raise ValueError("m must be >= 1")
     if t < 1:
@@ -86,8 +85,7 @@ class SchemeParams:
     n_files: int
 
     def __post_init__(self):
-        if type(self.m) is not int or type(self.n_files) is not int:  # b, z, t: achievable_rate
-            raise ValueError(f"m and n_files must be ints, got {self.m!r}, {self.n_files!r}")
+        require_ints("m and n_files", self.m, self.n_files)  # b, z and t: achievable_rate
         if self.m < 1 or self.n_files < 1:
             raise ValueError("m and n_files must be >= 1")
         check_cost(self.m, self.b, self.z, self.t)
@@ -175,13 +173,12 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
-    """The class-i block of each subfile, indexed by subfile (index 0 unused).
-
-    Subfile s is coordinate number s - 1 in base b, most significant class
-    first, so its class-i block is ((s - 1) // b**(m-i)) % b + 1.
+    """The class-i block of each of the b**m cells, in coordinate order: cell k is subfile
+    k + 1, coordinate number k in base b, most significant class first, so its class-i
+    block is (k // b**(m-i)) % b + 1.  It is group i's column of :attr:`Schedule.cells`.
     """
     stride = b ** (m - i)
-    return [0] + [j for j in range(1, b + 1) for _ in range(stride)] * b ** (i - 1)
+    return [j for j in range(1, b + 1) for _ in range(stride)] * b ** (i - 1)
 
 
 def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
@@ -195,11 +192,12 @@ def _check_demands(demands, params: SchemeParams) -> tuple[int, ...]:
     return demands
 
 
-def deliver(placement: Placement, matchings, demands) -> Schedule:
+def deliver(placement: Placement, matching, demands) -> Schedule:
     """The schedule of all transmissions, in canonical (n, coords) lexicographic order.
 
-    ``matchings[i-1][c-1]`` is the user slot of group i that cache slot c serves, as in
-    :func:`extract_matchings`; rows not m permutations along edges are a ValueError.
+    ``matching[c-1]`` is the global user that cache c serves, as :func:`extract_matchings`
+    finds it; a matching that is not a K-tuple of ints which, group by group, permutes that
+    group's users along edges of the placement's topology is a ValueError.
     For each round n and each coordinate tuple, group i contributes the
     subfile at the intersection of the chosen blocks with coordinate i
     swapped for the n-th block its matched user misses.  Repeated demands
@@ -207,11 +205,10 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
     """
     params, access = placement.params, placement.topology.access
     m, b, f = params.m, params.b, params.subpacketization
-    # every row is a permutation of 1..b before any of its slots indexes access
-    if len(matchings) != m or any({*map(type, row)} != {int} or sorted(row) != [*range(1, b + 1)]
-                                  for row in matchings) or any(
-            i * b + c not in access[i * b + j - 1]
-            for i, row in enumerate(matchings) for c, j in enumerate(row, start=1)):
+    # every id is an int and each group's slice permutes its users before one indexes access
+    if len(matching) != m * b or not {int}.issuperset(map(type, matching)) or any(
+            sorted(matching[g:g + b]) != [*range(g + 1, g + b + 1)] for g in range(0, m * b, b)
+    ) or any(c not in access[u - 1] for c, u in enumerate(matching, start=1)):
         raise ValueError("matchings do not fit the placement's topology")
     demands = _check_demands(demands, params)
 
@@ -221,9 +218,9 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
 
     # cell k has coordinate number k, so it is subfile k + 1; the addressed users and
     # their files are the same in every round, each a lookup of a small shared int
-    cells = [class_blocks(m, b, i)[1:] for i in range(1, m + 1)]
-    # user_of[i-1][c]: the user of group i matched to its cache slot c
-    user_of = [[0] + [i * b + u for u in to_user] for i, to_user in enumerate(matchings)]
+    cells = [class_blocks(m, b, i) for i in range(1, m + 1)]
+    # user_of[i][c]: the user matched to cache slot c of group i + 1
+    user_of = [(0, *matching[i * b:(i + 1) * b]) for i in range(m)]
     users = [list(map(table.__getitem__, column)) for table, column in zip(user_of, cells)]
     file_of = [0, *demands]
     files = [list(map(file_of.__getitem__, column)) for column in users]
@@ -240,9 +237,9 @@ def deliver(placement: Placement, matchings, demands) -> Schedule:
         for n, summands in enumerate(rounds):
             summands.append(column := [0] * f)  # exact length: equal-length copies never regrow it
             if m == 1:  # each block is one cell, so the column is one gather
-                column[:] = [subfile[placement.missing[u - 1][n] - 1] for u in user_of[0][1:]]
+                column[:] = [subfile[placement.missing[u - 1][n] - 1] for u in matching]
                 continue
-            for c, u in enumerate(user_of[i - 1][1:]):
+            for c, u in enumerate(matching[(i - 1) * b:i * b]):
                 move = (placement.missing[u - 1][n] - 1 - c) * stride
                 for x in range(c * stride, c * stride + reach, skip):
                     column[x:x + width:step] = subfile[x + move:x + move + width:step]
@@ -414,8 +411,7 @@ def simulate(topology: Topology, params: SchemeParams, demands=None,
     demands = _check_demands(demands, params)
 
     placement = place(topology, params, seed=placement_seed)
-    matchings = extract_matchings(topology)
-    schedule = deliver(placement, matchings, demands)
+    schedule = deliver(placement, extract_matchings(topology), demands)
 
     contents: dict[tuple[int, int], int] = {}
     if payload_size is not None:

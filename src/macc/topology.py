@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import rshift
 
+from .designs import require_ints
+
 
 class MatchingError(ValueError):
     """No perfect matching exists in some group (condition C3 fails)."""
@@ -59,16 +61,13 @@ class Topology:
             raise ValueError(f"topology field {name!r} must be an integer")
         if self.m < 1 or not 1 <= self.z <= self.b:
             raise ValueError("need m >= 1 and 1 <= z <= b")
-        rows = []
         try:
-            for row in map(list, self.access):  # any rows, one at a time
-                if not {int}.issuperset(map(type, row)):
-                    raise ValueError("every cache id of an access row must be an int")
-                row.sort()
-                rows.append(tuple(row))
-        except TypeError:  # access, or one of its rows, is not iterable
+            rows = tuple(tuple(sorted(row)) for row in self.access)
+        except TypeError:  # access or a row is not iterable, or a row's ids do not compare
             raise ValueError("access must be rows of int cache ids") from None
-        object.__setattr__(self, "access", tuple(rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            raise ValueError("every cache id of an access row must be an int")
+        object.__setattr__(self, "access", rows)
         k = self.m * self.b
         if len(self.access) != k:
             raise ValueError(f"need {k} access lists, got {len(self.access)}")
@@ -209,21 +208,19 @@ def validate(topology: Topology) -> TopologyReport:
     )
 
 
-def extract_matchings(topology: Topology) -> tuple[tuple[int, ...], ...]:
-    """Deterministic perfect matching per group (lowest-index tie-breaking), as m rows of
-    b user slots: ``to_user[i-1][c-1]`` is the user slot of group i that cache slot c serves."""
-    m, b = topology.m, topology.b
-    match = _max_matching(_own_rows(topology), m * b)
+def extract_matchings(topology: Topology) -> tuple[int, ...]:
+    """Deterministic perfect matching per group (lowest-index tie-breaking), as found, by
+    global id: ``to_user[c-1]`` is the user of cache c's group that cache c serves."""
+    b = topology.b
+    match = _max_matching(_own_rows(topology), topology.m * b)
     if 0 in match[1:]:  # the first unmatched cache's group: it has as many unmatched users
         raise MatchingError(f"group {-(-match.index(0, 1) // b)} admits no perfect matching (C3)")
-    return tuple(tuple(u - first for u in match[first + 1:first + b + 1])
-                 for first in range(0, m * b, b))
+    return tuple(match[1:])
 
 
 def canonical_topology(m: int, b: int, z: int) -> Topology:
     """Fixed valid topology: in each cell, user j reads the cache at offset (j-1) mod cellsize."""
-    if type(m) is not int:
-        raise ValueError(f"m must be an int, got {m!r}")
+    require_ints("m", m)
     cells = cell_slots(b, z)
     group = [[cell[(j - 1) % len(cell)] for cell in cells] for j in range(1, b + 1)]
     return Topology.from_group_slots(m, b, z, [group] * m)
@@ -233,8 +230,7 @@ def random_topology(m: int, b: int, z: int, seed: int) -> Topology:
     """Seeded uniform choice of one cache per cell per user; each group is redrawn until
     C3 holds, up to ``RANDOM_TRIES`` times.  The picks are ``rng.choice(cell)``'s: the first
     r = ``getrandbits(k)`` below len(cell), k its bit length, is the top k bits of a word."""
-    if type(m) is not int:
-        raise ValueError(f"m must be an int, got {m!r}")
+    require_ints("m", m)
     cells = cell_slots(b, z)
     if z == 1:
         # a draw is accepted iff the b users pick distinct caches: rate b!/b^b

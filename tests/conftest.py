@@ -21,8 +21,9 @@ def example_a():
 
 @pytest.fixture
 def example_a_matching():
-    """The matching used in the worked example's printed transmissions, as ``to_user`` rows."""
-    return ((1, 2, 4, 3), (4, 3, 2, 1))
+    """The matching used in the worked example's printed transmissions: cache c serves user
+    ``to_user[c-1]``, by global id (group 2's caches 5..8 serve users 8, 7, 6, 5)."""
+    return (1, 2, 4, 3, 8, 7, 6, 5)
 
 
 @pytest.fixture
@@ -36,4 +37,4 @@ def example_b():
 
 @pytest.fixture
 def example_b_identity_matching():
-    return (tuple(range(1, 8)), tuple(range(1, 8)))
+    return tuple(range(1, 15))

@@ -164,13 +164,9 @@ def _check_config(m, b, z, t, seed, payload_size=16):
                         & set(placement.cache_blocks[(i - 1) * b + j2 - 1])
                     )
 
-    missing = [[placement.missing[i * b + u - 1] for u in row]
-               for i, row in enumerate(extract_matchings(top))]
-    assert all(
-        len(missing[i - 1][j - 1]) == params.missing_count
-        for i in range(1, m + 1)
-        for j in range(1, b + 1)
-    )
+    matching = extract_matchings(top)
+    assert sorted(matching) == list(range(1, m * b + 1))
+    assert all(len(placement.missing[u - 1]) == params.missing_count for u in matching)
 
 
 def test_criterion_7_randomized_property_suite():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from design_oracles import point_at
+from span_oracle import broadcasts, span_complete
 from macc import (
     PointBudgetError,
     SchemeParams,
@@ -213,31 +214,29 @@ def test_place_rejects_bad_inputs(example_a):
 def test_demand_graph_example_a(example_a, example_a_matching):
     top, params = example_a
     by_user = place(top, params).missing
-    # the demand graph: missing[i-1][c-1] lists the blocks that cache slot c's matched user misses
-    missing = [[by_user[i * 4 + u - 1] for u in row] for i, row in enumerate(example_a_matching)]
+    # the demand graph: missing[c-1] lists the blocks that cache c's matched user misses
+    missing = [by_user[u - 1] for u in example_a_matching]
     # cache (1,1) is matched to user k(1,1), which covers blocks 1 and 3
-    assert missing[0][0] == (2, 4)
-    for i in (1, 2):
-        for j in range(1, 5):
-            assert len(missing[i - 1][j - 1]) == 2
+    assert missing[0] == (2, 4)
+    assert all(len(gaps) == 2 for gaps in missing)
 
 
 def test_demand_graph_example_b(example_b, example_b_identity_matching):
     top, params = example_b
     by_user = place(top, params).missing
-    missing = [[by_user[i * 7 + u - 1] for u in row] for i, row in enumerate(example_b_identity_matching)]
+    missing = [by_user[u - 1] for u in example_b_identity_matching]  # by cache
     for i in (1, 2):
         for j in range(1, 7):
-            assert missing[i - 1][j - 1] == (7,)
-        assert missing[i - 1][6] == (6,)
+            assert missing[(i - 1) * 7 + j - 1] == (7,)
+        assert missing[(i - 1) * 7 + 6] == (6,)
 
 
 def test_demand_graph_empty_when_rate_zero():
     top = canonical_topology(2, 4, 2)
     params = SchemeParams(m=2, b=4, z=2, t=2, n_files=8)
     by_user = place(top, params).missing
-    missing = [[by_user[i * 4 + u - 1] for u in row] for i, row in enumerate(extract_matchings(top))]
-    assert all(len(missing[i - 1][j - 1]) == 0 for i in (1, 2) for j in range(1, 5))
+    missing = [by_user[u - 1] for u in extract_matchings(top)]
+    assert len(missing) == 8 and all(len(gaps) == 0 for gaps in missing)
 
 
 def test_deliver_example_a_published_transmissions(example_a, example_a_matching):
@@ -263,7 +262,7 @@ def test_deliver_example_b_published_transmissions(example_b, example_b_identity
     assert by_coords[(3, 7)] == ((3, 3, 49), (14, 14, 20))
 
 
-def _brute_schedule(placement, matchings, demands):
+def _brute_schedule(placement, matching, demands):
     """The schedule read off the design: in round n at blocks ``coords``, group i
     sends the point where its matched user's n-th missing block meets the rest."""
     params = placement.params
@@ -274,8 +273,8 @@ def _brute_schedule(placement, matchings, demands):
         for coords in itertools.product(range(1, b + 1), repeat=m):
             row = []
             for i in range(1, m + 1):
-                slot = matchings[i - 1][coords[i - 1] - 1]
-                user = (i - 1) * b + slot
+                user = matching[(i - 1) * b + coords[i - 1] - 1]
+                slot = user - (i - 1) * b
                 gaps = sorted(set(range(1, b + 1)) - covered_blocks(placement, i, slot))
                 (subfile,) = point_at(design, coords[: i - 1] + (gaps[n - 1],) + coords[i:])
                 row.append((user, demands[user - 1], subfile))
@@ -292,20 +291,20 @@ def test_deliver_matches_brute_force_schedule(example_a, example_a_matching,
         (top_c, SchemeParams(m=3, b=8, z=2, t=1, n_files=24),
          extract_matchings(top_c), range(1, 25)),
     ]
-    for top, params, matchings, demands in cases:
+    for top, params, matching, demands in cases:
         placement = place(top, params, seed=1)
         demands = list(demands)
-        assert rows(deliver(placement, matchings, demands)) == \
-            _brute_schedule(placement, matchings, demands)
+        assert rows(deliver(placement, matching, demands)) == \
+            _brute_schedule(placement, matching, demands)
 
 
-def _per_cell_rounds(placement, matchings):
+def _per_cell_rounds(placement, matching):
     """Each round's summand columns one cell at a time: at cell k, whose class-i block is
     c, group i sends subfile k + 1 + (miss - c)*b^(m-i), miss the n-th block that the user
     matched to c misses."""
     m, b = placement.params.m, placement.params.b
-    return [[[k + 1 + (placement.missing[(i - 1) * b + matchings[i - 1][c - 1] - 1][n] - c)
-              * b ** (m - i) for k, c in enumerate(class_blocks(m, b, i)[1:])]
+    return [[[k + 1 + (placement.missing[matching[(i - 1) * b + c - 1] - 1][n] - c)
+              * b ** (m - i) for k, c in enumerate(class_blocks(m, b, i))]
              for i in range(1, m + 1)]
             for n in range(placement.params.missing_count)]
 
@@ -325,10 +324,10 @@ def _deliver_cases():
 
 
 def test_deliver_matches_the_per_cell_formula():
-    for placement, matchings, demands in _deliver_cases():
+    for placement, matching, demands in _deliver_cases():
         f = placement.params.subpacketization
-        schedule = deliver(placement, matchings, demands)
-        assert schedule.rounds == _per_cell_rounds(placement, matchings)
+        schedule = deliver(placement, matching, demands)
+        assert schedule.rounds == _per_cell_rounds(placement, matching)
         # exact-length columns whose entries share one int object per subfile id: each
         # guards the peak memory of a large schedule
         columns = [column for summands in schedule.rounds for column in summands]
@@ -341,8 +340,8 @@ def test_class_blocks_match_the_constructed_design():
         design = construct_mcrd(m, b, 1)
         for i in range(1, m + 1):
             block_of = class_blocks(m, b, i)
-            assert len(block_of) == b**m + 1
-            assert [tuple(p for p in range(1, b**m + 1) if block_of[p] == j)
+            assert len(block_of) == b**m  # cell k is subfile k + 1
+            assert [tuple(k + 1 for k in range(b**m) if block_of[k] == j)
                     for j in range(1, b + 1)] == list(design.blocks[i - 1])
 
 
@@ -430,9 +429,9 @@ def test_schedule_payloads_sit_beside_their_rounds(example_a, example_a_matching
 def test_schedule_fields_are_per_group_columns_of_ints(m, b, z, t):
     top = canonical_topology(m, b, z)
     params = SchemeParams(m=m, b=b, z=z, t=t, n_files=2)
-    matchings = extract_matchings(top)
+    matching = extract_matchings(top)
     demands = [u % 2 + 1 for u in range(m * b)]
-    schedule = deliver(place(top, params), matchings, demands)
+    schedule = deliver(place(top, params), matching, demands)
     fields_ = (schedule.cells, schedule.users, schedule.files)
     assert all(type(field) is list and len(field) == m for field in fields_)
     if params.missing_count == 0:
@@ -441,9 +440,9 @@ def test_schedule_fields_are_per_group_columns_of_ints(m, b, z, t):
         return
     assert len(schedule) == params.missing_count * b**m
     for i in range(1, m + 1):
-        assert schedule.cells[i - 1] == class_blocks(m, b, i)[1:]
-        # group i's user at cell k is the one of group i matched to the cache of its block
-        assert schedule.users[i - 1] == [(i - 1) * b + matchings[i - 1][c - 1]
+        assert schedule.cells[i - 1] == class_blocks(m, b, i)
+        # group i's user at cell k is the one matched to group i's cache of its block
+        assert schedule.users[i - 1] == [matching[(i - 1) * b + c - 1]
                                          for c in schedule.cells[i - 1]]
         assert schedule.files[i - 1] == [demands[u - 1] for u in schedule.users[i - 1]]
         for column in (schedule.cells[i - 1], schedule.users[i - 1], schedule.files[i - 1]):
@@ -488,34 +487,50 @@ def test_simulate_refuses_demands_that_are_not_ints():
     assert simulate(top, params, demands=[1] * 6).all_complete()
 
 
-def test_deliver_and_is_valid_for_read_the_matching_cache_to_user(example_a):
+def test_deliver_reads_the_matching_cache_to_user(example_a):
     # users 1, 2 and 3 read caches 2, 3 and 1, so caches 1, 2 and 3 serve users 3, 1 and 2:
     # a matching that is not its own inverse, so one read transposed shows
     top = Topology.from_group_slots(1, 3, 1, [[[2], [3], [1]]])
     placement = place(top, SchemeParams(m=1, b=3, z=1, t=1, n_files=3))
-    matchings = extract_matchings(top)
-    assert matchings == ((3, 1, 2),)
-    schedule = deliver(placement, matchings, range(1, 4))
+    matching = extract_matchings(top)
+    assert matching == (3, 1, 2)
+    schedule = deliver(placement, matching, range(1, 4))
     assert len(schedule) == 6 and all(_complete(placement, decode(placement, schedule, [1, 2, 3])))
     for cache, user in zip(schedule.cells[0], schedule.users[0]):
         assert cache in top.access[user - 1], (cache, user)
-    # a pair whose user does not read the cache, the transposed matching, and (in example A,
-    # where users read two caches) a row whose every pair is an edge but that repeats users
-    top_a, params_a = example_a
-    cases = [(placement, ((1, 2, 3),)), (placement, ((2, 3, 1),)),
-             (place(top_a, params_a), ((1, 2, 1, 2), (4, 3, 2, 1)))]
-    # on two groups of 3: one row, three rows, a second row that is empty, and rows of
-    # b + 1 slots, whose last slot would index past the users if read before the refusal
     two = place(canonical_topology(2, 3, 1), SchemeParams(m=2, b=3, z=1, t=1, n_files=6))
-    cases += [(two, ((1, 2, 3),)), (two, ((1, 2, 3),) * 3), (two, ((1, 2, 3), ())),
-              (two, ((1, 2, 3, 4),) * 2)]
-    # slots that sort equal to 1..b but are no int indices: a float, a bool, a string
-    cases += [(two, ((1.0, 2, 3), (1, 2, 3))), (two, ((1, 2, 3), (True, 2, 3))),
-              (two, (("1", 2, 3), (1, 2, 3)))]
-    for graph, wrong in cases:
+    assert len(deliver(two, (1, 2, 3, 4, 5, 6), range(1, 7))) == 2 * 3**2  # r * b**m
+
+
+def _wrong_matchings(example_a):
+    """(placement, matching) pairs that deliver must refuse, grouped by the fault they carry."""
+    one = place(Topology.from_group_slots(1, 3, 1, [[[2], [3], [1]]]),
+                SchemeParams(m=1, b=3, z=1, t=1, n_files=3))
+    two = place(canonical_topology(2, 3, 1), SchemeParams(m=2, b=3, z=1, t=1, n_files=6))
+    # users 1 and 3 read only caches 3 and 1, across their groups (C1 breaks): every pair of
+    # the matching (3, 2, 1, 4) is an edge, so only the group-by-group clause refuses it
+    crossed = Topology(m=2, b=2, z=1, access=[[3], [2], [1], [4]])
+    params = SchemeParams(m=2, b=2, z=1, t=1, n_files=4)
+    cross = replace(place(canonical_topology(2, 2, 1), params), topology=crossed)
+    return {
+        # too short, too long, and one past K, whose last id would index past the users
+        "length": [(two, (1, 2, 3)), (two, (1, 2, 3) * 3), (two, (1, 2, 3, 4, 5, 6, 7))],
+        # ids that sort equal to users but are no ints: a float, a bool, a string
+        "type": [(two, (1.0, 2, 3, 4, 5, 6)), (two, (True, 2, 3, 4, 5, 6)),
+                 (two, ("1", 2, 3, 4, 5, 6))],
+        # in example A, where users read two caches, every pair an edge but users 1 and 2
+        # matched twice; and the crossed groups above
+        "permutation": [(place(*example_a), (1, 2, 1, 2, 8, 7, 6, 5)), (cross, (3, 2, 1, 4))],
+        # a pair whose user does not read the cache, and the transposed matching
+        "edge": [(one, (1, 2, 3)), (one, (2, 3, 1))],
+    }
+
+
+@pytest.mark.parametrize("fault", ["length", "type", "permutation", "edge"])
+def test_deliver_refuses_a_matching_that_does_not_fit(example_a, fault):
+    for graph, wrong in _wrong_matchings(example_a)[fault]:
         with pytest.raises(ValueError, match="^matchings do not fit the placement's topology$"):
             deliver(graph, wrong, range(1, graph.params.num_users + 1))
-    assert len(deliver(two, ((1, 2, 3),) * 2, range(1, 7))) == 2 * 3**2  # r * b**m
 
 
 def test_decode_single_transmission(example_a, example_a_matching):
@@ -752,6 +767,7 @@ def test_decode_catches_dropped_broadcast(example_a):
         # cell k's entries leave every column, so its broadcast is gone from each round
         dropped = sub_schedule(schedule, rounds, [c for c in range(16) if c != k])
         assert not all(_complete(placement, decode(placement, dropped, range(1, 9))))
+        assert not span_complete(placement, broadcasts(dropped), range(1, 9))
 
 
 def test_decode_catches_swapped_summand(example_a):
@@ -765,8 +781,9 @@ def test_decode_catches_swapped_summand(example_a):
                  if u == user and s != first)
     rounds = [[list(column) for column in summands_n] for summands_n in schedule.rounds]
     rounds[0][0][5] = other
-    decoding = decode(placement, replace(schedule, rounds=rounds), range(1, 9))
-    assert not _complete(placement, decoding)[user - 1]
+    swapped = replace(schedule, rounds=rounds)
+    assert not _complete(placement, decode(placement, swapped, range(1, 9)))[user - 1]
+    assert not span_complete(placement, broadcasts(swapped), range(1, 9))
 
 
 def test_decode_catches_flipped_payload_byte(example_a):

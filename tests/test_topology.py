@@ -32,13 +32,13 @@ def _reads(top, i, j):
     return top.access[(i - 1) * top.b + j - 1]
 
 
-def _fits(matchings, top):
-    """Reference check of ``to_user`` rows on ``top``: m rows, each a permutation of the
-    user slots 1..b, and user ``row[c-1]`` of group i reads that group's cache slot c."""
-    return len(matchings) == top.m and all(
-        sorted(row) == list(range(1, top.b + 1))
-        and all((i - 1) * top.b + c in _reads(top, i, j) for c, j in enumerate(row, start=1))
-        for i, row in enumerate(matchings, start=1))
+def _fits(matching, top):
+    """Reference check of a matching on ``top``: a tuple of the K users, each once, where
+    user ``matching[c-1]`` lies in cache c's group and reads cache c."""
+    k = top.m * top.b
+    return (type(matching) is tuple and sorted(matching) == list(range(1, k + 1))
+            and all((u - 1) // top.b == (c - 1) // top.b and c in top.access[u - 1]
+                    for c, u in enumerate(matching, start=1)))
 
 
 def _cache_cell(j, b, z):
@@ -109,8 +109,8 @@ def test_extract_matchings_example_a(example_a):
     top, _ = example_a
     match = extract_matchings(top)
     assert _fits(match, top)
-    for i in (1, 2):
-        assert sorted(match[i - 1]) == [1, 2, 3, 4]
+    # each group's caches serve that group's users
+    assert sorted(match[:4]) == [1, 2, 3, 4] and sorted(match[4:]) == [5, 6, 7, 8]
 
 
 def test_extract_matchings_example_b(example_b):
@@ -118,7 +118,7 @@ def test_extract_matchings_example_b(example_b):
     match = extract_matchings(top)
     assert _fits(match, top)
     # the identity assignment is also valid for this graph
-    assert _fits((tuple(range(1, 8)),) * 2, top)
+    assert _fits(tuple(range(1, 15)), top)
 
 
 def test_extract_matchings_identity_tie_break():
@@ -126,7 +126,7 @@ def test_extract_matchings_identity_tie_break():
     # lowest-index rule settles on the identity
     top = Topology.from_group_slots(1, 4, 2, [[[1, 3], [2, 4], [3, 1], [4, 2]]])
     match = extract_matchings(top)
-    assert match == ((1, 2, 3, 4),)
+    assert match == (1, 2, 3, 4)
 
 
 def test_extract_matchings_long_augmenting_chain():
@@ -141,7 +141,7 @@ def test_extract_matchings_long_augmenting_chain():
     top = Topology.from_group_slots(1, 2 * n, 2, [group])
     assert validate(top).passed
     expected = (2 * n,) + tuple(range(n + 1, 2 * n)) + tuple(range(1, n + 1))
-    assert extract_matchings(top) == (expected,)
+    assert extract_matchings(top) == expected
 
 
 def _recursive_matching(adj, n_right):
@@ -396,15 +396,15 @@ def _reference_validate(top):
 
 
 def _reference_matchings(top):
-    """``extract_matchings`` as it matched each group's :func:`_group_slots` on its own:
-    the matching, or the MatchingError text."""
-    rows = []
+    """``extract_matchings`` as it matched each group's :func:`_group_slots` on its own,
+    slots moved to global ids: the matching, or the MatchingError text."""
+    matching = []
     for i in range(1, top.m + 1):
         match = _recursive_matching([[]] + _group_slots(top, i), top.b)
         if not all(match[1:]):
             return f"group {i} admits no perfect matching (C3)"
-        rows.append(tuple(match[1:]))
-    return tuple(rows)
+        matching += ((i - 1) * top.b + u for u in match[1:])
+    return tuple(matching)
 
 
 def _reference_missing(placement):
