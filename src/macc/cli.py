@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 All randomness flows from --seed; identical flags and seed give
 byte-identical output.  Every output goes out through one writer, :func:`_emit`, in
-writes of at most 8 KB joined from a stream of text chunks, never built whole in memory.
+writes of at most 32 KB joined from a stream of text chunks, never built whole in memory.
 Two producers feed it the large outputs: :func:`_json_doc` walks a design, topology or
 report document and hands each run of scalars, or of rows of numbers, to the C JSON
 encoder a slice at a time, and :func:`write_log` splices each transmission line from
@@ -24,9 +24,9 @@ from pathlib import Path
 
 from . import analysis, designs, engine, topology
 
-# items per slice of a scalar list that one C-encoder call writes: 1-5 KB of ints,
-# so that `_emit` joins whole slices into its 8 KB writes
-_SLICE = 256
+# items per slice of a scalar list that one C-encoder call writes (1-5 KB of ints), and the
+# most text in one write: `_emit` joins whole slices, and `write_log` whole lines, into 32 KB
+_SLICE, _WRITE = 256, 2**15
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # digits that int-to-str conversion allows by default, and so the most that the CSV
 # prints of a --grid entry's numerator or denominator
@@ -34,13 +34,13 @@ MAX_GRID_DIGITS = sys.int_info.default_max_str_digits
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write the text chunks to the file ``out``, or to stdout, joined into writes of at
-    most 8 KB; a chunk longer than that goes out in a write of its own.  Larger writes
-    raised the peak RSS of 1 KB payload logs; one write per chunk slowed JSON."""
+    """Write the text chunks to the file ``out``, or to stdout, joined into writes of at most
+    ``_WRITE``; a longer chunk goes alone (one write per chunk slowed JSON).  8 KB writes took a
+    22 MB log 14-23 ms, 32 KB 9-13 ms; 128 KB, glibc's mmap threshold, raised peak RSS 0.5 MB."""
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         batch, size = [], 0
         for chunk in chunks:
-            if size and size + len(chunk) > 2**13:
+            if size and size + len(chunk) > _WRITE:
                 fh.write("".join(batch))
                 batch, size = [], 0
             batch.append(chunk)
@@ -169,9 +169,9 @@ def write_log(path: str, schedule: engine.Schedule) -> None:
     and i+1's subfiles and the close after group m's.  A piece is formatted once per
     distinct (user, file) key in it, and the cells of one key share that string.  The
     pieces sit in one list, a line's worth per cell; each round writes its n and its
-    subfiles into their slots, from one string table indexed by subfile id.  Chunks of
-    about 8 KB of lines are joined from the list; with payloads, each chunk fills in its
-    own hexes, so one chunk's hexes are held at a time.
+    subfiles into their slots, from a string table by subfile id that grows only when an id
+    passes the cell count (F for ``deliver``'s schedules).  Chunks of about 32 KB of lines are
+    joined from the list; with payloads, each fills in its own hexes, held one chunk at a time.
     """
     def chunks():
         if not len(schedule):
@@ -188,11 +188,10 @@ def write_log(path: str, schedule: engine.Schedule) -> None:
         fixed += [pieces(', "user": %d}, {"file": %d, "subfile": ', users, files)
                   for users, files in zip(schedule.users, schedule.files[1:])]
         fixed.append(pieces(', "user": %d}]}\n', schedule.users[m - 1]))
-        top = max(map(max, itertools.chain.from_iterable(schedule.rounds)))
-        subfiles = list(map(str, range(top + 1)))
 
         # slots per line: head, n, [hex,] fixed[0], subfile 1, fixed[1], ..., subfile m, fixed[m]
         width, cells = 2 * m + 3 + paid, len(schedule.cells[0])
+        subfiles = list(map(str, range(cells + 1)))
         lines = [None] * (width * cells)
         lines[::width] = map(('{"coords": [' + ", ".join(["%d"] * m) + '], "n": ').__mod__,
                              zip(*schedule.cells))
@@ -209,10 +208,14 @@ def write_log(path: str, schedule: engine.Schedule) -> None:
         for n, summands in enumerate(schedule.rounds, start=1):
             lines[1::width] = itertools.repeat(f'{n}, "payload_hex": "' if paid else str(n), cells)
             for k, column in enumerate(summands):
-                lines[3 + paid + 2 * k::width] = map(subfiles.__getitem__, column)
+                try:
+                    lines[3 + paid + 2 * k::width] = map(subfiles.__getitem__, column)
+                except IndexError:  # the slice assigned nothing: grow the table to fit, retry
+                    subfiles += map(str, range(len(subfiles), max(column) + 1))
+                    lines[3 + paid + 2 * k::width] = map(subfiles.__getitem__, column)
             hexes = schedule.payloads[n - 1] if paid else None
-            # slots per chunk: as many lines as the first line fits into 8 KB
-            step = step or width * max(1, 2**13 // len(text(0, width, hexes)))
+            # slots per chunk: as many lines as the first line fits into _WRITE
+            step = step or width * max(1, _WRITE // len(text(0, width, hexes)))
             for start in range(0, len(lines), step):
                 yield text(start, start + step, hexes)
 

@@ -735,9 +735,9 @@ def _log_line(n, coords, summands, payload):
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
+def test_every_output_goes_out_in_writes_of_at_most_64_kb(monkeypatch):
     def check(writes, want):
-        assert all(len(text) <= 2**14 for text in writes)
+        assert all(len(text) <= 2 * cli._WRITE for text in writes)
         assert "".join(writes) == want
 
     writes, files = _recorded(monkeypatch, ["design", "--m", "2", "--b", "100"])
@@ -762,9 +762,9 @@ def test_every_output_goes_out_in_writes_of_at_most_16_kb(monkeypatch):
     assert writes == ["transmissions=144\nrate=4/1\nsubpacketization=36\ndecoded=12/12\n"
                       "coding_gain_min=2\ncoding_gain_max=2\nbyte_oracle=ok\n"]
 
-    writes, files = _recorded(monkeypatch, ["compare", "--K", "840", "--z", "5",
+    writes, files = _recorded(monkeypatch, ["compare", "--K", "1680", "--z", "5",
                                             "--out", "rows.csv", "--json", "rows.json"])
-    rows = comparison_table(840, 5, [Fraction(t, 840) for t in range(169)])
+    rows = comparison_table(1680, 5, [Fraction(t, 1680) for t in range(337)])
     assert not writes and len(files["rows.csv"]) > 1 and len(files["rows.json"]) > 1
     check(files["rows.csv"], "".join(rows_to_csv(rows)))
     check(files["rows.json"], json.dumps([r.to_json_dict() for r in rows], sort_keys=True,
@@ -864,7 +864,7 @@ def _written_log(monkeypatch, schedule):
                         files.setdefault(path, _Writes()), raising=False)
     write_log("tx.jsonl", schedule)
     writes = files["tx.jsonl"].writes
-    assert all(len(text) <= 2**14 for text in writes)
+    assert all(len(text) <= 2 * cli._WRITE for text in writes)
     return writes
 
 
@@ -893,31 +893,56 @@ def test_write_log_lines_match_with_repeated_demands_on_a_random_topology(monkey
     assert "".join(_written_log(monkeypatch, schedule)) == "".join(_log_lines(schedule))
 
 
+def _cut(schedule, keep):
+    """``schedule`` at the cells ``keep`` alone, each keeping its subfile ids."""
+    def pick(columns):
+        return [[column[k] for k in keep] for column in columns]
+
+    return Schedule(cells=pick(schedule.cells), users=pick(schedule.users),
+                    files=pick(schedule.files), rounds=list(map(pick, schedule.rounds)),
+                    payloads=schedule.payloads and pick(schedule.payloads))
+
+
+def _full_2_6_schedule(payload):
+    """The (2, 6, 2, 1) schedule: 36 cells, 4 rounds, subfile ids 1..36."""
+    return simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),
+                    payload_size=payload).transmissions
+
+
 def test_write_log_reaches_subfile_ids_above_the_cell_count(monkeypatch):
     # one cell of a (2, 6) schedule, whose subfile ids run to 36
-    report = simulate(canonical_topology(2, 6, 2), SchemeParams(m=2, b=6, z=2, t=1, n_files=12),
-                      payload_size=8)
-    full = report.transmissions
-    keep = [k for k, coords in enumerate(zip(*full.cells)) if coords == (6, 6)]
-    pick = [[column[k] for k in keep] for column in (*full.cells, *full.users, *full.files)]
-    schedule = Schedule(cells=pick[:2], users=pick[2:4], files=pick[4:],
-                        rounds=[[[column[k] for k in keep] for column in summands]
-                                for summands in full.rounds],
-                        payloads=[[row[k] for k in keep] for row in full.payloads])
+    full = _full_2_6_schedule(8)
+    schedule = _cut(full, [k for k, coords in enumerate(zip(*full.cells)) if coords == (6, 6)])
     assert max(itertools.chain.from_iterable(itertools.chain.from_iterable(schedule.rounds))) > 1
+    assert "".join(_written_log(monkeypatch, schedule)) == "".join(_log_lines(schedule))
+
+
+@pytest.mark.parametrize("payload", [None, 8])
+def test_write_log_grows_its_id_table_mid_stream(monkeypatch, payload):
+    # 19 cells of a (2, 6) schedule, one of whose group-2 ids in round 2 passes 19 while every
+    # id before it, in round and column order, is at most 19: the table first grows there
+    full, size = _full_2_6_schedule(payload), 19
+    (first_1, first_2), (second_1, second_2) = full.rounds[:2]  # by round, then by group
+    fits = [k for k, ids in enumerate(zip(first_1, first_2, second_1)) if max(ids) <= size]
+    grows = [k for k in fits if second_2[k] > size]
+    schedule = _cut(full, sorted([k for k in fits if k not in grows][:size - 1] + grows[:1]))
+    overflows = [(n, i) for n, summands in enumerate(schedule.rounds, start=1)
+                 for i, column in enumerate(summands, start=1) if max(column) > size]
+    assert len(schedule.cells[0]) == size and overflows[0] == (2, 2)
     assert "".join(_written_log(monkeypatch, schedule)) == "".join(_log_lines(schedule))
 
 
 def test_emit_skips_empty_chunks(monkeypatch, tmp_path):
     stdout = _Writes()
     monkeypatch.setattr(cli.sys, "stdout", stdout)
-    chunks = ["", "a", "", "", "b", "c" * 9000, "", "", "", "", "d"]
+    cap = cli._WRITE
+    chunks = ["", "a", "", "", "b", "c" * (cap + 1), "", "", "", "", "d"]
     cli._emit(iter(chunks), None)
-    # at most 8 KB per write, a longer chunk alone, and no empty write
-    assert stdout.writes == ["ab", "c" * 9000, "d"]
+    # at most cap per write, a longer chunk alone, and no empty write
+    assert stdout.writes == ["ab", "c" * (cap + 1), "d"]
     stdout.writes.clear()
-    cli._emit(["x" * 5000, "y" * 3192, "z" * 2, ""], None)
-    assert stdout.writes == ["x" * 5000 + "y" * 3192, "zz"]
+    cli._emit(["x" * 5000, "y" * (cap - 5000), "z" * 2, ""], None)
+    assert stdout.writes == ["x" * 5000 + "y" * (cap - 5000), "zz"]
     stdout.writes.clear()
     cli._emit(["", ""], None)
     assert stdout.writes == []

@@ -113,3 +113,16 @@ def test_budget_edges_refused_runs_exit_2_fast(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and message in err, (argv[:200], err)
         assert took < 0.1, (argv[:200], took)
     assert not any(tmp_path.iterdir())
+
+
+def test_schedule_rank_script():
+    # the grouped demands' ranks are the rates this placement and delivery reach there
+    proc = _run("scripts/schedule_rank.py", "--shape", "3", "6", "2", "1",
+                "--shape", "3", "10", "2", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("| shape | demands | rows | rank |\n"
+                           "|---|---|---|---|\n"
+                           "| (3,6,2,1) | distinct | 864 | 864 |\n"
+                           "| (3,6,2,1) | group i wants file i | 864 | 534 |\n"
+                           "| (3,10,2,1) | distinct | 8 000 | 8 000 |\n"
+                           "| (3,10,2,1) | group i wants file i | 8 000 | 2 808 |\n")

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 
-from span_oracle import broadcasts, cached, span_complete, span_decodes
+from span_oracle import broadcasts, cached, rank, span_complete, span_decodes
 
 from macc import SchemeParams, decode, deliver, extract_matchings, place, random_topology
 
@@ -68,3 +68,30 @@ def test_span_oracle_sees_a_block_that_a_cache_no_longer_stores():
         decoding = decode(faulty, schedule, demands)
         assert decoding.recovered == decode(placement, schedule, demands).recovered
         assert not span_complete(faulty, broadcasts(schedule), demands), placement.params
+
+
+def _eliminated_rank(sent):
+    """The rank by plain elimination: each broadcast as one int over all its variables,
+    reduced against a basis kept in descending order of leading bits."""
+    bit, basis = {}, []
+    for summands in sent:
+        vector = 0
+        for var in summands:
+            vector ^= 1 << bit.setdefault(var, len(bit))
+        for member in basis:
+            vector = min(vector, vector ^ member)
+        if vector:
+            basis = sorted([*basis, vector], reverse=True)
+    return len(basis)
+
+
+def test_rank_matches_plain_elimination():
+    # a repeated broadcast and one whose summands cancel add nothing
+    seen = []
+    for _, schedule, demands in _runs():
+        sent = broadcasts(schedule)
+        for part in (sent, sent + sent[:5], sent + [((1, 1), (1, 1))]):
+            assert rank(part) == _eliminated_rank(part)
+        seen.append((len(set(demands)) == len(demands), rank(sent) == len(sent)))
+    # distinct demands leave no broadcast redundant; some shared demands do
+    assert (True, False) not in seen and (False, False) in seen
