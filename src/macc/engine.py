@@ -1,9 +1,9 @@
 """Placement, XOR broadcast delivery, and decode verification.
 
 Pipeline: a validated topology from :mod:`macc.topology` yields a placement
-(each cache stores min(t, |cell|) blocks of its cell), the blocks each matched
-user misses, and a schedule of XOR broadcasts, each of one needed subfile per
-group, so it serves m users at once; any user who wants a summand's file may
+(each cache stores min(t, |cell|) blocks of its cell), which fixes the blocks
+each user misses, and a schedule of XOR broadcasts, each of one needed subfile
+per group, so it serves m users at once; any user who wants a summand's file may
 decode it.  :func:`decode` proves symbolically who recovers which subfile, and
 :func:`check_payloads` that every payload is the XOR of its summands' bytes.
 The rate, :func:`achievable_rate`, is the blocks per group that no user covers,
@@ -51,7 +51,8 @@ def achievable_rate(b: int, m: int, z: int, t: int) -> Fraction:
 
 def user_terms(m: int, b: int, z: int) -> tuple[dict[str, int], dict[str, int]]:
     """Steps and held bytes of the K = m*b users' graph and work, after the shape checks; a
-    user's 5*b steps price place's pool and stand for the C3 matching's successful searches."""
+    user's 5*b steps price the difference over b slots that works out the blocks it misses,
+    and seeded place's pools, and stand for the C3 matching's successful searches."""
     achievable_rate(b, m, z, 1)  # the shape checks: m >= 1, then 1 <= z <= b
     return ({"user work K*(250+20*z+5*b)": m * b * (250 + 20 * z + 5 * b)},
             {"user data K*(800+80*z+8*b)": m * b * (800 + 80 * z + 8 * b)})
@@ -123,18 +124,21 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Placement:
-    """Block slots stored per cache and the blocks each user misses, by global id.
-
-    ``cache_blocks[c-1]`` lists the class-i block slots that cache c = (i-1)*b + j
-    stores; ``missing[u-1]`` lists, ascending, the r class-i block slots that none
-    of user u's caches stores, u in group i.  Caches in different cells of a group
-    never share blocks.
-    """
+    """Block slots stored per cache, by global id: ``cache_blocks[c-1]`` lists the class-i
+    block slots that cache c = (i-1)*b + j stores.  Caches in different cells of a group
+    never share blocks, and what a user misses follows from what its caches store."""
 
     topology: Topology
     params: SchemeParams
     cache_blocks: tuple[tuple[int, ...], ...]
-    missing: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def missing(self) -> tuple[tuple[int, ...], ...]:
+        """``missing[u-1]`` lists, ascending, the class-i block slots that none of user u's
+        caches stores, u in group i; worked out on first read from ``cache_blocks``."""
+        slots, held = frozenset(range(1, self.params.b + 1)), ((), *self.cache_blocks)
+        return tuple(tuple(sorted(slots.difference(*map(held.__getitem__, row))))
+                     for row in self.topology.access)
 
 
 def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> Placement:
@@ -153,23 +157,16 @@ def place(topology: Topology, params: SchemeParams, seed: int | None = None) -> 
 
     rng = None if seed is None else random.Random(seed)
     cells = list(map(list, cell_slots(params.b, params.z)))  # every group shares each slot's int
-    cache_blocks, gaps = [], [()]  # gaps[c]: the blocks of cache c's cell that it does not store
+    cache_blocks = []
     for cell in cells * params.m:  # groups, cells, slots ascending, as seeded draws and ids go
         quota = min(params.t, len(cell))
         for p, j in enumerate(cell):
-            if rng is None:  # keep j and the lowest quota - 1 others: cell[h] is j or cell[quota-1]
-                h = max(p, quota - 1)
-                cache_blocks.append((*cell[:quota - 1], cell[h]))
-                gaps.append((*cell[quota - 1:h], *cell[h + 1:]))
+            if rng is None:  # j and the lowest quota - 1 others, cell[quota-1] or j last
+                cache_blocks.append((*cell[:quota - 1], cell[max(p, quota - 1)]))
             else:
                 stored = {j, *rng.sample([s for s in cell if s != j], quota - 1)}
                 cache_blocks.append(tuple(sorted(stored)))
-                gaps.append(tuple(s for s in cell if s not in stored))
-    # the cells are contiguous, so a user's ascending caches chain their gaps in ascending order
-    missing = tuple(tuple(itertools.chain.from_iterable(map(gaps.__getitem__, row)))
-                    for row in topology.access)
-    return Placement(topology=topology, params=params, cache_blocks=tuple(cache_blocks),
-                     missing=missing)
+    return Placement(topology=topology, params=params, cache_blocks=tuple(cache_blocks))
 
 
 def class_blocks(m: int, b: int, i: int) -> list[int]:
@@ -197,7 +194,8 @@ def deliver(placement: Placement, matching, demands) -> Schedule:
 
     ``matching[c-1]`` is the global user that cache c serves, as :func:`extract_matchings`
     finds it; a matching that is not a K-tuple of ints which, group by group, permutes that
-    group's users along edges of the placement's topology is a ValueError.
+    group's users along edges of the placement's topology is a ValueError, as is a
+    placement that leaves some user missing other than r blocks.
     For each round n and each coordinate tuple, group i contributes the
     subfile at the intersection of the chosen blocks with coordinate i
     swapped for the n-th block its matched user misses.  Repeated demands
@@ -211,8 +209,9 @@ def deliver(placement: Placement, matching, demands) -> Schedule:
     ) or any(c not in access[u - 1] for c, u in enumerate(matching, start=1)):
         raise ValueError("matchings do not fit the placement's topology")
     demands = _check_demands(demands, params)
-
     r = params.missing_count
+    if not {r}.issuperset(map(len, placement.missing)):  # a cache holds a block too many or few
+        raise ValueError(f"the placement leaves some user missing other than r = {r} blocks")
     if r == 0:
         return Schedule(*([[] for _ in range(m)] for _ in range(3)), [])
 

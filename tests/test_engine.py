@@ -533,6 +533,20 @@ def test_deliver_refuses_a_matching_that_does_not_fit(example_a, fault):
             deliver(graph, wrong, range(1, graph.params.num_users + 1))
 
 
+def test_deliver_refuses_a_placement_that_leaves_a_user_missing_other_than_r():
+    # each user misses r = 2 blocks; a block added to or dropped from cache 1 leaves the
+    # users who read it missing one or three, which no round count fits
+    top = canonical_topology(2, 4, 2)
+    placement = place(top, SchemeParams(m=2, b=4, z=2, t=1, n_files=8))
+    assert placement.cache_blocks[0] == (1,)
+    for blocks, lengths in (((1, 2), {1, 2}), ((), {2, 3})):
+        faulty = replace(placement, cache_blocks=(blocks, *placement.cache_blocks[1:]))
+        assert set(map(len, faulty.missing)) == lengths
+        with pytest.raises(ValueError, match="^the placement leaves some user missing other "
+                                             "than r = 2 blocks$"):
+            deliver(faulty, extract_matchings(top), range(1, 9))
+
+
 def test_decode_single_transmission(example_a, example_a_matching):
     top, params = example_a
     placement = place(top, params)

@@ -60,13 +60,17 @@ def test_span_oracle_fails_on_a_dropped_broadcast():
 
 
 def test_span_oracle_sees_a_block_that_a_cache_no_longer_stores():
-    # decode reads the blocks each user misses, which the fault leaves as they were
+    # the blocks a user misses follow from cache_blocks, so decode sees the fault too and
+    # leaves some user short of a subfile that its caches no longer hold
     for placement, schedule, demands in _distinct_runs():
         kept = list(placement.cache_blocks)
         kept[3] = kept[3][1:]
         faulty = replace(placement, cache_blocks=tuple(kept))
-        decoding = decode(faulty, schedule, demands)
-        assert decoding.recovered == decode(placement, schedule, demands).recovered
+        flags = decode(faulty, schedule, demands).recovered
+        assert flags != decode(placement, schedule, demands).recovered, placement.params
+        every = set(range(1, placement.params.subpacketization + 1))
+        assert any(not all(got[s] for s in every - cached(faulty, u))
+                   for u, got in enumerate(flags, start=1)), placement.params
         assert not span_complete(faulty, broadcasts(schedule), demands), placement.params
 
 

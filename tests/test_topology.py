@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macc import (
@@ -348,14 +348,26 @@ def test_canonical_always_validates(data):
     assert _fits(match, top)
 
 
+# random_topology gives up here: at z = 1 and b = 7 a group draw is accepted with
+# probability 7!/7**7 ≈ 0.0061, so all RANDOM_TRIES draws fail with probability ≈ 0.0022
+GIVES_UP = (1, 7, 1), 230
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_random_topologies_validate_and_match(data):
-    m = data.draw(st.integers(1, 3))
-    b = data.draw(st.integers(1, 7))
-    z = data.draw(st.integers(1, b))
-    seed = data.draw(st.integers(0, 10**6))
-    top = random_topology(m, b, z, seed=seed)
+@example(shape=GIVES_UP[0], seed=GIVES_UP[1])
+@given(shape=st.integers(1, 7).flatmap(
+           lambda b: st.tuples(st.integers(1, 3), st.just(b), st.integers(1, b))),
+       seed=st.integers(0, 10**6))
+def test_random_topologies_validate_and_match(shape, seed):
+    m, b, z = shape
+    try:
+        top = random_topology(m, b, z, seed=seed)
+    except GenerationError:
+        # a documented give-up, only where all RANDOM_TRIES draws of a group fail with
+        # probability at least 1e-9: at z = 1 a draw is accepted with probability b!/b**b
+        assert z == 1 and (1 - math.factorial(b) / b**b) ** RANDOM_TRIES >= 1e-9, (shape, seed)
+        return
+    assert (shape, seed) != GIVES_UP, "the pinned case must give up"
     assert validate(top).passed
     match = extract_matchings(top)
     assert _fits(match, top)
