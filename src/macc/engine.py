@@ -23,9 +23,10 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import add, getitem, xor
+from operator import add, getitem, setitem, xor
 from typing import NamedTuple
 
 from .designs import check_terms, point_count, require_ints
@@ -258,13 +259,14 @@ class Decoding(NamedTuple):
 def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
     """Decode every user's demanded file from the schedule, a round and a group at a time.
 
-    Every user who wants a summand's file reads it, whatever its group, and
-    recovers it when the subfiles of all other summands sit in blocks it
-    covers.  Each user's coverage is expanded once into a row of F+1 bytes
-    indexed by subfile, so a summand column is read with one lookup per entry;
-    the same row records what the user decodes, which never counts as
-    coverage.  The proof is symbolic; :func:`check_payloads` checks the bytes.
-    A round not of m columns of ids in 1..F, one per cell, is a ValueError.
+    Every user who wants a summand's file reads it, whatever its group, and recovers it
+    when the subfiles of all other summands sit in blocks it covers.  Each user's coverage
+    is expanded once into a row of F+1 bytes indexed by subfile, so a summand column is
+    gathered through a reading's rows into one bytearray.  The same rows record what users
+    decode, which never counts as coverage: a reading that decodes at every cell in one
+    setitem pass, any other cell by cell.  The proof is symbolic; :func:`check_payloads`
+    checks the bytes.  A round not of m columns of int ids in 1..F, one per cell, is a
+    ValueError.
     """
     params = placement.params
     demands = _check_demands(demands, params)
@@ -299,10 +301,10 @@ def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
     beneficiary_counts: list[int] = []
     ones = int.from_bytes(b"\1" * cells, "big")
     for n, summands in enumerate(schedule.rounds, start=1):
-        counts = [0] * cells
+        counts = [0] * cells  # kept only when no user wants a summand's file
         try:
             # a column too many, too few or too short, or an id below 1 (it would wrap or mark
-            # the unused slot 0), is refused here; an id above F fails its lookup below
+            # the unused slot 0), is refused here; an id above F or not an int fails here or below
             if len(summands) != m or any(len(c) != cells or min(c, default=1) < 1 for c in summands):
                 raise IndexError
             for first in range(0, len(readings), 255):  # byte lanes, emptied before one reaches 256
@@ -311,15 +313,18 @@ def decode(placement: Placement, schedule: Schedule, demands) -> Decoding:
                     # the reader must cover every summand's subfile but summand i's
                     hits = ones
                     for j, column in enumerate(summands):
-                        got = int.from_bytes(bytes(map(getitem, rows, column)), "big")
+                        got = int.from_bytes(bytearray(map(getitem, rows, column)), "big")
                         hits &= got ^ ones if j == i else got
-                    if hits:
-                        lanes += hits
+                    if hits == ones:  # every cell decodes, so no row is the last, immutable one
+                        deque(map(setitem, rows, summands[i], itertools.repeat(2)), 0)
+                    elif hits:
                         for row, s in itertools.compress(zip(rows, summands[i]),
                                                          hits.to_bytes(cells, "big")):
                             row[s] = 2
-                counts = list(map(add, counts, lanes.to_bytes(cells, "big")))
-        except IndexError:
+                    lanes += hits
+                got = lanes.to_bytes(cells, "big")
+                counts = list(map(add, counts, got)) if first else list(got)
+        except (IndexError, TypeError):
             raise ValueError(f"round {n} needs {m} columns of {cells} ids in 1..{f}") from None
         beneficiary_counts += counts
     recovered = tuple(table[:-1])

@@ -188,8 +188,10 @@ def validate(topology: Topology) -> TopologyReport:
             c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
                    for c in caches if (c - 1) // b + 1 != i]
         cells = set(map(cell_of.__getitem__, row))
-        if len(cells) < len(row):
-            c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
+        if len(cells) < len(row):  # a repeated id alone is named; rows ascend, so repeats abut
+            twice = len(cells) == len(set(row)) and min(c for c, d in zip(row, row[1:]) if c == d)
+            c2.append(f"C2: user k({i},{j}) " + (f"reads cache {twice} more than once" if twice
+                                                 else "reads several caches in one cell"))
         elif len(cells) < z:
             warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
     match = _max_matching(adj, m * b)  # groups share no cache, so it splits into theirs

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from design_oracles import point_at
-from span_oracle import broadcasts, span_complete
+from span_oracle import broadcasts, span_complete, span_decodes
 from macc import (
     PointBudgetError,
     SchemeParams,
@@ -718,6 +718,33 @@ def test_decode_matches_brute_force_sweep():
         _assert_decode_matches_brute_force(placement, schedule, demands)
 
 
+def test_decode_marks_fully_and_partly_decoded_readings_alike(monkeypatch):
+    # the byte workload's shape, each file wanted by 3 users: some readings decode at every
+    # cell, and are marked in one pass, and others at some cells only, marked cell by cell
+    top = random_topology(3, 6, 2, seed=3)
+    params = SchemeParams(m=3, b=6, z=2, t=1, n_files=6)
+    demands = [2, 4, 3, 6, 5, 2, 5, 1, 3, 6, 2, 1, 4, 6, 1, 3, 4, 5]
+    placement = place(top, params, seed=3)
+    schedule = deliver(placement, extract_matchings(top), demands)
+    ran = collections.Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            ran[name] += 1
+            return real(*args)
+        return counted
+    monkeypatch.setattr(engine, "deque", spy("full", collections.deque))
+    monkeypatch.setattr(itertools, "compress", spy("part", itertools.compress))
+    # the whole schedule, then every other cell of two rounds, where the span reveals more
+    for part in (schedule, sub_schedule(schedule, range(2), range(0, 216, 2))):
+        _assert_decode_matches_brute_force(placement, part, demands)
+        spans = span_decodes(placement, broadcasts(part), demands)
+        got = [decoded(row) for row in decode(placement, part, demands).recovered]
+        assert all(row <= span for row, span in zip(got, spans))
+        assert (got == spans) is (part is schedule)  # whole, every user decodes its file
+    assert ran["full"] and ran["part"], ran
+
+
 def test_decode_counts_past_255_readers_of_one_broadcast():
     # all 300 users want file 1, so each broadcast of round 1 has 300 readings, and 299 of
     # its readers lack its one subfile: more than one byte lane can count
@@ -838,14 +865,14 @@ def test_check_payloads_refuses_missing_or_misaligned_payloads(example_a):
 
 def test_decode_refuses_a_round_it_cannot_read(example_a, example_a_matching):
     # unchecked, id 0 would set the unused flag 0, id -1 would wrap to subfile F, id F + 1
-    # and a missing column would end in an IndexError, and a short column would misalign
-    # every read after it
+    # and a missing column would end in an IndexError, ids 1.0, "1" and None in a TypeError,
+    # and a short column would misalign every read after it
     top, params = example_a
     placement = place(top, params)
     schedule = deliver(placement, example_a_matching, range(1, 9))
     first, second = schedule.rounds[-1]
     changed = []
-    for s in (0, -1, 17):
+    for s in (0, -1, 17, 1.0, "1", None):
         column = list(first)
         column[3] = s
         changed.append([column, second])

@@ -395,7 +395,11 @@ def _reference_validate(top):
                 c1 += [f"C1: user k({i},{j}) reads cache {c} of group {(c - 1) // b + 1}"
                        for c in caches if (c - 1) // b + 1 != i]
             cells = {cell_of[s] for s in slots}
-            if len(cells) < len(slots):
+            repeated = sorted(s for s in set(slots) if slots.count(s) > 1)
+            if len(cells) < len(slots) and len(cells) == len(set(slots)):  # only repeats
+                c2.append(f"C2: user k({i},{j}) reads cache {(i - 1) * b + repeated[0]} more "
+                          f"than once")
+            elif len(cells) < len(slots):
                 c2.append(f"C2: user k({i},{j}) reads several caches in one cell")
             elif len(cells) < z:
                 warnings.append(f"C2: user k({i},{j}) misses a cell (at-most-but-not-exactly)")
@@ -405,6 +409,20 @@ def _reference_validate(top):
     return TopologyReport(c1_ok=not c1, c2_ok=not c2 and not warnings, c2_at_most_ok=not c2,
                           c3_ok=not c3, passed=not (c1 or c2 or c3 or warnings),
                           violations=tuple(c1 + c2 + c3), warnings=tuple(warnings))
+
+
+def test_a_repeated_cache_id_is_named_and_the_json_path_drops_it():
+    # the library keeps a repeated id, and C2 names it rather than a second cache in the
+    # cell; the JSON form reads each row as a set, so the same rows pass there
+    rows = [[1, 1, 2], [2, 1]]
+    report = validate(Topology(1, 2, 2, rows))
+    assert report == _reference_validate(Topology(1, 2, 2, rows))
+    assert report.violations == ("C2: user k(1,1) reads cache 1 more than once",)
+    assert (report.c1_ok, report.c2_at_most_ok, report.c3_ok) == (True, False, True)
+    assert validate(Topology.from_json_dict({"m": 1, "b": 2, "z": 2, "access": rows})).passed
+    # a repeat beside two caches in one cell keeps the cell's message
+    both = validate(Topology(1, 2, 1, [[1, 1, 2], [2]]))
+    assert both.violations == ("C2: user k(1,1) reads several caches in one cell",)
 
 
 def _reference_matchings(top):
